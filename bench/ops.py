@@ -440,7 +440,7 @@ class TargetSweep:
         """``cli._cmd_estimate`` call by call; prints what it prints."""
         counter = DensityCounter()
         buf = io.StringIO()
-        with tr.span("op"):
+        with tr.span("op"), contextlib.redirect_stdout(buf):
             op_span = len(tr.spans) - 1
             with tr.span("pipeline.config"):
                 cfg = dataclasses.replace(config_from_json(self.config_path),
@@ -452,7 +452,14 @@ class TargetSweep:
             with tr.span("cli.write_csv"):
                 write_d_estimate_csv(self.out / "d_estimate.csv", result.ratio_estimate, labels)
                 write_targets_csv(self.out / "targets.csv", result.target_results)
-            _print_estimate(buf, result, labels)
+            cli._print_ratios(result.ratio_estimate, labels)
+            for row in result.target_results:  # the row loop inline in _cmd_estimate
+                line = f"{row.target_label}: u {row.u_hat:.6g} (se {row.se_u:.3g})"
+                if row.eta_hat is not None:
+                    line += f", mean {row.eta_hat:.6g} (se {row.se_eta:.3g})"
+                if row.flags:
+                    line += f"  [{';'.join(row.flags)}]"
+                print(line)
             wrote = ["d_estimate.csv", "targets.csv"]
             with tr.span("regen.collect_tours"):
                 tours = stage2_tours(cfg, result)
@@ -460,28 +467,12 @@ class TargetSweep:
                 with tr.span("cli.write_csv"):
                     write_tours_csv(self.out / "tours.csv", tours)
                 wrote.append("tours.csv")
-            print("wrote " + ", ".join(str(self.out / n) for n in wrote), file=buf)
+            print("wrote " + ", ".join(str(self.out / n) for n in wrote))
         run = self.output((0, buf.getvalue()))
         layers = layer_metrics(tr, op_span, result, None, counter, 0)
         layers["cli.csv_bytes"] = sum(len(b) for b in run.files.values())
         layers.update(probe_metrics(tr, cfg, result))
         return run, tr.duration_ms(op_span), layers
-
-
-def _print_estimate(buf, result: TwoStageResult, labels) -> None:
-    """The lines ``genis estimate`` prints before its "wrote" line."""
-    est = result.ratio_estimate
-    for j in range(est.d_hat.size):
-        print(f"d[{j + 2}] ({labels[j + 1]} / {labels[0]}): {est.d_hat[j]:.6g}"
-              f"  se {est.se[j]:.3g}", file=buf)
-    print(f"converged in {est.iterations} iterations, n = {est.n_total}", file=buf)
-    for row in result.target_results:
-        line = f"{row.target_label}: u {row.u_hat:.6g} (se {row.se_u:.3g})"
-        if row.eta_hat is not None:
-            line += f", mean {row.eta_hat:.6g} (se {row.se_eta:.3g})"
-        if row.flags:
-            line += f"  [{';'.join(row.flags)}]"
-        print(line, file=buf)
 
 
 WORKLOADS = {w.name: w for w in (ToyStage1, TargetSweep, PilotGrid)}

@@ -1,18 +1,19 @@
 """Run the genis benchmark.
 
     python3 bench/run.py
-        every workload, one at a time: an untraced run, then a traced one;
-        prints every metric with its unit and the verdict of the output checks
+        every workload, one at a time, each run in a fresh process: an
+        untraced run, then a traced one; prints every metric with its unit
+        and the verdict of the output checks
     python3 bench/run.py --workload toy_stage1 --seed 1 --seconds 36 --trace 0
         one run of one workload; the last line of standard output is a JSON
         object with the keys correct, attempted, failed and metrics
 
-A run is a closed loop of ops: one client, workers = 1.  It is split over
-WORKER_PROCESSES fresh processes that run one after another, each for an
-equal share of --seconds, and their op times are pooled.  Each process sets
-up once (import genis, generate and parse the config, one warm-up op), so a
-run measures set-up that many times and reports the median.  Pooling also
-averages the speed differences between processes.
+A run is one process: set-up, then a closed loop of ops for --seconds (one
+client, workers = 1).  Set-up is done SETUP_REPEATS times and the median is
+reported.  Each set-up imports genis afresh, generates and parses the config
+and runs one warm-up op; only the first also imports genis's dependencies,
+such as numpy, which a process loads once.  The timed loop uses the last
+set-up.
 
 With --trace 0 a run reports the end-to-end metrics; with --trace 1 it
 runs each op untraced and then traced, checks that both give bitwise equal
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import importlib
 import json
 import math
 import os
@@ -41,12 +43,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS_DIR = ROOT / ".bench_runs"
 WORKLOADS = ("toy_stage1", "target_sweep", "pilot_grid")
-WORKER_PROCESSES = 5
-WORKER_TIMEOUT_S = 120
-OP_INDEX_STRIDE = 1_000_000  # worker w runs ops w * stride + 0, 1, 2, ...
+SETUP_REPEATS = 5
+RUN_TIMEOUT_S = 180
 
+# op_ms_p50 is printed but not listed: see "Noise" in README.md
 END_TO_END = {
-    "op_ms_p50": "ms",
     "op_ms_p90": "ms",
     "ops_per_s": "1/s",
     "setup_s": "s",
@@ -103,32 +104,36 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def import_ops():
-    """Import the workloads, and with them genis, from this checkout's src/."""
+    """Import the workloads, and with them genis, afresh from this checkout's src/."""
     src = ROOT / "src"
     if not (src / "genis" / "__init__.py").is_file():
         raise SystemExit(f"error: no genis package under {src}")
-    sys.path.insert(0, str(src))
-    import ops
-    import genis
-
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    for name in [m for m in sys.modules if m in ("ops", "genis") or m.startswith("genis.")]:
+        del sys.modules[name]
+    ops = importlib.import_module("ops")
+    genis = sys.modules["genis"]
     if not Path(genis.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"error: genis was imported from {genis.__file__}, not {src}")
     return ops
 
 
-class Worker:
-    """One process's share of a run: set-up, then a closed loop of ops."""
+class Run:
+    """One run: set-up SETUP_REPEATS times, then a closed loop of ops."""
 
-    def __init__(self, workload: str, seed: int, first_op: int, workdir: Path):
-        t0 = time.perf_counter()
-        self.ops = import_ops()
-        self.wl = self.ops.WORKLOADS[workload](seed, workdir)
-        self.next_op = first_op
+    def __init__(self, workload: str, seed: int, workdir: Path):
+        self.next_op = 0
         self.attempted = 0
         self.failures: list[str] = []
         self.failed_ops: set[int] = set()
-        self.attempt(self.take_op())
-        self.setup_s = time.perf_counter() - t0
+        self.setup_s: list[float] = []
+        for _ in range(SETUP_REPEATS):
+            t0 = time.perf_counter()
+            self.ops = import_ops()
+            self.wl = self.ops.WORKLOADS[workload](seed, workdir)
+            self.attempt(self.take_op())
+            self.setup_s.append(time.perf_counter() - t0)
 
     def take_op(self) -> int:
         self.next_op += 1
@@ -154,7 +159,7 @@ class Worker:
             self.fail(i, msg)
         return ms, out
 
-    def loop(self, seconds: float, max_ops: int | None, step) -> float:
+    def loop(self, seconds: float, step) -> float:
         """Call step(i) on fresh op indices, at least once, while another
         step of average length still fits in the time budget."""
         t0 = time.perf_counter()
@@ -163,95 +168,64 @@ class Worker:
             step(self.take_op())
             done += 1
             elapsed = time.perf_counter() - t0
-            if elapsed * (done + 1) / done > seconds or (max_ops and done >= max_ops):
+            if elapsed * (done + 1) / done > seconds:
                 return elapsed
 
-    def untraced(self, seconds: float, max_ops: int | None) -> dict:
+    def untraced(self, seconds: float) -> dict:
         times: list[float] = []
-        loop_s = self.loop(seconds, max_ops, lambda i: times.append(self.attempt(i)[0]))
+        loop_s = self.loop(seconds, lambda i: times.append(self.attempt(i)[0]))
         return {"op_ms": times, "loop_s": loop_s}
 
-    def traced(self, seconds: float, max_ops: int | None) -> dict:
+    def traced(self, seconds: float) -> dict:
+        """Each op both untraced and traced, in turns which goes first, so
+        that the second run's warm caches favour neither; op_ms and
+        traced_op_ms pair up by index."""
         tracer = self.ops.Tracer()
         plain: list[float] = []
         traced: list[float] = []
         layers: list[dict] = []
 
         def step(i):
-            ms, out = self.attempt(i)
-            plain.append(ms)
+            if i % 2 == 0:
+                ms, out = self.attempt(i)
             try:
                 t_out, t_ms, t_layers = self.wl.traced_op(i, tracer)
             except Exception as exc:  # counted like an untraced failure
                 traceback.print_exc(file=sys.stderr)
                 self.fail(i, f"traced op: {type(exc).__name__}: {exc}")
+                t_layers = None
+            if i % 2 == 1:
+                ms, out = self.attempt(i)
+            if t_layers is None:
                 return
+            plain.append(ms)
             traced.append(t_ms)
             layers.append(t_layers)
             if out is not None and self.wl.fingerprint(out) != self.wl.fingerprint(t_out):
                 self.fail(i, "traced output differs from untraced output")
 
-        self.loop(seconds, max_ops, step)
+        self.loop(seconds, step)
         return {"op_ms": plain, "traced_op_ms": traced, "layers": layers,
                 "spans": tracer.spans}
 
 
-def run_worker(args) -> int:
-    """Entry of a worker process: prints its report as one JSON line."""
-    RUNS_DIR.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=RUNS_DIR, prefix="work-") as work:
-        w = Worker(args.workload, args.seed, args.worker * OP_INDEX_STRIDE, Path(work))
-        report = w.traced(args.seconds, args.max_ops) if args.trace else \
-            w.untraced(args.seconds, args.max_ops)
-    report.update(
-        setup_s=w.setup_s,
-        attempted=w.attempted,
-        failed=len(w.failed_ops),
-        failures=w.failures,
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        env=library_environment(),
-    )
-    print(json.dumps(report))
-    return 0
-
-
-def run_workers(args) -> list[dict]:
-    """Run the workers of one run one after another, and collect their reports."""
-    reports = []
-    for k in range(WORKER_PROCESSES):
-        cmd = [sys.executable, __file__, "--worker", str(k), "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds / WORKER_PROCESSES),
-               "--trace", str(args.trace)]
-        if args.max_ops:
-            cmd += ["--max-ops", str(args.max_ops)]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                              timeout=WORKER_TIMEOUT_S)
-        sys.stderr.write(proc.stderr)
-        if proc.returncode != 0:
-            raise SystemExit(f"error: worker {k} exited with code {proc.returncode}")
-        reports.append(json.loads(proc.stdout.splitlines()[-1]))
-    return reports
-
-
-def end_to_end(reports: list[dict]) -> dict:
-    times = [t for r in reports for t in r["op_ms"]]
+def end_to_end(run: Run, report: dict) -> dict:
+    times = report["op_ms"]
     return {
-        "op_ms_p50": statistics.median(times),
         "op_ms_p90": percentile(times, 90),
-        "ops_per_s": len(times) / sum(r["loop_s"] for r in reports),
-        "setup_s": statistics.median(r["setup_s"] for r in reports),
-        "peak_rss_mb": max(r["peak_rss_mb"] for r in reports),
+        "ops_per_s": len(times) / report["loop_s"],
+        "setup_s": statistics.median(run.setup_s),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
-def per_layer(reports: list[dict]) -> dict:
-    layers = [row for r in reports for row in r["layers"]]
+def per_layer(report: dict) -> dict:
+    layers = report["layers"]
     metrics = {name: statistics.median(row[name] for row in layers)
                for name in PER_LAYER if name != "trace.overhead_ms"}
-    metrics["trace.overhead_ms"] = (
-        statistics.median(t for r in reports for t in r["traced_op_ms"])
-        - statistics.median(t for r in reports for t in r["op_ms"])
-    )
+    # paired by op, so the op's input and the host's speed at that moment cancel
+    metrics["trace.overhead_ms"] = statistics.median(
+        t - u for t, u in zip(report["traced_op_ms"], report["op_ms"]))
     return metrics
 
 
@@ -291,7 +265,7 @@ def blas_threads() -> str:
     return f"unknown (env {env or 'unset'})"
 
 
-def library_environment() -> dict:
+def environment(seed: int, ops_count: int) -> dict:
     import numpy
 
     try:
@@ -299,11 +273,6 @@ def library_environment() -> dict:
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):
         blas = "unknown"
-    return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "blas": blas, "blas_threads": blas_threads()}
-
-
-def environment(seed: int, ops_count: int, libraries: dict) -> dict:
     cpu = platform.processor() or "unknown"
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -316,42 +285,48 @@ def environment(seed: int, ops_count: int, libraries: dict) -> dict:
         "nproc": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "cpu_model": cpu,
-        **libraries,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": blas,
+        "blas_threads": blas_threads(),
         "git_commit": git_commit(),
         "seed": seed,
         "ops": ops_count,
         "workers": 1,
-        "processes_per_run": WORKER_PROCESSES,
+        "setup_repeats": SETUP_REPEATS,
     }
 
 
 def run_one(args) -> int:
-    reports = run_workers(args)
+    RUNS_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=RUNS_DIR, prefix="work-") as work:
+        run = Run(args.workload, args.seed, Path(work))
+        report = run.traced(args.seconds) if args.trace else run.untraced(args.seconds)
     if args.trace:
-        metrics, units = per_layer(reports), PER_LAYER
+        metrics, units = per_layer(report), PER_LAYER
     else:
-        metrics, units = end_to_end(reports), END_TO_END
-    attempted = sum(r["attempted"] for r in reports)
-    failed = sum(r["failed"] for r in reports)
-    failures = [msg for r in reports for msg in r["failures"]]
-    env = environment(args.seed, attempted, reports[0]["env"])
-    detail = {key: [r[key] for r in reports]
-              for key in ("setup_s", "op_ms", "traced_op_ms", "spans") if key in reports[0]}
+        metrics, units = end_to_end(run, report), END_TO_END
+    attempted = run.attempted
+    failed = len(run.failed_ops)
+    env = environment(args.seed, attempted)
+    detail = {key: report[key] for key in ("op_ms", "traced_op_ms", "spans") if key in report}
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     (RUNS_DIR / f"{tag}.json").write_text(json.dumps(
-        {"metrics": metrics, "failures": failures, "env": env, **detail}))
+        {"metrics": metrics, "failures": run.failures, "env": env,
+         "setup_s": run.setup_s, **detail}))
 
     w = args.workload
     for name, unit in units.items():
         print(f"{w:<13} {name:<41} {metrics[name]:>14.6g} {unit}")
-    timed = [t for r in reports for t in r["op_ms"]]
+    timed = report["op_ms"]
     if args.trace:
         print_shares(w, metrics)
     else:
         beyond = sum(t > metrics["op_ms_p90"] for t in timed)
         print(f"{w:<13} {'timed ops':<41} {len(timed):>14d} count ({beyond} beyond p90)")
+        print(f"{w:<13} {'op_ms_p50':<41} {statistics.median(timed):>14.6g} ms")
     print(f"{w:<13} {'op_fail_ratio':<41} {failed / attempted:>14.6g} ratio")
-    for msg in failures[:10]:
+    for msg in run.failures[:10]:
         print(f"  check failed: {msg}")
     print(f"{w:<13} output checks: {'passed' if not failed else 'FAILED'} "
           f"({attempted - failed}/{attempted} ops, warm-ups included)")
@@ -374,16 +349,15 @@ def print_shares(workload: str, metrics: dict):
 
 
 def run_all(args) -> int:
-    """Every workload, one at a time, untraced and then traced."""
+    """Every workload, one at a time, untraced and then traced, each run in
+    a fresh process."""
     verdicts = []
     for workload in WORKLOADS:
         for trace in ([args.trace] if args.trace is not None else [0, 1]):
             cmd = [sys.executable, __file__, "--workload", workload, "--seed", str(args.seed),
                    "--seconds", str(args.seconds), "--trace", str(trace)]
-            if args.max_ops:
-                cmd += ["--max-ops", str(args.max_ops)]
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                                  timeout=WORKER_PROCESSES * WORKER_TIMEOUT_S)
+                                  timeout=RUN_TIMEOUT_S)
             lines = proc.stdout.splitlines()
             sys.stdout.write("".join(line + "\n" for line in lines[:-1]))
             sys.stderr.write(proc.stderr)
@@ -396,16 +370,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=36.0,
+                        help="length of the timed loop; 36 as in BENCHMARK.json's run_seconds")
     parser.add_argument("--trace", type=int, choices=(0, 1))
-    parser.add_argument("--max-ops", type=int, help="ops per worker process, at most")
-    parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.workload is None:
         return run_all(args)
     args.trace = args.trace or 0
-    if args.worker is not None:
-        return run_worker(args)
     return run_one(args)
 
 

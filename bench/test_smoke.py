@@ -1,8 +1,9 @@
 """Smoke test of the benchmark.
 
-Every workload runs one op per worker process, untraced and traced. Each run
-must report every metric named in BENCHMARK.json as a finite number, fail no
-op, and give the same bytes from its traced ops as from its untraced ones.
+Every workload runs its set-ups and one timed op, untraced and traced: a run
+of a tiny --seconds times exactly one op. Each run must report every metric
+named in BENCHMARK.json as a finite number, fail no op, and give the same
+bytes from its traced ops as from its untraced ones.
 
     python3 -m pytest bench/test_smoke.py
 """
@@ -19,7 +20,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent
 SPEC = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
 sys.path.insert(0, str(BENCH))
-from run import WORKER_PROCESSES  # noqa: E402
+from run import SETUP_REPEATS  # noqa: E402
 
 
 def bench_run(*args, bench=BENCH):
@@ -32,16 +33,16 @@ def bench_run(*args, bench=BENCH):
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
 def test_workload_reports_every_metric(workload, trace):
-    proc = bench_run("--workload", workload, "--seed", "3", "--seconds", "60",
-                     "--max-ops", "1", "--trace", str(trace))
+    proc = bench_run("--workload", workload, "--seed", "3", "--seconds", "0.001",
+                     "--trace", str(trace))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     # with --trace 1 a traced op whose output differs from the untraced one fails
     assert result["correct"] and result["failed"] == 0, proc.stdout
-    # each worker process runs a warm-up op and one timed op
-    assert result["attempted"] == 2 * WORKER_PROCESSES
+    # a warm-up op per set-up, and one timed op
+    assert result["attempted"] == SETUP_REPEATS + 1
     assert any(line.split()[1:] == ["op_fail_ratio", "0", "ratio"] for line in lines)
     spec = {m["name"]: m["unit"] for m in SPEC["per_layer" if trace else "end_to_end"]}
     assert {k: m["unit"] for k, m in result["metrics"].items()} == spec
