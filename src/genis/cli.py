@@ -3,7 +3,8 @@
 Every subcommand reads a JSON experiment config and writes CSV files
 under --out.  Exit codes: 0 success, 1 failed oracle validation,
 2 bad config, 3 solver non-convergence, 4 not enough data (including
-too few regenerations).
+too few regenerations), 5 any other estimation failure (e.g. a state
+where every reference density vanishes).
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, InsufficientDataError
+from .errors import ConfigError, ConvergenceError, EstimationError, InsufficientDataError
 from .pipeline import (
     ExperimentConfig,
     build_references,
     config_from_json,
     oracle_check,
+    pilot_weights,
     run_replications,
     run_two_stage,
     sample_stage,
@@ -34,7 +36,6 @@ from .pipeline import (
     STAGE2_TAG,
 )
 from .samplers import save_chain
-from .weights import pilot_optimal_weights
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +168,7 @@ def _cmd_replicate(args) -> int:
         print(f"n = {size}: {len(good)} successful replications")
         if len(good) >= 2:
             emp = report.empirical_asym_var(size)
-            med = np.median(report.var_matrix(size, "bm"), axis=0)
+            med = np.median(report.var_matrix(size), axis=0)
             for j in range(emp.size):
                 print(
                     f"  d[{j + 2}]: empirical asymptotic var {emp[j]:.4g}, "
@@ -185,15 +186,7 @@ def _cmd_replicate(args) -> int:
 
 def _cmd_pilot_weights(args) -> int:
     cfg = _load_config(args)
-    references = build_references(cfg)
-    wc = cfg.stage1.weights
-    sizes = wc.pilot_sizes
-    if sizes is None:
-        sizes = tuple(max(200, s // 10) for s in cfg.stage1.sizes)
-    pilot = sample_stage(cfg, references, sizes, STAGE1_TAG)
-    best, diagnostics = pilot_optimal_weights(
-        pilot, references, step=wc.step, bm_spec=cfg.bm_spec
-    )
+    sizes, best, diagnostics = pilot_weights(cfg, build_references(cfg))
     print("pilot sizes: " + ", ".join(str(s) for s in sizes))
     print("optimal weights: " + ", ".join(f"{v:.4f}" for v in best))
     finite = {pt: tr for pt, tr in diagnostics.items() if np.isfinite(tr)}
@@ -272,6 +265,9 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 4
+    except EstimationError as exc:
+        print(f"estimation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

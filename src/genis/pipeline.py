@@ -490,6 +490,28 @@ def split_sizes(cfg: ExperimentConfig) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(n1), tuple(n2)
 
 
+def pilot_weights(
+    cfg: ExperimentConfig,
+    references: Sequence[UnnormalizedDensity],
+    rep_index: int = 0,
+) -> tuple[tuple[int, ...], np.ndarray, dict]:
+    """The pilot search behind stage-1 weights of kind "pilot".
+
+    Draws the pilot chains under PILOT_TAG, by default a tenth of each
+    stage-1 budget and at least 200, and grid-searches them.  Returns the
+    pilot sizes, the chosen weights and the grid diagnostics.
+    """
+    wc = cfg.stage1.weights
+    sizes = wc.pilot_sizes
+    if sizes is None:
+        sizes = tuple(max(200, s // 10) for s in cfg.stage1.sizes)
+    pilot = sample_stage(cfg, references, sizes, PILOT_TAG, rep_index)
+    best, diagnostics = pilot_optimal_weights(
+        pilot, references, step=wc.step, bm_spec=cfg.bm_spec
+    )
+    return sizes, best, diagnostics
+
+
 def _resolve_stage1_weights(
     cfg: ExperimentConfig,
     references: Sequence[UnnormalizedDensity],
@@ -502,14 +524,7 @@ def _resolve_stage1_weights(
     if wc.kind == "fixed":
         return StageWeights(np.asarray(wc.values, dtype=float))
     if wc.kind == "pilot":
-        sizes = wc.pilot_sizes
-        if sizes is None:
-            sizes = tuple(max(200, s // 10) for s in cfg.stage1.sizes)
-        pilot = sample_stage(cfg, references, sizes, PILOT_TAG, rep_index)
-        best, _ = pilot_optimal_weights(
-            pilot, references, step=wc.step, bm_spec=cfg.bm_spec
-        )
-        return StageWeights(best)
+        return StageWeights(pilot_weights(cfg, references, rep_index)[1])
     raise ConfigError(f"stage1 weight kind {wc.kind!r} is not valid for stage 1")
 
 
@@ -631,9 +646,13 @@ class ReplicationReport:
     def d_matrix(self, n_total: int) -> np.ndarray:
         return np.array([r.d_hat for r in self.at_size(n_total)])
 
-    def var_matrix(self, n_total: int, method: str = "bm") -> np.ndarray:
-        key = "var_bm" if method == "bm" else "var_rs"
-        rows = [getattr(r, key) for r in self.at_size(n_total)]
+    def var_matrix(self, n_total: int, method: str | None = None) -> np.ndarray:
+        """Per-replication variances; by default BM where it was recorded
+        and RS otherwise, as RatioEstimate.cov chooses."""
+        recs = self.at_size(n_total)
+        if method is None:
+            method = "bm" if all(r.var_bm is not None for r in recs) else "rs"
+        rows = [r.var_bm if method == "bm" else r.var_rs for r in recs]
         if any(v is None for v in rows):
             raise ValueError(f"no {method} variance recorded at size {n_total}")
         return np.array(rows)
@@ -649,7 +668,7 @@ class ReplicationReport:
         if self.truth is None or self.truth.d is None:
             raise ValueError("no true ratios recorded in the config")
         d = self.d_matrix(n_total)
-        v = self.var_matrix(n_total, "bm")
+        v = self.var_matrix(n_total)
         se = np.sqrt(np.clip(v, 0.0, None) / n_total)
         truth = np.asarray(self.truth.d)
         return np.mean(np.abs(d - truth) <= Z_95 * se, axis=0)

@@ -20,6 +20,12 @@ errors is the sandwich D^T B^+ Omega B^+ D, where B is minus the scaled
 Hessian, Omega the long-run covariance of the score, and D the Jacobian
 of the zeta -> d map.  Omega is estimated per chain by batch means or,
 as an independent route, from regeneration tours.
+
+Layout: each chain's log densities are one (k, n_l) array, component
+major, so reductions over components run over k contiguous rows.  The
+objective, the score, B and the membership probabilities all come from
+one softmax per chain in a single evaluator; the Newton fit evaluates
+each iterate once, and B and Omega reuse its last evaluation.
 """
 
 from __future__ import annotations
@@ -127,63 +133,51 @@ def _check_alignment(samples: SampleSet, references: Sequence[UnnormalizedDensit
 def log_density_matrices(
     samples: SampleSet, references: Sequence[UnnormalizedDensity]
 ) -> list[np.ndarray]:
-    """Per chain, the (n_l, k) matrix of log nu_s at that chain's states."""
+    """Per chain, the (k, n_l) matrix of log nu_s at that chain's states."""
     _check_alignment(samples, references)
     return [
-        np.column_stack([ref.log_density(chain.states) for ref in references])
+        np.stack([ref.log_density(chain.states) for ref in references])
         for chain in samples.chains
     ]
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    m = np.max(scores, axis=1)
-    if np.any(np.isneginf(m)):
-        raise UndefinedPointError("all reference densities vanish at a state")
-    p = np.exp(scores - m[:, None])
-    p[np.isneginf(scores)] = 0.0
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+def _evaluate(
+    mats: list[np.ndarray], zeta: np.ndarray, w: np.ndarray, a: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Objective, score, curvature B and (k, n_l) membership probabilities.
 
-
-def membership_probs(
-    x, references: Sequence[UnnormalizedDensity], zeta
-) -> np.ndarray:
-    """Membership probabilities p_l(x, zeta), one row per state."""
-    zeta = np.asarray(zeta, dtype=float)
-    scores = np.column_stack([ref.log_density(x) for ref in references])
-    return _softmax_rows(scores + zeta)
-
-
-def _qll_core(mats: list[np.ndarray], zeta: np.ndarray, w: np.ndarray) -> float:
-    total = 0.0
+    One softmax per chain feeds all four; w weighs the objective and the
+    score, a the curvature.
+    """
+    k = zeta.size
+    ll = 0.0
+    score = np.zeros(k)
+    info = np.zeros((k, k))
+    probs = []
     for l, mat in enumerate(mats):
-        scores = mat + zeta
-        m = np.max(scores, axis=1)
+        p = mat + zeta[:, None]
+        m = np.max(p, axis=0)
         if np.any(np.isneginf(m)):
             raise UndefinedPointError("all reference densities vanish at a state")
-        lse = m + np.log(np.sum(np.exp(scores - m[:, None]), axis=1))
-        total += w[l] * float(np.sum(scores[:, l] - lse))
-    return total
+        p -= m
+        own = p[l].copy()
+        np.exp(p, out=p)
+        total = p.sum(axis=0)
+        p /= total
+        ll += w[l] * float(np.sum(own - np.log(total)))
+        p_sum = p.sum(axis=1)
+        score[l] += w[l] * mat.shape[1]
+        score -= w[l] * p_sum
+        info += (a[l] / mat.shape[1]) * (np.diag(p_sum) - p @ p.T)
+        probs.append(p)
+    return ll, score, 0.5 * (info + info.T), probs
 
 
-def _score_core(
-    mats: list[np.ndarray], zeta: np.ndarray, w: np.ndarray, n_per: np.ndarray
-) -> np.ndarray:
-    g = w * n_per
-    for l, mat in enumerate(mats):
-        p = _softmax_rows(mat + zeta)
-        g = g - w[l] * p.sum(axis=0)
-    return g
-
-
-def _info_core(mats: list[np.ndarray], zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    k = zeta.size
-    out = np.zeros((k, k))
-    for l, mat in enumerate(mats):
-        p = _softmax_rows(mat + zeta)
-        gram = p.T @ p
-        out += (a[l] / mat.shape[0]) * (np.diag(p.sum(axis=0)) - gram)
-    return 0.5 * (out + out.T)
+def _prepared(samples, references, weights):
+    mats = log_density_matrices(samples, references)
+    n_per = samples.n_per_chain.astype(float)
+    weights = naive_stage_weights(n_per) if weights is None else weights
+    return mats, weights.w(n_per), weights.a
 
 
 def quasi_log_likelihood(
@@ -193,11 +187,8 @@ def quasi_log_likelihood(
     weights: StageWeights | None = None,
 ) -> float:
     """Weighted reverse-logistic objective; invariant to shifting zeta."""
-    mats = log_density_matrices(samples, references)
-    zeta = np.asarray(zeta, dtype=float)
-    n_per = samples.n_per_chain.astype(float)
-    weights = naive_stage_weights(n_per) if weights is None else weights
-    return _qll_core(mats, zeta, weights.w(n_per))
+    mats, w, a = _prepared(samples, references, weights)
+    return _evaluate(mats, np.asarray(zeta, dtype=float), w, a)[0]
 
 
 def quasi_score(
@@ -207,46 +198,56 @@ def quasi_score(
     weights: StageWeights | None = None,
 ) -> np.ndarray:
     """Gradient of the objective in zeta; components sum to zero."""
-    mats = log_density_matrices(samples, references)
-    zeta = np.asarray(zeta, dtype=float)
-    n_per = samples.n_per_chain.astype(float)
-    weights = naive_stage_weights(n_per) if weights is None else weights
-    return _score_core(mats, zeta, weights.w(n_per), n_per)
+    mats, w, a = _prepared(samples, references, weights)
+    return _evaluate(mats, np.asarray(zeta, dtype=float), w, a)[1]
 
 
-def _fit_core(
+def membership_probs(
+    x, references: Sequence[UnnormalizedDensity], zeta
+) -> np.ndarray:
+    """Membership probabilities p_l(x, zeta), one row per state."""
+    mat = np.stack([ref.log_density(x) for ref in references])
+    ones = np.ones(1)
+    return _evaluate([mat], np.asarray(zeta, dtype=float), ones, ones)[3][0].T
+
+
+def _fit(
     mats: list[np.ndarray],
     a: np.ndarray,
     n_per: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, int, float]:
+):
+    """Damped Newton from zeta = 0 under sum(zeta) = 0.
+
+    Each iterate is centred before it is evaluated, so the returned zeta
+    is the point of the last evaluation, whose B and membership
+    probabilities are returned with it (None for a single chain).
+    """
     k = a.size
     if k == 1:
-        return np.zeros(1), 0, 0.0
+        return np.zeros(1), 0, 0.0, None, None
     n = float(n_per.sum())
     w = a * n / n_per
     zeta = np.zeros(k)
-    ll = _qll_core(mats, zeta, w)
-    grad_norm = np.inf
-    for it in range(1, max_iter + 1):
-        g = _score_core(mats, zeta, w, n_per)
-        g_proj = g - g.mean()
+    ev = _evaluate(mats, zeta, w, a)
+    for it in range(max_iter + 1):
+        ll, g, info, probs = ev
         # per-sample scale: the raw score is O(n), so an absolute cutoff
         # would sit below the float64 rounding floor for large chains
-        grad_norm = float(np.max(np.abs(g_proj))) / n
+        grad_norm = float(np.max(np.abs(g - g.mean()))) / n
         if grad_norm <= tol:
-            return zeta - zeta.mean(), it - 1, grad_norm
+            return zeta, it, grad_norm, info, probs
+        if it == max_iter:
+            raise ConvergenceError(
+                f"no convergence in {max_iter} iterations (grad norm {grad_norm:.3e})",
+                zeta=zeta,
+                grad_norm=grad_norm,
+                iterations=max_iter,
+            )
         # Newton in the reduced parameterization zeta_k = -sum_{j<k} zeta_j
-        hess = -n * _info_core(mats, zeta, a)
-        h_red = (
-            hess[: k - 1, : k - 1]
-            - hess[: k - 1, k - 1][:, None]
-            - hess[k - 1, : k - 1][None, :]
-            + hess[k - 1, k - 1]
-        )
-        g_red = g[: k - 1] - g[k - 1]
-        neg_h = -h_red
+        neg_h = n * (info[:-1, :-1] - info[:-1, -1:] - info[-1:, :-1] + info[-1, -1])
+        g_red = g[:-1] - g[-1]
         ridge = 0.0
         for _ in range(12):
             try:
@@ -257,46 +258,34 @@ def _fit_core(
         else:
             raise ConvergenceError(
                 "reduced Hessian is not positive definite",
-                zeta=zeta - zeta.mean(),
+                zeta=zeta,
                 grad_norm=grad_norm,
-                iterations=it - 1,
+                iterations=it,
             )
         step_red = np.linalg.solve(chol.T, np.linalg.solve(chol, g_red))
-        step = np.concatenate([step_red, [-step_red.sum()]])
+        step = np.append(step_red, -step_red.sum())
         slope = float(g_red @ step_red)
+        ev = probs = None  # one set of membership probabilities at a time
         # once the Newton decrement sinks below the objective's rounding
         # noise the Armijo test carries no signal; the full step is then
         # safely inside the quadratic basin and finishes the solve
-        if slope <= 1e4 * np.finfo(float).eps * (1.0 + abs(ll)):
-            zeta = zeta + step
-            ll = _qll_core(mats, zeta, w)
-            continue
+        full_step = slope <= 1e4 * np.finfo(float).eps * (1.0 + abs(ll))
         t = 1.0
         for _ in range(60):
             cand = zeta + t * step
-            ll_new = _qll_core(mats, cand, w)
-            if ll_new >= ll + 1e-4 * t * slope:
-                zeta = cand
-                ll = ll_new
+            cand -= cand.mean()
+            ev = _evaluate(mats, cand, w, a)
+            if full_step or ev[0] >= ll + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             raise ConvergenceError(
                 "line search failed to improve the objective",
-                zeta=zeta - zeta.mean(),
+                zeta=zeta,
                 grad_norm=grad_norm,
-                iterations=it,
+                iterations=it + 1,
             )
-    g = _score_core(mats, zeta, w, n_per)
-    grad_norm = float(np.max(np.abs(g - g.mean()))) / n
-    if grad_norm <= tol:
-        return zeta - zeta.mean(), max_iter, grad_norm
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (grad norm {grad_norm:.3e})",
-        zeta=zeta - zeta.mean(),
-        grad_norm=grad_norm,
-        iterations=max_iter,
-    )
+        zeta = cand
 
 
 def fit_reverse_logistic(
@@ -307,11 +296,8 @@ def fit_reverse_logistic(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """Maximize the objective under sum(zeta) = 0 by damped Newton."""
-    mats = log_density_matrices(samples, references)
-    n_per = samples.n_per_chain.astype(float)
-    weights = naive_stage_weights(n_per) if weights is None else weights
-    zeta, _, _ = _fit_core(mats, weights.a, n_per, tol, max_iter)
-    return zeta
+    mats, _, a = _prepared(samples, references, weights)
+    return _fit(mats, a, samples.n_per_chain.astype(float), tol, max_iter)[0]
 
 
 def zeta_to_ratios(zeta, a) -> np.ndarray:
@@ -348,41 +334,33 @@ def info_matrix(
     B_rr = sum_l a_l mean_i p_r(1-p_r), B_rs = -sum_l a_l mean_i p_r p_s.
     Symmetric PSD with zero row sums; equals -Hessian/n of the objective.
     """
+    a = np.asarray(a, dtype=float)
     mats = log_density_matrices(samples, references)
-    return _info_core(mats, np.asarray(zeta, dtype=float), np.asarray(a, dtype=float))
+    return _evaluate(mats, np.asarray(zeta, dtype=float), a, a)[2]
 
 
-def _score_series(mat: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    return _softmax_rows(mat + zeta)
-
-
-def _omega_core(
-    mats: list[np.ndarray],
+def _omega(
+    probs: list[np.ndarray],
     chains,
-    zeta: np.ndarray,
     a: np.ndarray,
     bm_spec: BatchMeansSpec,
     method: str,
 ) -> np.ndarray:
     if method not in ("bm", "rs"):
         raise ValueError("method must be 'bm' or 'rs'")
-    n_per = np.array([mat.shape[0] for mat in mats], dtype=float)
-    n = n_per.sum()
-    k = zeta.size
-    omega = np.zeros((k, k))
-    for l, mat in enumerate(mats):
-        series = _score_series(mat, zeta)
+    n = sum(p.shape[1] for p in probs)
+    omega = np.zeros((a.size, a.size))
+    for l, p in enumerate(probs):
         if method == "bm":
-            sigma_l = bm_cov(series, block_size(mat.shape[0], bm_spec))
+            sigma_l = bm_cov(p.T, block_size(p.shape[1], bm_spec))
         else:
             chain = chains[l]
-            marks = chain.regen_marks
-            if chain.kind != "iid" and marks is None:
+            if chain.kind != "iid" and chain.regen_marks is None:
                 raise ValueError(
                     f"chain {chain.density_id!r} has no regeneration marks"
                 )
-            sigma_l = rs_long_run_cov(series, marks)
-        omega += (n / n_per[l]) * a[l] ** 2 * sigma_l
+            sigma_l = rs_long_run_cov(p.T, chain.regen_marks)
+        omega += (n / p.shape[1]) * a[l] ** 2 * sigma_l
     return omega
 
 
@@ -400,15 +378,10 @@ def score_long_run_cov(
     along the chain; chain l contributes (n/n_l) a_l^2 times its long-run
     covariance, estimated by batch means or from regeneration tours.
     """
+    a = np.asarray(a, dtype=float)
     mats = log_density_matrices(samples, references)
-    return _omega_core(
-        mats,
-        samples.chains,
-        np.asarray(zeta, dtype=float),
-        np.asarray(a, dtype=float),
-        bm_spec,
-        method,
-    )
+    probs = _evaluate(mats, np.asarray(zeta, dtype=float), a, a)[3]
+    return _omega(probs, samples.chains, a, bm_spec, method)
 
 
 def sym_pseudo_inverse(mat, rank_tol: float | None = None) -> np.ndarray:
@@ -462,6 +435,49 @@ def ratio_covariance(d_jacobian, info_pinv, omega) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _estimate_from_mats(
+    mats: list[np.ndarray],
+    chains,
+    a: np.ndarray,
+    n_per: np.ndarray,
+    bm_spec: BatchMeansSpec,
+    se_method: str,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> RatioEstimate:
+    """Stage 1 on prebuilt log-density matrices: fit, ratios, covariance.
+
+    B and Omega come from the membership probabilities of the fit's last
+    evaluation, taken at the returned zeta.
+    """
+    if a.size != len(mats):
+        raise ValueError("weights must have one entry per chain")
+    zeta, iterations, grad_norm, info, probs = _fit(
+        mats, a, n_per.astype(float), tol, max_iter
+    )
+    d_hat = zeta_to_ratios(zeta, a)
+    methods = [m for m in ("bm", "rs") if se_method in (m, "both")]
+    if a.size == 1:
+        covs = {m: np.zeros((0, 0)) for m in methods}
+    else:
+        jac = ratio_jacobian(d_hat)
+        info_pinv = _deflated_info_pinv(info)
+        covs = {
+            m: ratio_covariance(jac, info_pinv, _omega(probs, chains, a, bm_spec, m))
+            for m in methods
+        }
+    return RatioEstimate(
+        d_hat=d_hat,
+        zeta_hat=zeta,
+        a=a,
+        n_per_chain=n_per,
+        cov_bm=covs.get("bm"),
+        cov_rs=covs.get("rs"),
+        iterations=iterations,
+        grad_norm=grad_norm,
+    )
+
+
 def estimate_ratios(
     samples: SampleSet,
     references: Sequence[UnnormalizedDensity],
@@ -475,41 +491,8 @@ def estimate_ratios(
     if se_method not in SE_METHODS:
         raise ValueError(f"se_method must be one of {SE_METHODS}")
     mats = log_density_matrices(samples, references)
-    n_per = samples.n_per_chain.astype(float)
-    weights = naive_stage_weights(n_per) if weights is None else weights
-    if weights.k != len(references):
-        raise ValueError("weights must have one entry per chain")
-    zeta, iterations, grad_norm = _fit_core(mats, weights.a, n_per, tol, max_iter)
-    d_hat = zeta_to_ratios(zeta, weights.a)
-
-    cov_bm = None
-    cov_rs = None
-    if len(references) > 1:
-        jac = ratio_jacobian(d_hat)
-        info_pinv = _deflated_info_pinv(_info_core(mats, zeta, weights.a))
-        for method in ("bm", "rs"):
-            if se_method not in (method, "both"):
-                continue
-            omega = _omega_core(
-                mats, samples.chains, zeta, weights.a, bm_spec, method
-            )
-            cov = ratio_covariance(jac, info_pinv, omega)
-            if method == "bm":
-                cov_bm = cov
-            else:
-                cov_rs = cov
-    else:
-        empty = np.zeros((0, 0))
-        cov_bm = empty if se_method in ("bm", "both") else None
-        cov_rs = empty if se_method in ("rs", "both") else None
-
-    return RatioEstimate(
-        d_hat=d_hat,
-        zeta_hat=zeta,
-        a=weights.a,
-        n_per_chain=samples.n_per_chain,
-        cov_bm=cov_bm,
-        cov_rs=cov_rs,
-        iterations=iterations,
-        grad_norm=grad_norm,
+    n_per = samples.n_per_chain
+    a = (naive_stage_weights(n_per) if weights is None else weights).a
+    return _estimate_from_mats(
+        mats, samples.chains, a, n_per, bm_spec, se_method, tol, max_iter
     )

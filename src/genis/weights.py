@@ -17,7 +17,7 @@ import numpy as np
 
 from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_variance
 from .errors import ConvergenceError, EstimationError
-from .reverse_logistic import StageWeights, estimate_ratios
+from .reverse_logistic import StageWeights, _estimate_from_mats, log_density_matrices
 from .samplers import SampleSet
 
 WEIGHT_FLOOR = 1e-6
@@ -111,29 +111,29 @@ def pilot_optimal_weights(
 ) -> tuple[np.ndarray, dict]:
     """Grid search for the stage-1 weights minimizing trace of the covariance.
 
-    Grid points where the fit or the covariance fails are skipped; ties
-    are broken toward the pooled naive weights, then lexicographically.
-    Returns the winning weights and a diagnostics map from grid points to
-    traces (NaN where skipped).
+    The log-density matrices are built once.  Each grid point is fitted
+    from zeta = 0, since a warm start moves the converged zeta by rounding
+    and can flip near-tied choices.  Grid points where the fit or the
+    covariance fails are skipped; ties are broken toward the pooled naive
+    weights, then lexicographically.  Returns the winning weights and a
+    diagnostics map from grid points to traces (NaN where skipped).
     """
     k = len(references)
     if grid is None:
         grid = simplex_grid(k, step=step)
     if len(grid) == 0:
         raise ValueError("empty weight grid")
-    naive = naive_weights(pilot_samples.n_per_chain)
+    n_per = pilot_samples.n_per_chain
+    naive = naive_weights(n_per)
+    mats = log_density_matrices(pilot_samples, references)
     diagnostics: dict[tuple, float] = {}
     best: tuple | None = None
     for a_vec in grid:
         a_vec = np.asarray(a_vec, dtype=float)
         key = tuple(a_vec)
         try:
-            est = estimate_ratios(
-                pilot_samples,
-                references,
-                weights=StageWeights(a_vec),
-                bm_spec=bm_spec,
-                se_method="bm",
+            est = _estimate_from_mats(
+                mats, pilot_samples.chains, StageWeights(a_vec).a, n_per, bm_spec, "bm"
             )
             score = float(np.trace(est.cov)) if est.cov.size else 0.0
         except EstimationError:

@@ -7,10 +7,13 @@ replication batches are shared through module fixtures and the whole
 file runs in a few minutes on one core.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
+
+from genis.cli import main as cli_main
 
 from genis.densities import (
     Integrand,
@@ -386,9 +389,14 @@ def test_rs_bm_se_agreement(toy_both_100):
     assert _line("regenerative cross-validation", ok, detail)
 
 
-def test_out_of_scope_applications_documented():
-    detail = (
-        "studies needing external datasets or bespoke samplers are excluded; "
-        "the oracle, invariant, and replication criteria stand in for them"
-    )
-    assert _line("out-of-scope exclusions", True, detail)
+def test_unsupported_reference_family_exits_2(tmp_path, capsys):
+    """Applications outside the supported densities are refused up front:
+    a reference family the package does not implement is a config error."""
+    raw = _toy_raw()
+    raw["references"][0] = {"family": "normal", "sampler": "iid", "mu": 1.0}
+    path = tmp_path / "unsupported.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["estimate-d", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    ok = code == 2 and err.startswith("config error") and "family" in err
+    assert _line("unsupported configs refused", ok, f"exit {code}, {err!r}")

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from genis import cli
 from genis.cli import main as cli_main
-from genis.errors import ConfigError
+from genis.errors import ConfigError, UndefinedPointError
 from genis.pipeline import (
     STAGE1_TAG,
     STAGE2_TAG,
@@ -526,6 +527,33 @@ def test_cli_pilot_weights(tmp_path, capsys):
     assert "optimal weights" in capsys.readouterr().out
 
 
+def test_cli_replicate_rs_route_reports_coverage(tmp_path, capsys):
+    """Without BM variances the summary falls back to the RS ones."""
+    raw = toy_config(replications=3, targets=None, se_method="rs")
+    raw["stage1"]["sizes"] = [400, 400]
+    raw["truth"] = {"d": [1.0]}
+    path = write_config(tmp_path, raw)
+    assert cli_main(["replicate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    text = capsys.readouterr().out
+    assert "median estimated" in text
+    assert "coverage: " in text
+
+
+def test_cli_pilot_weights_are_the_estimators_weights(tmp_path, capsys):
+    """pilot-weights reports the weights that stage 1 then uses."""
+    raw = toy_config(targets=None, master_seed=11)
+    raw["stage1"]["weights"] = {"kind": "pilot", "step": 0.25, "pilot_sizes": [300, 300]}
+    path = write_config(tmp_path, raw)
+    assert cli_main(["pilot-weights", "--config", path]) == 0
+    line = next(
+        ln for ln in capsys.readouterr().out.splitlines()
+        if ln.startswith("optimal weights: ")
+    )
+    printed = [float(v) for v in line.split(": ")[1].split(", ")]
+    used = run_two_stage(config_from_dict(raw)).ratio_estimate.a
+    np.testing.assert_allclose(printed, used, atol=5e-5)
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     path = write_config(tmp_path, table_config())
     assert cli_main(["oracle-check", "--config", path]) == 0
@@ -574,3 +602,18 @@ def test_cli_exit_code_insufficient_data(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     assert cli_main(["estimate-d", "--config", path]) == 4
     assert "insufficient data" in capsys.readouterr().err
+
+
+def test_cli_exit_code_estimation_failure(tmp_path, capsys, monkeypatch):
+    """An EstimationError without its own code exits 5 with one stderr line."""
+
+    def undefined(cfg, rep_index=0):
+        raise UndefinedPointError("all reference densities vanish at a state")
+
+    monkeypatch.setattr(cli, "run_two_stage", undefined)
+    path = write_config(tmp_path, toy_config(targets=None))
+    assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("estimation failed: ")
+    assert "UndefinedPointError" in err and err.count("\n") == 1
+

@@ -1,6 +1,8 @@
 """Stage-1 ratio estimation: objective, solver, and covariance assembly."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from genis.densities import (
     t_density,
     t_log_density,
 )
-from genis.errors import ConvergenceError
+from genis.errors import ConvergenceError, UndefinedPointError
 from genis.reverse_logistic import (
     RatioEstimate,
     StageWeights,
     estimate_ratios,
     fit_reverse_logistic,
     info_matrix,
+    log_density_matrices,
     membership_probs,
     naive_stage_weights,
     quasi_log_likelihood,
@@ -32,7 +35,9 @@ from genis.reverse_logistic import (
     sym_pseudo_inverse,
     zeta_to_ratios,
 )
+from genis.pipeline import config_from_json, run_two_stage
 from genis.samplers import (
+    ChainSample,
     SampleSet,
     derive_seed,
     discrete_mh,
@@ -41,6 +46,13 @@ from genis.samplers import (
 )
 
 from conftest import TABLE_1, TABLE_2, exact_proportion_chain, table_mh_samples
+
+# Stage 1 of configs/toy.json (se_method "both"), frozen from the row-major
+# stage-1 code that recomputed the softmax for every quantity.
+TOY_D_HAT = 1.0015319308721
+TOY_COV_BM = 2.3613593903493957
+TOY_COV_RS = 2.1153306838538346
+TOY_ITERATIONS = 2
 
 # Population curvature entry for the pair (t5 at 1, t5 at 0) with equal
 # chain weights at the true offsets: quadrature of the mixture density times
@@ -91,6 +103,31 @@ def test_membership_rows_sum_to_one():
     p = membership_probs(x, refs, np.array([0.3, -0.3]))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
+
+
+def test_log_density_matrices_are_component_major():
+    chains = (
+        sample_t_iid(5, 1.0, 30, seed=1),
+        sample_t_iid(5, 0.0, 20, seed=2),
+        sample_t_iid(3, 0.5, 10, seed=3),
+    )
+    refs = [t_density(5, 1.0), t_density(5, 0.0), t_density(3, 0.5)]
+    mats = log_density_matrices(SampleSet(chains=chains), refs)
+    assert [m.shape for m in mats] == [(3, 30), (3, 20), (3, 10)]
+    np.testing.assert_array_equal(mats[1][2], refs[2].log_density(chains[1].states))
+
+
+def test_all_references_vanishing_at_a_state_is_undefined():
+    refs = [
+        discrete_table_density((1, 0, 1), id="left"),
+        discrete_table_density((1, 0, 2), id="right"),
+    ]
+    chains = (
+        ChainSample("left", np.array([0.0, 1.0, 2.0, 0.0]), "iid", 0),
+        ChainSample("right", np.array([2.0, 0.0, 2.0, 2.0]), "iid", 0),
+    )
+    with pytest.raises(UndefinedPointError):
+        estimate_ratios(SampleSet(chains=chains), refs)
 
 
 # ---------------------------------------------------------------- objective
@@ -468,6 +505,17 @@ def test_estimate_ratios_crosses_tol_at_objective_noise_floor():
     est = estimate_ratios(SampleSet(chains=chains), refs)
     assert est.grad_norm <= 1e-10
     assert est.iterations < 20
+
+
+def test_toy_config_stage1_matches_frozen_reference():
+    """The (k, n) evaluator reproduces the row-major code's stage 1 of the
+    shipped toy config: same iterations, d_hat and covariances to 1e-10."""
+    cfg = config_from_json(Path(__file__).parents[1] / "configs" / "toy.json")
+    est = run_two_stage(replace(cfg, targets=None, stage2=None)).ratio_estimate
+    assert est.iterations == TOY_ITERATIONS
+    assert est.d_hat[0] == pytest.approx(TOY_D_HAT, rel=1e-10)
+    assert est.cov_bm[0, 0] == pytest.approx(TOY_COV_BM, rel=1e-10)
+    assert est.cov_rs[0, 0] == pytest.approx(TOY_COV_RS, rel=1e-10)
 
 
 def test_estimate_ratios_toy_pair(toy_refs):

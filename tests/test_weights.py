@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from genis.densities import discrete_table_density
+from genis.densities import discrete_table_density, t_density
 from genis.errors import ConvergenceError
+from genis.reverse_logistic import StageWeights, estimate_ratios
 from genis.samplers import SampleSet, sample_t_iid, sample_t_imh
 from genis.weights import (
     effective_sample_size,
@@ -209,3 +210,24 @@ def test_pilot_all_points_failing_raises(toy_refs):
     pilot = SampleSet(chains=chains)
     with pytest.raises(ConvergenceError):
         pilot_optimal_weights(pilot, toy_refs, grid=[np.array([0.5, 0.5])])
+
+
+def test_pilot_grid_matches_estimate_ratios_per_point():
+    """Building the matrices once changes nothing: every grid trace and the
+    argmin equal those of a separate estimate_ratios call per point."""
+    mus = (0.0, 1.0, 2.0)
+    refs = [t_density(5, mu) for mu in mus]
+    chains = tuple(
+        sample_t_iid(5, mu, 600, seed=90 + i) for i, mu in enumerate(mus)
+    )
+    pilot = SampleSet(chains=chains)
+    best, diag = pilot_optimal_weights(pilot, refs, step=0.2)
+    traces = {}
+    for point in simplex_grid(3, step=0.2):
+        est = estimate_ratios(pilot, refs, weights=StageWeights(point))
+        traces[tuple(point)] = float(np.trace(est.cov))
+    assert diag.keys() == traces.keys()
+    for key, trace in traces.items():
+        assert diag[key] == pytest.approx(trace, rel=1e-12)
+    np.testing.assert_array_equal(best, min(traces, key=traces.get))
+
