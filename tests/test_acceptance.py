@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from genis.cli import main as cli_main
-
 from genis.densities import (
     Integrand,
     constant_integrand,

@@ -230,4 +230,3 @@ def test_pilot_grid_matches_estimate_ratios_per_point():
     for key, trace in traces.items():
         assert diag[key] == pytest.approx(trace, rel=1e-12)
     np.testing.assert_array_equal(best, min(traces, key=traces.get))
-
