@@ -30,15 +30,7 @@ from .errors import (
     InvalidModelError,
     UndefinedPointError,
 )
-from .importance import (
-    TargetEstimate,
-    TargetResult,
-    estimate_family,
-    estimate_mean,
-    estimate_ratio,
-    mean_estimate,
-    ratio_estimate,
-)
+from .importance import TargetResult, estimate_family
 from .pipeline import (
     ExperimentConfig,
     OracleReport,
@@ -105,7 +97,6 @@ __all__ = [
     "SampleSet",
     "StageWeights",
     "StateSpace",
-    "TargetEstimate",
     "TargetFamily",
     "TargetResult",
     "TwoStageResult",
@@ -122,22 +113,18 @@ __all__ = [
     "discrete_table_density",
     "effective_sample_size",
     "estimate_family",
-    "estimate_mean",
-    "estimate_ratio",
     "estimate_ratios",
     "fit_reverse_logistic",
     "identity_integrand",
     "independence_mh",
     "inv_dist_weights",
     "load_chain",
-    "mean_estimate",
     "mixture_density",
     "naive_weights",
     "oracle_check",
     "pilot_optimal_weights",
     "quasi_log_likelihood",
     "quasi_score",
-    "ratio_estimate",
     "rs_estimate_mean",
     "rs_estimate_ratio",
     "run_replications",

@@ -14,12 +14,21 @@ Standard errors combine two independent pieces: the stage-1 uncertainty
 propagated through a sensitivity vector (the gradient of the estimator in
 the ratios), and the stage-2 sampling variance of the weight series,
 estimated by batch means chain by chain.
+
+`estimate_family` is the entry point.  Per call it evaluates the
+reference log densities and f once per chain, and the log mixture
+denominator once per distinct weight vector.  Each target then takes one
+pass: per chain, one evaluation of its log density gives both u and the
+sensitivity kernel, whose exponential serves the g = 1 and the g = f
+gradient sums; one batch-means matrix of (v, u), or of u alone without
+f, gives both stage-2 variances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,33 +38,6 @@ from .errors import DegenerateDenominatorError, EstimationError
 from .samplers import SampleSet
 
 DEFAULT_TAIL_GUARD = 1e3
-
-
-@dataclass(frozen=True)
-class TargetEstimate:
-    """One estimated quantity (a constant ratio or an expectation).
-
-    var_stage1 is the q-scaled contribution of stage-1 ratio uncertainty,
-    var_stage2 the long-run variance of the stage-2 weight series; both
-    sit on the per-sample scale, so se = sqrt((var_stage1+var_stage2)/n).
-    """
-
-    target_label: str
-    u_hat: float
-    eta_hat: float | None
-    var_stage1: float
-    var_stage2: float
-    q: float
-    n: int
-
-    @property
-    def point(self) -> float:
-        return self.u_hat if self.eta_hat is None else self.eta_hat
-
-    @property
-    def se(self) -> float:
-        total = self.var_stage1 + self.var_stage2
-        return float(np.sqrt(max(total, 0.0) / self.n))
 
 
 @dataclass(frozen=True)
@@ -76,15 +58,15 @@ class TargetResult:
     flags: tuple[str, ...] = ()
 
 
-class _StageTwo:
-    """Precomputed per-chain reference matrices shared across targets."""
+class _Context:
+    """Chain data shared by every target of one family run."""
 
     def __init__(
         self,
         samples: SampleSet,
         references: Sequence[UnnormalizedDensity],
-        a,
         d_hat,
+        f: Integrand | None,
     ):
         if len(samples.chains) != len(references):
             raise ValueError("one chain per reference density required")
@@ -93,197 +75,115 @@ class _StageTwo:
                 raise ValueError(
                     f"chain order mismatch: {chain.density_id!r} vs {ref.id!r}"
                 )
-        k = len(references)
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        if a.shape != (k,) or np.any(a <= 0) or not np.all(np.isfinite(a)):
-            raise ValueError("a must be a positive weight per chain")
-        a = a / a.sum()
         d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
-        if d_hat.shape != (k - 1,):
+        if d_hat.shape != (len(references) - 1,):
             raise ValueError("d_hat must have one ratio per non-first reference")
         if np.any(d_hat <= 0) or not np.all(np.isfinite(d_hat)):
             raise ValueError("ratios must be positive and finite")
-        self.samples = samples
-        self.references = tuple(references)
-        self.a = a
+        self.states = [c.states for c in samples.chains]
         self.d_full = np.concatenate(([1.0], d_hat))
         self.n_per = samples.n_per_chain.astype(float)
         self.n = float(self.n_per.sum())
+        # kept (n_l, k): numpy sums a (k, n_l) array pairwise, which rounds
+        # the sensitivity sums differently
         self.ref_logs = [
-            np.column_stack([ref.log_density(c.states) for ref in references])
-            for c in samples.chains
+            np.column_stack([ref.log_density(x) for ref in references])
+            for x in self.states
         ]
-        log_coef = np.log(a) - np.log(self.d_full)
-        self.log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
+        self.f = f
+        self._mixtures: dict[tuple, tuple[np.ndarray, list[np.ndarray]]] = {}
 
-    def weight_series(self, target: UnnormalizedDensity) -> list[np.ndarray]:
-        """u(x) along each chain for one target."""
-        out = []
-        for chain, log_mix in zip(self.samples.chains, self.log_mix):
-            log_u = target.log_density(chain.states) - log_mix
-            with np.errstate(over="ignore"):
-                u = np.exp(log_u)
-            if not np.all(np.isfinite(u)):
-                raise DegenerateDenominatorError(
-                    f"importance weights overflow for target {target.id!r}"
-                )
-            out.append(u)
-        return out
+    @cached_property
+    def f_vals(self) -> list[np.ndarray] | None:
+        # first read inside a target's pass, so a failing f is isolated there
+        return None if self.f is None else [self.f.values(x) for x in self.states]
 
-
-def _as_context(samples, references, a, d_hat) -> _StageTwo:
-    return _StageTwo(samples, references, a, d_hat)
-
-
-def mixture_is_weights(
-    x, target: UnnormalizedDensity, references, a, d_hat
-) -> np.ndarray:
-    """u(x) = nu(x) / sum_s (a_s/d_s) nu_s(x), vectorized over states."""
-    k = len(references)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (k,) or np.any(a <= 0):
-        raise ValueError("a must be a positive weight per reference")
-    a = a / a.sum()
-    d_full = np.concatenate(([1.0], np.atleast_1d(np.asarray(d_hat, dtype=float))))
-    mat = np.column_stack([ref.log_density(x) for ref in references])
-    log_mix = log_sum_exp_rows(mat + (np.log(a) - np.log(d_full)))
-    return np.exp(target.log_density(x) - log_mix)
+    def mixture(self, a_vec) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Normalized weights and per-chain log mixtures, cached per vector."""
+        a = np.atleast_1d(np.asarray(a_vec, dtype=float))
+        if a.shape != self.d_full.shape or np.any(a <= 0) or not np.all(np.isfinite(a)):
+            raise ValueError("a must be a positive weight per chain")
+        a = a / a.sum()
+        key = tuple(np.round(a, 15))
+        if key not in self._mixtures:
+            log_coef = np.log(a) - np.log(self.d_full)
+            log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
+            self._mixtures[key] = (a, log_mix)
+        return self._mixtures[key]
 
 
-def estimate_ratio(samples, target, references, a, d_hat) -> float:
-    """Point estimate of the target-to-first-reference constant ratio."""
-    ctx = _as_context(samples, references, a, d_hat)
-    return _estimate_ratio(ctx, ctx.weight_series(target))
+class _Pass(NamedTuple):
+    """One target's stage-2 pieces, before the stage-1 covariance enters."""
+
+    u: list[np.ndarray]  # weight series per chain
+    u_hat: float
+    eta_hat: float | None
+    c_vec: np.ndarray  # gradient of u_hat in d_2..d_k
+    e_vec: np.ndarray | None  # gradient of eta_hat in d_2..d_k
+    bm: np.ndarray  # long-run covariance of u (1x1) or of (v, u) (2x2)
 
 
-def _estimate_ratio(ctx: _StageTwo, u_series: list[np.ndarray]) -> float:
-    return float(
-        sum(
-            ctx.a[l] * u.sum() / ctx.n_per[l]
-            for l, u in enumerate(u_series)
-        )
-    )
-
-
-def estimate_mean(samples, target, f: Integrand, references, a, d_hat) -> float:
-    """Point estimate of the target expectation of f."""
-    ctx = _as_context(samples, references, a, d_hat)
-    u_series = ctx.weight_series(target)
-    f_series = [f.values(c.states) for c in ctx.samples.chains]
-    return _estimate_mean(ctx, u_series, f_series)
-
-
-def _estimate_mean(ctx, u_series, f_series) -> float:
-    u_hat = _estimate_ratio(ctx, u_series)
-    v_hat = float(
-        sum(
-            ctx.a[l] * np.dot(f_series[l], u_series[l]) / ctx.n_per[l]
-            for l in range(len(u_series))
-        )
-    )
-    if u_hat <= 0 or not np.isfinite(u_hat):
-        raise DegenerateDenominatorError("importance weight sum is not positive")
-    return v_hat / u_hat
-
-
-def _sensitivity_sums(
-    ctx: _StageTwo,
+def _target_pass(
+    ctx: _Context,
     target: UnnormalizedDensity,
-    f_series: list[np.ndarray] | None,
-) -> np.ndarray:
-    """Vector over j = 2..k of the plug-in gradient sums.
+    a_vec,
+    bm_spec: BatchMeansSpec,
+) -> _Pass:
+    """Estimates, sensitivities and batch means for one target.
 
-    Component j-1 is sum_l (a_l/n_l) sum_i (a_j/d_j^2) g(x) nu(x) nu_j(x)
-    / mix(x)^2 with g = f or g = 1, computed stably in log space.
+    The gradient sums over j = 2..k are sum_l (a_l/n_l) sum_i (a_j/d_j^2)
+    g(x) nu(x) nu_j(x) / mix(x)^2 with g = 1 and g = f, in log space.
+    Chain l enters the batch means with weight a_l^2 / s_l, s_l = n_l / n.
     """
-    k = len(ctx.references)
-    out = np.zeros(k - 1)
-    for l, chain in enumerate(ctx.samples.chains):
-        log_base = target.log_density(chain.states) - 2.0 * ctx.log_mix[l]
+    a, log_mix = ctx.mixture(a_vec)
+    f_vals = ctx.f_vals
+    u_series = []
+    c_sum = np.zeros(len(a) - 1)
+    s_sum = None if f_vals is None else np.zeros(len(a) - 1)
+    for l, x in enumerate(ctx.states):
+        log_nu = target.log_density(x)
         with np.errstate(over="ignore"):
-            kernel = np.exp(log_base[:, None] + ctx.ref_logs[l][:, 1:])
+            u = np.exp(log_nu - log_mix[l])
+            kernel = np.exp(
+                (log_nu - 2.0 * log_mix[l])[:, None] + ctx.ref_logs[l][:, 1:]
+            )
+        if not np.all(np.isfinite(u)):
+            raise DegenerateDenominatorError(
+                f"importance weights overflow for target {target.id!r}"
+            )
         if not np.all(np.isfinite(kernel)):
             raise DegenerateDenominatorError(
                 f"sensitivity kernel overflow for target {target.id!r}"
             )
-        if f_series is not None:
-            kernel = kernel * f_series[l][:, None]
-        out += (ctx.a[l] / ctx.n_per[l]) * kernel.sum(axis=0)
-    return out * ctx.a[1:] / ctx.d_full[1:] ** 2
+        u_series.append(u)
+        w_l = a[l] / ctx.n_per[l]
+        c_sum += w_l * kernel.sum(axis=0)
+        if f_vals is not None:
+            s_sum += w_l * (kernel * f_vals[l][:, None]).sum(axis=0)
+    u_hat = float(sum(a[l] * u.sum() / ctx.n_per[l] for l, u in enumerate(u_series)))
+    c_vec = c_sum * a[1:] / ctx.d_full[1:] ** 2
 
+    p = 1 if f_vals is None else 2
+    bm = np.zeros((p, p))
+    for l, u in enumerate(u_series):
+        series = u if f_vals is None else np.column_stack([f_vals[l] * u, u])
+        s_l = ctx.n_per[l] / ctx.n
+        bm += (a[l] ** 2 / s_l) * bm_cov(series, block_size(u.size, bm_spec))
+    if f_vals is None:
+        return _Pass(u_series, u_hat, None, c_vec, None, bm)
 
-def ratio_sensitivity(samples, target, references, a, d_hat) -> np.ndarray:
-    """Gradient of the ratio estimate in the stage-1 ratios."""
-    ctx = _as_context(samples, references, a, d_hat)
-    return _sensitivity_sums(ctx, target, None)
-
-
-def mean_sensitivity(
-    samples, target, f: Integrand, references, a, d_hat
-) -> np.ndarray:
-    """Gradient of the expectation estimate in the stage-1 ratios."""
-    ctx = _as_context(samples, references, a, d_hat)
-    u_series = ctx.weight_series(target)
-    f_series = [f.values(c.states) for c in ctx.samples.chains]
-    return _mean_sensitivity(ctx, target, u_series, f_series)
-
-
-def _mean_sensitivity(ctx, target, u_series, f_series) -> np.ndarray:
-    u_hat = _estimate_ratio(ctx, u_series)
     if u_hat <= 0 or not np.isfinite(u_hat):
         raise DegenerateDenominatorError("importance weight sum is not positive")
-    eta_hat = _estimate_mean(ctx, u_series, f_series)
-    c_vec = _sensitivity_sums(ctx, target, None)
-    s_f = _sensitivity_sums(ctx, target, f_series)
-    return s_f / u_hat - c_vec * (eta_hat / u_hat)
-
-
-def _stage2_bm(
-    ctx: _StageTwo,
-    u_series: list[np.ndarray],
-    f_series: list[np.ndarray] | None,
-    bm_spec: BatchMeansSpec,
-) -> np.ndarray:
-    """Combined long-run covariance of the stage-2 series.
-
-    Returns a 1x1 matrix (weight series only) or the 2x2 joint matrix of
-    (v, u); chain l enters with weight a_l^2 / s_l, s_l = n_l / n.
-    """
-    p = 1 if f_series is None else 2
-    total = np.zeros((p, p))
-    for l, u in enumerate(u_series):
-        if f_series is None:
-            series = u
-        else:
-            series = np.column_stack([f_series[l] * u, u])
-        b = block_size(u.size, bm_spec)
-        s_l = ctx.n_per[l] / ctx.n
-        total += (ctx.a[l] ** 2 / s_l) * bm_cov(series, b)
-    return total
-
-
-def weight_bm_variance(
-    samples, target, references, a, d_hat, bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC
-) -> float:
-    """Long-run variance of the weight series (the tau^2 piece for u_hat)."""
-    ctx = _as_context(samples, references, a, d_hat)
-    return float(_stage2_bm(ctx, ctx.weight_series(target), None, bm_spec)[0, 0])
-
-
-def joint_bm_cov(
-    samples,
-    target,
-    f: Integrand,
-    references,
-    a,
-    d_hat,
-    bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC,
-) -> np.ndarray:
-    """Joint 2x2 long-run covariance of (v, u); its (2,2) entry is tau^2."""
-    ctx = _as_context(samples, references, a, d_hat)
-    u_series = ctx.weight_series(target)
-    f_series = [f.values(c.states) for c in ctx.samples.chains]
-    return _stage2_bm(ctx, u_series, f_series, bm_spec)
+    v_hat = float(
+        sum(
+            a[l] * np.dot(f_vals[l], u_series[l]) / ctx.n_per[l]
+            for l in range(len(u_series))
+        )
+    )
+    eta_hat = v_hat / u_hat
+    s_vec = s_sum * a[1:] / ctx.d_full[1:] ** 2
+    e_vec = s_vec / u_hat - c_vec * (eta_hat / u_hat)
+    return _Pass(u_series, u_hat, eta_hat, c_vec, e_vec, bm)
 
 
 def ratio_delta_variance(v_hat: float, u_hat: float, joint_cov) -> float:
@@ -293,76 +193,6 @@ def ratio_delta_variance(v_hat: float, u_hat: float, joint_cov) -> float:
     joint_cov = np.asarray(joint_cov, dtype=float)
     grad = np.array([1.0 / u_hat, -v_hat / u_hat**2])
     return float(grad @ joint_cov @ grad)
-
-
-def _check_stage1_cov(stage1_cov, km1: int) -> np.ndarray:
-    cov = np.asarray(stage1_cov, dtype=float)
-    if cov.shape != (km1, km1):
-        raise ValueError("stage-1 covariance has the wrong shape")
-    return cov
-
-
-def ratio_estimate(
-    samples,
-    target,
-    references,
-    a,
-    d_hat,
-    stage1_cov,
-    q: float,
-    bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC,
-) -> TargetEstimate:
-    """u_hat with its two-part standard error."""
-    ctx = _as_context(samples, references, a, d_hat)
-    u_series = ctx.weight_series(target)
-    u_hat = _estimate_ratio(ctx, u_series)
-    c_vec = _sensitivity_sums(ctx, target, None)
-    cov = _check_stage1_cov(stage1_cov, c_vec.size)
-    var1 = float(q) * float(c_vec @ cov @ c_vec) if c_vec.size else 0.0
-    var2 = float(_stage2_bm(ctx, u_series, None, bm_spec)[0, 0])
-    return TargetEstimate(
-        target_label=target.id,
-        u_hat=u_hat,
-        eta_hat=None,
-        var_stage1=var1,
-        var_stage2=var2,
-        q=float(q),
-        n=int(ctx.n),
-    )
-
-
-def mean_estimate(
-    samples,
-    target,
-    f: Integrand,
-    references,
-    a,
-    d_hat,
-    stage1_cov,
-    q: float,
-    bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC,
-) -> TargetEstimate:
-    """eta_hat with its two-part standard error."""
-    ctx = _as_context(samples, references, a, d_hat)
-    u_series = ctx.weight_series(target)
-    f_series = [f.values(c.states) for c in ctx.samples.chains]
-    u_hat = _estimate_ratio(ctx, u_series)
-    eta_hat = _estimate_mean(ctx, u_series, f_series)
-    e_vec = _mean_sensitivity(ctx, target, u_series, f_series)
-    cov = _check_stage1_cov(stage1_cov, e_vec.size)
-    var1 = float(q) * float(e_vec @ cov @ e_vec) if e_vec.size else 0.0
-    joint = _stage2_bm(ctx, u_series, f_series, bm_spec)
-    v_hat = eta_hat * u_hat
-    rho = ratio_delta_variance(v_hat, u_hat, joint)
-    return TargetEstimate(
-        target_label=target.id,
-        u_hat=u_hat,
-        eta_hat=eta_hat,
-        var_stage1=var1,
-        var_stage2=rho,
-        q=float(q),
-        n=int(ctx.n),
-    )
 
 
 def estimate_family(
@@ -386,7 +216,6 @@ def estimate_family(
     estimates and an error flag instead of aborting the run.
     """
     k = len(references)
-    n_per = samples.n_per_chain.astype(float)
     if a_per_target is None:
         base = np.full(k, 1.0 / k) if a is None else np.asarray(a, dtype=float)
         a_list = [base] * len(family)
@@ -394,34 +223,32 @@ def estimate_family(
         if len(a_per_target) != len(family):
             raise ValueError("a_per_target must have one weight vector per target")
         a_list = [np.asarray(v, dtype=float) for v in a_per_target]
+    cov = np.asarray(stage1_cov, dtype=float)
+    if cov.shape != (k - 1, k - 1):
+        raise ValueError("stage-1 covariance has the wrong shape")
+    ctx = _Context(samples, references, d_hat, f)
 
-    # contexts depend only on a, so share them across equal-weight targets
-    contexts: dict[tuple, _StageTwo] = {}
     results: list[TargetResult] = []
     for target, a_vec in zip(family.targets, a_list):
-        key = tuple(np.round(a_vec / a_vec.sum(), 15))
         try:
-            ctx = contexts.get(key)
-            if ctx is None:
-                ctx = _StageTwo(samples, references, a_vec, d_hat)
-                contexts[key] = ctx
             results.append(
-                _one_target(ctx, target, f, stage1_cov, q, bm_spec, tail_guard)
+                _one_target(ctx, target, a_vec, cov, q, bm_spec, tail_guard)
             )
         except EstimationError as exc:
+            nan_f = float("nan") if f is not None else None
             results.append(
                 TargetResult(
                     target_label=target.id,
                     u_hat=float("nan"),
-                    eta_hat=float("nan") if f is not None else None,
+                    eta_hat=nan_f,
                     se_u=float("nan"),
-                    se_eta=float("nan") if f is not None else None,
+                    se_eta=nan_f,
                     var_stage1_u=float("nan"),
                     var_stage2_u=float("nan"),
-                    var_stage1_eta=float("nan") if f is not None else None,
-                    var_stage2_eta=float("nan") if f is not None else None,
+                    var_stage1_eta=nan_f,
+                    var_stage2_eta=nan_f,
                     q=float(q),
-                    n=int(n_per.sum()),
+                    n=int(ctx.n),
                     flags=(f"error:{type(exc).__name__}",),
                 )
             )
@@ -429,46 +256,30 @@ def estimate_family(
 
 
 def _one_target(
-    ctx: _StageTwo,
+    ctx: _Context,
     target: UnnormalizedDensity,
-    f: Integrand | None,
-    stage1_cov,
+    a_vec,
+    cov: np.ndarray,
     q: float,
     bm_spec: BatchMeansSpec,
     tail_guard: float,
 ) -> TargetResult:
-    u_series = ctx.weight_series(target)
-    flags: list[str] = []
-    all_u = np.concatenate(u_series)
+    p = _target_pass(ctx, target, a_vec, bm_spec)
+    all_u = np.concatenate(p.u)
     mean_u = all_u.mean()
-    if mean_u > 0 and float(all_u.max()) > tail_guard * mean_u:
-        flags.append("tail_weight")
-
-    u_hat = _estimate_ratio(ctx, u_series)
-    c_vec = _sensitivity_sums(ctx, target, None)
-    cov = _check_stage1_cov(stage1_cov, c_vec.size)
-    var1_u = float(q) * float(c_vec @ cov @ c_vec) if c_vec.size else 0.0
-    var2_u = float(_stage2_bm(ctx, u_series, None, bm_spec)[0, 0])
-    se_u = float(np.sqrt(max(var1_u + var2_u, 0.0) / ctx.n))
-
-    eta_hat = None
-    se_eta = None
-    var1_eta = None
-    var2_eta = None
-    if f is not None:
-        f_series = [f.values(c.states) for c in ctx.samples.chains]
-        eta_hat = _estimate_mean(ctx, u_series, f_series)
-        e_vec = _mean_sensitivity(ctx, target, u_series, f_series)
-        var1_eta = float(q) * float(e_vec @ cov @ e_vec) if e_vec.size else 0.0
-        joint = _stage2_bm(ctx, u_series, f_series, bm_spec)
-        var2_eta = ratio_delta_variance(eta_hat * u_hat, u_hat, joint)
+    tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
+    var1_u = float(q) * float(p.c_vec @ cov @ p.c_vec) if p.c_vec.size else 0.0
+    var2_u = float(p.bm[-1, -1])  # bitwise the univariate BM of u
+    var1_eta = var2_eta = se_eta = None
+    if p.eta_hat is not None:
+        var1_eta = float(q) * float(p.e_vec @ cov @ p.e_vec) if p.e_vec.size else 0.0
+        var2_eta = ratio_delta_variance(p.eta_hat * p.u_hat, p.u_hat, p.bm)
         se_eta = float(np.sqrt(max(var1_eta + var2_eta, 0.0) / ctx.n))
-
     return TargetResult(
         target_label=target.id,
-        u_hat=u_hat,
-        eta_hat=eta_hat,
-        se_u=se_u,
+        u_hat=p.u_hat,
+        eta_hat=p.eta_hat,
+        se_u=float(np.sqrt(max(var1_u + var2_u, 0.0) / ctx.n)),
         se_eta=se_eta,
         var_stage1_u=var1_u,
         var_stage2_u=var2_u,
@@ -476,5 +287,5 @@ def _one_target(
         var_stage2_eta=var2_eta,
         q=float(q),
         n=int(ctx.n),
-        flags=tuple(flags),
+        flags=("tail_weight",) if tail else (),
     )

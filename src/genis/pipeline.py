@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .batch_means import BatchMeansSpec
+from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec
 from .densities import (
     Integrand,
     TargetFamily,
@@ -29,7 +29,7 @@ from .densities import (
     t_density,
 )
 from .errors import ConfigError, EstimationError
-from .importance import TargetResult, estimate_family
+from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
 from .regen import collect_tours
 from .reverse_logistic import (
     RatioEstimate,
@@ -45,6 +45,7 @@ from .samplers import (
     sample_t_imh,
 )
 from .weights import (
+    DEFAULT_STEP,
     effective_sample_size,
     ess_inv_dist_weights,
     inv_dist_weights,
@@ -82,7 +83,7 @@ class ReferenceConfig:
 class WeightConfig:
     kind: str = "naive"  # naive | fixed | inv_dist | ess | pilot
     values: tuple[float, ...] | None = None
-    step: float = 0.05
+    step: float = DEFAULT_STEP
     pilot_sizes: tuple[int, ...] | None = None
 
 
@@ -119,14 +120,14 @@ class ExperimentConfig:
     master_seed: int = 0
     burn_in: int = 0
     thinning: int = 1
-    bm_nu: float = 0.5
+    bm_nu: float = DEFAULT_BM_SPEC.nu
     bm_explicit_b: int | None = None
     se_method: str = "bm"
     assume_infinite_stage1: bool = False
     replications: int = 1
     size_grid: tuple[int, ...] = ()
     workers: int = 1
-    tail_guard: float = 1e3
+    tail_guard: float = DEFAULT_TAIL_GUARD
     truth: TruthConfig | None = None
 
     @property
@@ -147,6 +148,13 @@ def _pick(d: dict, allowed: dict, where: str) -> dict:
     return out
 
 
+def _defaults(cls) -> dict:
+    """Field defaults of a config dataclass; a field without one maps to None."""
+    return {
+        f.name: None if f.default is MISSING else f.default for f in fields(cls)
+    }
+
+
 def _tuple_or_none(v, cast=float):
     if v is None:
         return None
@@ -156,29 +164,7 @@ def _tuple_or_none(v, cast=float):
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a JSON-style dict."""
     _require(isinstance(raw, dict), "config must be a JSON object")
-    top = _pick(
-        raw,
-        {
-            "references": None,
-            "stage1": None,
-            "stage2": None,
-            "targets": None,
-            "integrand": "x",
-            "master_seed": 0,
-            "burn_in": 0,
-            "thinning": 1,
-            "bm_nu": 0.5,
-            "bm_explicit_b": None,
-            "se_method": "bm",
-            "assume_infinite_stage1": False,
-            "replications": 1,
-            "size_grid": (),
-            "workers": 1,
-            "tail_guard": 1e3,
-            "truth": None,
-        },
-        "config",
-    )
+    top = _pick(raw, _defaults(ExperimentConfig), "config")
     _require(isinstance(top["references"], list) and top["references"],
              "config: references must be a nonempty list")
     refs = tuple(_reference_from_dict(r, i) for i, r in enumerate(top["references"]))
@@ -226,22 +212,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _reference_from_dict(raw: dict, index: int) -> ReferenceConfig:
     where = f"references[{index}]"
     _require(isinstance(raw, dict), f"{where}: must be an object")
-    r = _pick(
-        raw,
-        {
-            "family": None,
-            "sampler": None,
-            "df": None,
-            "mu": None,
-            "proposal_df": None,
-            "proposal_mu": None,
-            "table": None,
-            "with_regen": False,
-            "splitting_const": None,
-            "label": None,
-        },
-        where,
-    )
+    r = _pick(raw, _defaults(ReferenceConfig), where)
     _require(r["family"] in ("t", "table"), f"{where}: family must be 't' or 'table'")
     _require(r["sampler"] in ("iid", "imh", "mh"), f"{where}: bad sampler")
     if r["family"] == "t":
@@ -272,24 +243,22 @@ def _reference_from_dict(raw: dict, index: int) -> ReferenceConfig:
 
 def _stage_from_dict(raw: dict, k: int, where: str) -> StageConfig:
     _require(isinstance(raw, dict), f"{where}: must be an object")
-    s = _pick(raw, {"sizes": None, "weights": None}, where)
+    s = _pick(raw, _defaults(StageConfig), where)
     _require(isinstance(s["sizes"], list) and len(s["sizes"]) == k,
              f"{where}: sizes must list one size per reference")
     sizes = tuple(int(x) for x in s["sizes"])
     _require(all(x > 0 for x in sizes), f"{where}: sizes must be positive")
     weights = WeightConfig()
     if s["weights"] is not None:
-        w = _pick(
-            s["weights"],
-            {"kind": "naive", "values": None, "step": 0.05, "pilot_sizes": None},
-            f"{where}.weights",
-        )
+        w = _pick(s["weights"], _defaults(WeightConfig), f"{where}.weights")
         _require(w["kind"] in ("naive", "fixed", "inv_dist", "ess", "pilot"),
                  f"{where}.weights: bad kind")
         values = _tuple_or_none(w["values"])
         if w["kind"] == "fixed":
             _require(values is not None and len(values) == k,
                      f"{where}.weights: fixed kind needs one value per reference")
+            _require(all(v > 0 and math.isfinite(v) for v in values),
+                     f"{where}.weights: fixed values must be positive and finite")
         weights = WeightConfig(
             kind=w["kind"],
             values=values,
@@ -301,9 +270,7 @@ def _stage_from_dict(raw: dict, k: int, where: str) -> StageConfig:
 
 def _targets_from_dict(raw: dict) -> TargetConfig:
     _require(isinstance(raw, dict), "targets: must be an object")
-    t = _pick(
-        raw, {"family": "t", "df": 5.0, "mu_grid": (), "tables": ()}, "targets"
-    )
+    t = _pick(raw, _defaults(TargetConfig), "targets")
     _require(t["family"] in ("t", "table"), "targets: family must be 't' or 'table'")
     cfg = TargetConfig(
         family=t["family"],
@@ -319,7 +286,7 @@ def _targets_from_dict(raw: dict) -> TargetConfig:
 
 
 def _truth_from_dict(raw: dict) -> TruthConfig:
-    t = _pick(raw, {"d": None, "u": None, "eta": None}, "truth")
+    t = _pick(raw, _defaults(TruthConfig), "truth")
     return TruthConfig(
         d=_tuple_or_none(t["d"]),
         u=_tuple_or_none(t["u"]),

@@ -125,16 +125,22 @@ def _run_imh(
     """Accept/reject recursion shared by the continuous and discrete kernels.
 
     The trajectory depends only on (proposals, log_u), so marking
-    regenerations does not perturb the chain itself.
+    regenerations does not perturb the chain itself.  The chain starts at
+    the first proposal with positive target mass, and the recursion rejects
+    every zero-mass proposal after it, so no zero-mass state is emitted;
+    when proposal 0 has mass the chain starts there, as usual.
     """
     n = proposals.shape[0]
     marks = None
     lw = log_omega_prop.tolist()
+    start = next((i for i, w in enumerate(lw) if math.isfinite(w)), None)
+    if start is None:
+        raise InvalidModelError("no proposal has positive target mass")
     props = proposals.tolist()
     lu = log_u.tolist()
     states_out = [0.0] * n
-    cur = props[0]
-    cur_lw = lw[0]
+    cur = props[start]
+    cur_lw = lw[start]
     states_out[0] = cur
     if log_coin is not None:
         marks_out = [False] * n
@@ -175,10 +181,11 @@ def independence_mh(
 ) -> ChainSample:
     """Independence Metropolis-Hastings chain of length n targeting `target`.
 
-    The initial state is a fresh proposal draw.  With with_regen=True,
-    regeneration times from retrospective splitting are recorded; the
-    splitting constant defaults to the empirical median of omega over a
-    pilot chain driven by a seed derived from `seed`.
+    The initial state is the first proposal draw with positive target
+    mass.  With with_regen=True, regeneration times from retrospective
+    splitting are recorded; the splitting constant defaults to the
+    empirical median of omega over a pilot chain driven by a seed derived
+    from `seed`.
     """
     n = int(n)
     if n < 1:

@@ -21,6 +21,7 @@ from .reverse_logistic import StageWeights, _estimate_from_mats, log_density_mat
 from .samplers import SampleSet
 
 WEIGHT_FLOOR = 1e-6
+DEFAULT_STEP = 0.05  # pilot grid spacing on the simplex
 
 
 def naive_weights(n_per_chain) -> np.ndarray:
@@ -84,7 +85,7 @@ def effective_sample_size(
     return float(min(n * s2 / lrv, n))
 
 
-def simplex_grid(k: int, step: float = 0.05, floor: float = WEIGHT_FLOOR):
+def simplex_grid(k: int, step: float = DEFAULT_STEP, floor: float = WEIGHT_FLOOR):
     """Positive weight vectors on the k-simplex with the given step."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -107,7 +108,7 @@ def pilot_optimal_weights(
     references,
     grid: Sequence | None = None,
     bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC,
-    step: float = 0.05,
+    step: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, dict]:
     """Grid search for the stage-1 weights minimizing trace of the covariance.
 

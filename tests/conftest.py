@@ -9,7 +9,8 @@ two states gives exact truth for every estimand.
 import numpy as np
 import pytest
 
-from genis.densities import discrete_table_density, t_density
+from genis.densities import TargetFamily, discrete_table_density, t_density
+from genis.importance import estimate_family
 from genis.samplers import ChainSample, SampleSet, derive_seed, discrete_mh
 
 TABLE_1 = (1.0, 1.0)
@@ -70,6 +71,17 @@ def table_mh_samples(n_per, master_seed, rep=0, stage=1, with_regen=True):
         for i, (ref, n) in enumerate(zip(refs, n_per))
     )
     return SampleSet(chains=chains, stage=stage)
+
+
+def stage2_row(samples, target, refs, a, d_hat, f=None, cov=None, q=0.0):
+    """estimate_family row of a one-target family; by default the stage-1
+    term is switched off (zero covariance, q = 0)."""
+    km1 = len(refs) - 1
+    cov = np.zeros((km1, km1)) if cov is None else cov
+    (row,) = estimate_family(
+        samples, TargetFamily((target,)), refs, d_hat, cov, q, f=f, a=a
+    )
+    return row
 
 
 @pytest.fixture(scope="session")

@@ -21,13 +21,6 @@ from genis.densities import (
     mixture_density,
     t_density,
 )
-from genis.importance import (
-    estimate_mean,
-    estimate_ratio,
-    joint_bm_cov,
-    mean_estimate,
-    weight_bm_variance,
-)
 from genis.pipeline import (
     config_from_dict,
     oracle_check,
@@ -50,6 +43,8 @@ from genis.reverse_logistic import (
     quasi_score,
 )
 from genis.samplers import SampleSet, sample_t_iid, sample_t_imh
+
+from conftest import stage2_row
 
 MASTER = 20240819
 Z95 = 1.959963984540054
@@ -318,34 +313,32 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
         stage=2,
     )
     mix = mixture_density(toy_refs, [0.5, 0.25], id="mix")
-    u_mix = estimate_ratio(st2, mix, toy_refs, half, d_plug)
-    tau2_mix = weight_bm_variance(st2, mix, toy_refs, half, d_plug)
-    checks.append(("mixture-unit-weight", abs(u_mix - 1.0) <= 1e-10))
-    checks.append(("mixture-zero-variance", abs(tau2_mix) <= 1e-12))
+    mix_row = stage2_row(st2, mix, toy_refs, half, d_plug)
+    checks.append(("mixture-unit-weight", abs(mix_row.u_hat - 1.0) <= 1e-10))
+    checks.append(("mixture-zero-variance", abs(mix_row.var_stage2_u) <= 1e-12))
 
     tab_target = discrete_table_density((2.0, 1.0), id="tab-target")
-    const = mean_estimate(
+    const = stage2_row(
         exact_table_samples,
         tab_target,
-        constant_integrand(3.25),
         table_refs,
         half,
         d_plug,
-        np.zeros((1, 1)),
-        q=0.0,
+        f=constant_integrand(3.25),
     )
     checks.append(("constant-mean", abs(const.eta_hat - 3.25) <= 1e-10))
     checks.append(
-        ("constant-variance", const.var_stage1 + const.var_stage2 <= 1e-12)
+        ("constant-variance", const.var_stage1_eta + const.var_stage2_eta <= 1e-12)
     )
 
-    gamma = joint_bm_cov(
-        exact_table_samples, tab_target, IDENTITY, table_refs, half, d_plug
+    # with f the u variance is the (u, u) corner of the joint (v, u) matrix
+    joint_row = stage2_row(
+        exact_table_samples, tab_target, table_refs, half, d_plug, f=IDENTITY
     )
-    tau2_tab = weight_bm_variance(
-        exact_table_samples, tab_target, table_refs, half, d_plug
+    u_row = stage2_row(exact_table_samples, tab_target, table_refs, half, d_plug)
+    checks.append(
+        ("joint-cov-corner", joint_row.var_stage2_u == u_row.var_stage2_u)
     )
-    checks.append(("joint-cov-corner", gamma[1, 1] == tau2_tab))
 
     d_hat = np.array([1.07])
     w2 = np.array([0.6, 0.55])
@@ -360,8 +353,8 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
         chains=tuple(truncate_to_tours(c) for c in chains2), stage=2
     )
     a_eq = w2 * np.concatenate(([1.0], d_hat))
-    u_gis = estimate_ratio(covered, tgt, toy_refs, a_eq, d_hat)
-    eta_gis = estimate_mean(covered, tgt, IDENTITY, toy_refs, a_eq, d_hat)
+    gis = stage2_row(covered, tgt, toy_refs, a_eq, d_hat, f=IDENTITY)
+    u_gis, eta_gis = gis.u_hat, gis.eta_hat
     u_rel = abs(rs_estimate_ratio(tours, w2, d_hat) - u_gis) / abs(u_gis)
     eta_rel = abs(rs_estimate_mean(tours, w2, d_hat) - eta_gis) / abs(eta_gis)
     checks.append(("tour-prefix-identity", max(u_rel, eta_rel) <= 1e-12))

@@ -1,9 +1,11 @@
 """Stage 2: importance estimates across targets and their two-part errors."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from genis.batch_means import BatchMeansSpec
+from genis.batch_means import DEFAULT_BM_SPEC
 from genis.densities import (
     Integrand,
     StateSpace,
@@ -17,23 +19,22 @@ from genis.densities import (
 )
 from genis.errors import DegenerateDenominatorError
 from genis.importance import (
-    TargetEstimate,
+    _Context,
+    _target_pass,
     estimate_family,
-    estimate_mean,
-    estimate_ratio,
-    joint_bm_cov,
-    mean_estimate,
-    mean_sensitivity,
-    mixture_is_weights,
     ratio_delta_variance,
-    ratio_estimate,
-    ratio_sensitivity,
-    weight_bm_variance,
 )
+from genis.pipeline import config_from_json, run_two_stage
 from genis.reverse_logistic import estimate_ratios
 from genis.samplers import ChainSample, SampleSet, sample_t_iid, sample_t_imh
 
-from conftest import TABLE_1, TABLE_2, exact_proportion_chain, table_mh_samples
+from conftest import (
+    TABLE_1,
+    TABLE_2,
+    exact_proportion_chain,
+    stage2_row,
+    table_mh_samples,
+)
 
 IDENTITY = Integrand("x", lambda x: np.asarray(x, dtype=float))
 HALF = np.array([0.5, 0.5])
@@ -70,31 +71,47 @@ def _iid_table_chain(table, n, seed, density_id):
     return ChainSample(density_id=density_id, states=states, kind="iid", seed=seed)
 
 
+def _pass(samples, target, refs, a, d_hat, f=None):
+    """The private per-target pass, as estimate_family runs it."""
+    ctx = _Context(samples, refs, d_hat, f)
+    return _target_pass(ctx, target, np.asarray(a, dtype=float), DEFAULT_BM_SPEC)
+
+
+def _chains_at(x, refs):
+    """One chain per reference, every chain at the states x."""
+    chains = tuple(
+        ChainSample(ref.id, np.asarray(x, dtype=float), "iid", 0) for ref in refs
+    )
+    return SampleSet(chains=chains, stage=2)
+
+
 # ------------------------------------------------------------- weights u(x)
 
 
 def test_weights_of_the_matching_mixture_are_one(toy_refs):
     target = mixture_density(toy_refs, [0.5, 0.25], id="mix")
     x = np.linspace(-8.0, 8.0, 50)
-    u = mixture_is_weights(x, target, toy_refs, HALF, TRUE_D)
-    np.testing.assert_allclose(u, 1.0, atol=1e-12)
+    p = _pass(_chains_at(x, toy_refs), target, toy_refs, HALF, TRUE_D)
+    for u in p.u:
+        np.testing.assert_allclose(u, 1.0, atol=1e-12)
 
 
 def test_weights_single_reference_is_classic_ratio(toy_refs):
     target = t_density(5, 0.0)
     ref = toy_refs[0]
     x = np.linspace(-4.0, 4.0, 21)
-    u = mixture_is_weights(x, target, [ref], [1.0], np.empty(0))
+    p = _pass(_chains_at(x, [ref]), target, [ref], [1.0], np.empty(0))
     direct = np.exp(target.log_density(x) - ref.log_density(x))
-    np.testing.assert_allclose(u, direct, rtol=1e-12)
+    np.testing.assert_allclose(p.u[0], direct, rtol=1e-12)
 
 
 def test_weights_validate_inputs(toy_refs):
     target = t_density(5, 0.0)
+    samples = _chains_at(np.zeros(8), toy_refs)
     with pytest.raises(ValueError):
-        mixture_is_weights([0.0], target, toy_refs, [1.0], TRUE_D)
+        stage2_row(samples, target, toy_refs, [1.0], TRUE_D)
     with pytest.raises(ValueError):
-        mixture_is_weights([0.0], target, toy_refs, [1.0, -1.0], TRUE_D)
+        stage2_row(samples, target, toy_refs, [1.0, -1.0], TRUE_D)
 
 
 # ------------------------------------------------------------ point estimates
@@ -103,13 +120,11 @@ def test_weights_validate_inputs(toy_refs):
 def test_exact_table_ratio_and_mean(table_refs, exact_table_samples):
     """Exact-proportion chains with the true ratio reproduce both exact
     quantities to rounding."""
-    target = _table_target()
-    u = estimate_ratio(exact_table_samples, target, table_refs, HALF, TRUE_D)
-    assert u == pytest.approx(2.0, abs=1e-12)
-    eta = estimate_mean(
-        exact_table_samples, target, IDENTITY, table_refs, HALF, TRUE_D
+    row = stage2_row(
+        exact_table_samples, _table_target(), table_refs, HALF, TRUE_D, f=IDENTITY
     )
-    assert eta == pytest.approx(0.5, abs=1e-12)
+    assert row.u_hat == pytest.approx(2.0, abs=1e-12)
+    assert row.eta_hat == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mixture_target_estimates_one_exactly(toy_refs):
@@ -119,41 +134,37 @@ def test_mixture_target_estimates_one_exactly(toy_refs):
     )
     samples = SampleSet(chains=chains, stage=2)
     target = mixture_density(toy_refs, [0.5, 0.25], id="mix")
-    u = estimate_ratio(samples, target, toy_refs, HALF, TRUE_D)
-    assert u == pytest.approx(1.0, abs=1e-12)
-    tau2 = weight_bm_variance(samples, target, toy_refs, HALF, TRUE_D)
-    assert tau2 == pytest.approx(0.0, abs=1e-14)
+    row = stage2_row(samples, target, toy_refs, HALF, TRUE_D)
+    assert row.u_hat == pytest.approx(1.0, abs=1e-12)
+    assert row.var_stage2_u == pytest.approx(0.0, abs=1e-14)
 
 
 def test_constant_integrand_returns_the_constant(table_refs, exact_table_samples):
-    eta = estimate_mean(
-        exact_table_samples,
-        _table_target(),
-        constant_integrand(3.25),
-        table_refs,
-        HALF,
-        TRUE_D,
+    row = stage2_row(
+        exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
+        f=constant_integrand(3.25),
     )
-    assert eta == pytest.approx(3.25, rel=1e-14)
+    assert row.eta_hat == pytest.approx(3.25, rel=1e-14)
 
 
 def test_estimates_invariant_to_weight_rescaling(table_refs, exact_table_samples):
     target = _table_target()
-    u1 = estimate_ratio(exact_table_samples, target, table_refs, [1.0, 2.0], TRUE_D)
-    u2 = estimate_ratio(exact_table_samples, target, table_refs, [3.0, 6.0], TRUE_D)
+    u1, u2 = (
+        stage2_row(exact_table_samples, target, table_refs, a, TRUE_D).u_hat
+        for a in ([1.0, 2.0], [3.0, 6.0])
+    )
     assert u1 == u2
 
 
 def test_mean_invariant_to_target_rescaling(table_refs, exact_table_samples):
-    target = _table_target()
-    scaled = discrete_table_density((6.0, 6.0), id="even3x")
-    base = estimate_mean(
-        exact_table_samples, target, IDENTITY, table_refs, HALF, TRUE_D
+    family = TargetFamily(
+        (_table_target(), discrete_table_density((6.0, 6.0), id="even3x"))
     )
-    got = estimate_mean(
-        exact_table_samples, scaled, IDENTITY, table_refs, HALF, TRUE_D
+    base, got = estimate_family(
+        exact_table_samples, family, table_refs, TRUE_D, np.zeros((1, 1)), 0.0,
+        f=IDENTITY, a=HALF,
     )
-    assert got == pytest.approx(base, rel=1e-12)
+    assert got.eta_hat == pytest.approx(base.eta_hat, rel=1e-12)
 
 
 def test_zero_weight_sum_raises(table_refs):
@@ -169,39 +180,32 @@ def test_zero_weight_sum_raises(table_refs):
     samples = SampleSet(chains=only_zero, stage=2)
     target = discrete_table_density((0.0, 1.0), id="right")
     with pytest.raises(DegenerateDenominatorError):
-        estimate_mean(samples, target, IDENTITY, table_refs, HALF, TRUE_D)
+        _pass(samples, target, table_refs, HALF, TRUE_D, f=IDENTITY)
+    row = stage2_row(samples, target, table_refs, HALF, TRUE_D, f=IDENTITY)
+    assert row.flags == ("error:DegenerateDenominatorError",)
 
 
 # ------------------------------------------------------------- sensitivities
 
 
 def test_ratio_sensitivity_exact_oracle(table_refs, exact_table_samples):
-    c = ratio_sensitivity(
-        exact_table_samples, _table_target(), table_refs, HALF, TRUE_D
-    )
-    assert c.shape == (1,)
-    assert c[0] == pytest.approx(ORACLE_C1, abs=1e-12)
+    p = _pass(exact_table_samples, _table_target(), table_refs, HALF, TRUE_D)
+    assert p.c_vec.shape == (1,)
+    assert p.c_vec[0] == pytest.approx(ORACLE_C1, abs=1e-12)
 
 
 def test_mean_sensitivity_exact_oracle(table_refs, exact_table_samples):
-    e = mean_sensitivity(
-        exact_table_samples, _table_target(), IDENTITY, table_refs, HALF, TRUE_D
-    )
-    assert e[0] == pytest.approx(ORACLE_E1, abs=1e-12)
+    p = _pass(exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
+              f=IDENTITY)
+    assert p.e_vec[0] == pytest.approx(ORACLE_E1, abs=1e-12)
 
 
 def test_mean_sensitivity_vanishes_for_constant_integrand(
     table_refs, exact_table_samples
 ):
-    e = mean_sensitivity(
-        exact_table_samples,
-        _table_target(),
-        constant_integrand(2.0),
-        table_refs,
-        HALF,
-        TRUE_D,
-    )
-    np.testing.assert_allclose(e, 0.0, atol=1e-10)
+    p = _pass(exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
+              f=constant_integrand(2.0))
+    np.testing.assert_allclose(p.e_vec, 0.0, atol=1e-10)
 
 
 # ---------------------------------------------------------- stage-2 variance
@@ -215,43 +219,29 @@ def test_weight_variance_iid_analytic_oracle(table_refs):
         _iid_table_chain(TABLE_2, n, 12, "tilted"),
     )
     samples = SampleSet(chains=chains, stage=2)
-    tau2 = weight_bm_variance(
-        samples, _table_target(), table_refs, HALF, TRUE_D
-    )
-    assert tau2 == pytest.approx(ORACLE_TAU2, rel=0.15)
+    row = stage2_row(samples, _table_target(), table_refs, HALF, TRUE_D)
+    assert row.var_stage2_u == pytest.approx(ORACLE_TAU2, rel=0.15)
 
 
-def test_joint_cov_matches_weight_variance_bitwise(table_refs):
+def test_var_stage2_u_same_with_and_without_integrand(table_refs):
+    """The u corner of the joint (v, u) batch means is the univariate one."""
     samples = table_mh_samples(3000, master_seed=4, stage=2)
     target = _table_target()
-    gamma = joint_bm_cov(
-        samples, target, IDENTITY, table_refs, HALF, TRUE_D
-    )
-    tau2 = weight_bm_variance(samples, target, table_refs, HALF, TRUE_D)
-    assert gamma[1, 1] == tau2
+    with_f = stage2_row(samples, target, table_refs, HALF, TRUE_D, f=IDENTITY)
+    without = stage2_row(samples, target, table_refs, HALF, TRUE_D)
+    assert with_f.var_stage2_u == without.var_stage2_u
+    gamma = _pass(samples, target, table_refs, HALF, TRUE_D, f=IDENTITY).bm
     assert gamma[0, 1] == gamma[1, 0]
 
 
 def test_joint_cov_constant_integrand_entries(table_refs, exact_table_samples):
-    gamma_one = joint_bm_cov(
-        exact_table_samples,
-        _table_target(),
-        constant_integrand(1.0),
-        table_refs,
-        HALF,
-        TRUE_D,
-    )
+    gamma_one = _pass(exact_table_samples, _table_target(), table_refs, HALF,
+                      TRUE_D, f=constant_integrand(1.0)).bm
     # f identically 1 makes the two series identical
     assert gamma_one[0, 0] == gamma_one[1, 1]
     assert gamma_one[0, 1] == gamma_one[0, 0]
-    gamma_zero = joint_bm_cov(
-        exact_table_samples,
-        _table_target(),
-        constant_integrand(0.0),
-        table_refs,
-        HALF,
-        TRUE_D,
-    )
+    gamma_zero = _pass(exact_table_samples, _table_target(), table_refs, HALF,
+                       TRUE_D, f=constant_integrand(0.0)).bm
     assert gamma_zero[0, 0] == 0.0
     assert gamma_zero[0, 1] == 0.0
 
@@ -269,42 +259,32 @@ def test_delta_variance_examples():
 def test_ratio_estimate_q_scaling(table_refs, exact_table_samples):
     target = _table_target()
     v_hat = np.array([[0.9]])
-    full = ratio_estimate(
-        exact_table_samples, target, table_refs, HALF, TRUE_D, v_hat, q=1.0
+    full, half, zero = (
+        stage2_row(
+            exact_table_samples, target, table_refs, HALF, TRUE_D, cov=v_hat, q=q
+        )
+        for q in (1.0, 0.5, 0.0)
     )
-    half = ratio_estimate(
-        exact_table_samples, target, table_refs, HALF, TRUE_D, v_hat, q=0.5
-    )
-    zero = ratio_estimate(
-        exact_table_samples, target, table_refs, HALF, TRUE_D, v_hat, q=0.0
-    )
-    assert half.var_stage1 == 0.5 * full.var_stage1
-    assert half.var_stage2 == full.var_stage2
-    assert zero.var_stage1 == 0.0
-    assert full.var_stage1 > 0.0
-    assert full.se >= half.se >= zero.se
-    assert zero.se == pytest.approx(
-        np.sqrt(zero.var_stage2 / zero.n), rel=1e-12
+    assert half.var_stage1_u == 0.5 * full.var_stage1_u
+    assert half.var_stage2_u == full.var_stage2_u
+    assert zero.var_stage1_u == 0.0
+    assert full.var_stage1_u > 0.0
+    assert full.se_u >= half.se_u >= zero.se_u
+    assert zero.se_u == pytest.approx(
+        np.sqrt(zero.var_stage2_u / zero.n), rel=1e-12
     )
 
 
 def test_mean_estimate_constant_integrand_zero_variance(
     table_refs, exact_table_samples
 ):
-    est = mean_estimate(
-        exact_table_samples,
-        _table_target(),
-        constant_integrand(4.0),
-        table_refs,
-        HALF,
-        TRUE_D,
-        np.array([[0.9]]),
-        q=1.0,
+    row = stage2_row(
+        exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
+        f=constant_integrand(4.0), cov=np.array([[0.9]]), q=1.0,
     )
-    assert est.eta_hat == pytest.approx(4.0, rel=1e-14)
-    assert est.var_stage1 == pytest.approx(0.0, abs=1e-18)
-    assert est.var_stage2 == pytest.approx(0.0, abs=1e-10)
-    assert est.point == est.eta_hat
+    assert row.eta_hat == pytest.approx(4.0, rel=1e-14)
+    assert row.var_stage1_eta == pytest.approx(0.0, abs=1e-18)
+    assert row.var_stage2_eta == pytest.approx(0.0, abs=1e-10)
 
 
 def test_discrete_three_se_oracle(table_refs):
@@ -314,17 +294,14 @@ def test_discrete_three_se_oracle(table_refs):
     fit = estimate_ratios(stage1, table_refs)
     stage2 = table_mh_samples(2000, master_seed=32, stage=2)
     q = stage2.n_total / stage1.n_total
-    target = _table_target()
-    u_est = ratio_estimate(
-        stage2, target, table_refs, HALF, fit.d_hat, fit.cov, q
+    row = stage2_row(
+        stage2, _table_target(), table_refs, HALF, fit.d_hat,
+        f=IDENTITY, cov=fit.cov, q=q,
     )
-    assert abs(u_est.u_hat - 2.0) <= 3.0 * u_est.se
-    eta_est = mean_estimate(
-        stage2, target, IDENTITY, table_refs, HALF, fit.d_hat, fit.cov, q
-    )
-    assert abs(eta_est.eta_hat - 0.5) <= 3.0 * eta_est.se
-    assert eta_est.var_stage1 > 0.0
-    assert eta_est.var_stage2 > 0.0
+    assert abs(row.u_hat - 2.0) <= 3.0 * row.se_u
+    assert abs(row.eta_hat - 0.5) <= 3.0 * row.se_eta
+    assert row.var_stage1_eta > 0.0
+    assert row.var_stage2_eta > 0.0
 
 
 def test_single_reference_family_collapses_to_snis(toy_refs):
@@ -332,21 +309,87 @@ def test_single_reference_family_collapses_to_snis(toy_refs):
     chain = sample_t_iid(5, 1.0, 5000, seed=77)
     samples = SampleSet(chains=(chain,), stage=2)
     target = t_density(5, 0.0)
-    u_hat = estimate_ratio(samples, target, [ref], [1.0], np.empty(0))
+    row = stage2_row(
+        samples, target, [ref], [1.0], np.empty(0),
+        f=IDENTITY, cov=np.zeros((0, 0)), q=0.7,
+    )
     w = np.exp(target.log_density(chain.states) - ref.log_density(chain.states))
-    assert u_hat == pytest.approx(w.mean(), rel=1e-12)
-    eta = estimate_mean(samples, target, IDENTITY, [ref], [1.0], np.empty(0))
-    assert eta == pytest.approx(
+    assert row.u_hat == pytest.approx(w.mean(), rel=1e-12)
+    assert row.eta_hat == pytest.approx(
         np.dot(chain.states, w) / w.sum(), rel=1e-12
     )
-    est = ratio_estimate(
-        samples, target, [ref], [1.0], np.empty(0), np.zeros((0, 0)), q=0.7
-    )
-    assert est.var_stage1 == 0.0
-    assert est.se > 0.0
+    assert row.var_stage1_u == 0.0
+    assert row.se_u > 0.0
 
 
 # ------------------------------------------------------------ family driver
+
+
+# Stage-2 rows of configs/toy.json (se_method "both"), frozen from the code
+# that evaluated each target's log density four times per chain:
+# (u_hat, eta_hat, se_u, se_eta, var1_u, var2_u, var1_eta, var2_eta).
+TOY_STAGE2_ROWS = {
+    "t5_mu0": (
+        0.998425235523959, 0.011067866845377803, 0.0045119132897209245,
+        0.016345246949225907, 0.07893898259112204, 0.32820824808808385,
+        0.010304577464332677, 5.333037379159244,
+    ),
+    "t5_mu0.25": (
+        0.9997880115612904, 0.2601748365402102, 0.0026545847883004065,
+        0.014014133009396128, 0.06863967101238343, 0.07229673695313486,
+        0.01122451619433405, 3.916693963906589,
+    ),
+    "t5_mu0.5": (
+        1.0009678156729083, 0.5095304968647694, 0.002203096594402177,
+        0.012305220939424532, 0.05866330236880984, 0.03840938971651956,
+        0.011546714977415617, 3.0168225323836233,
+    ),
+    "t5_mu0.75": (
+        1.002018130542043, 0.7593450822578774, 0.003056635566732886,
+        0.011341712877603006, 0.04943510576077466, 0.1374253139955548,
+        0.01121472440363036, 2.561474295556087,
+    ),
+    "t5_mu1": (
+        1.003101943385289, 1.0098061834464465, 0.0042923098098738965,
+        0.011158511632716526, 0.04127350066760326, 0.3272049694111904,
+        0.010280214410814791, 2.4799674227385857,
+    ),
+}
+
+
+def test_toy_config_stage2_matches_frozen_rows():
+    cfg = config_from_json(Path(__file__).parents[1] / "configs" / "toy.json")
+    rows = run_two_stage(cfg).target_results
+    assert [r.target_label for r in rows] == list(TOY_STAGE2_ROWS)
+    for r in rows:
+        got = (r.u_hat, r.eta_hat, r.se_u, r.se_eta, r.var_stage1_u,
+               r.var_stage2_u, r.var_stage1_eta, r.var_stage2_eta)
+        assert got == pytest.approx(TOY_STAGE2_ROWS[r.target_label], rel=1e-12)
+        assert r.flags == ()
+
+
+def test_family_evaluates_each_target_once_per_chain(toy_refs):
+    calls = {}
+
+    def counted(target):
+        def log_eval(x):
+            calls[target.id] = calls.get(target.id, 0) + 1
+            return target.log_eval(x)
+
+        return UnnormalizedDensity(target.id, log_eval, target.space)
+
+    family = TargetFamily(tuple(counted(t) for t in t_family(5, [0.0, 0.5, 1.0])))
+    chains = (
+        sample_t_iid(5, 1.0, 400, seed=3),
+        sample_t_iid(5, 0.0, 400, seed=4),
+    )
+    samples = SampleSet(chains=chains, stage=2)
+    results = estimate_family(
+        samples, family, toy_refs, TRUE_D, np.array([[0.5]]), q=0.1,
+        f=IDENTITY, a_per_target=[HALF, [0.3, 0.7], HALF],
+    )
+    assert all(r.flags == () for r in results)
+    assert calls == {t.id: len(chains) for t in family.targets}
 
 
 def test_family_toy_grid_hits_truth(toy_refs):
@@ -447,24 +490,13 @@ def test_family_per_target_weights(toy_refs):
 def test_estimate_validation(table_refs, exact_table_samples):
     target = _table_target()
     with pytest.raises(ValueError):
-        estimate_ratio(
+        stage2_row(
             exact_table_samples, target, table_refs, HALF, np.array([2.0, 3.0])
         )
     with pytest.raises(ValueError):
-        estimate_ratio(
-            exact_table_samples, target, table_refs, [-0.5, 1.5], TRUE_D
-        )
+        stage2_row(exact_table_samples, target, table_refs, [-0.5, 1.5], TRUE_D)
     with pytest.raises(ValueError):
-        ratio_estimate(
+        stage2_row(
             exact_table_samples, target, table_refs, HALF, TRUE_D,
-            np.zeros((2, 2)), q=0.5,
+            cov=np.zeros((2, 2)), q=0.5,
         )
-
-
-def test_target_estimate_se_definition():
-    est = TargetEstimate(
-        target_label="x", u_hat=1.0, eta_hat=None,
-        var_stage1=2.0, var_stage2=3.0, q=0.5, n=500,
-    )
-    assert est.se == pytest.approx(np.sqrt(5.0 / 500.0), rel=1e-15)
-    assert est.point == 1.0

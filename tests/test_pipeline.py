@@ -6,12 +6,18 @@ import json
 import numpy as np
 import pytest
 
+import genis
 from genis import cli
+from genis.batch_means import DEFAULT_BM_SPEC
 from genis.cli import main as cli_main
 from genis.errors import ConfigError, UndefinedPointError
+from genis.importance import DEFAULT_TAIL_GUARD
 from genis.pipeline import (
     STAGE1_TAG,
     STAGE2_TAG,
+    ReferenceConfig,
+    TargetConfig,
+    WeightConfig,
     build_references,
     config_from_dict,
     config_from_json,
@@ -25,6 +31,7 @@ from genis.pipeline import (
     write_replications_csv,
 )
 from genis.samplers import load_chain
+from genis.weights import DEFAULT_STEP
 
 
 def toy_config(**overrides) -> dict:
@@ -95,6 +102,20 @@ def test_config_defaults_and_labels():
     assert labels == ["t5_mu1", "t5_mu0"]
 
 
+def test_config_defaults_come_from_the_dataclasses():
+    """Keys left out of the JSON take the dataclass field defaults."""
+    raw = toy_config()
+    raw["stage1"]["weights"] = {"kind": "pilot"}
+    cfg = config_from_dict(raw)
+    assert cfg.tail_guard == DEFAULT_TAIL_GUARD
+    assert cfg.bm_spec == DEFAULT_BM_SPEC
+    assert cfg.integrand == "x" and cfg.stage2 is None and cfg.truth is None
+    assert cfg.stage1.weights == WeightConfig(kind="pilot")
+    assert cfg.stage1.weights.step == DEFAULT_STEP
+    assert cfg.targets == TargetConfig(mu_grid=(0.5,))
+    assert cfg.references[0] == ReferenceConfig("t", "iid", df=5.0, mu=1.0)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -114,6 +135,12 @@ def test_config_defaults_and_labels():
         lambda c: c["stage1"].update(sizes=[1000, 0]),
         lambda c: c["stage1"].update(weights={"kind": "fixed"}),
         lambda c: c["targets"].update(mu_grid=[]),
+        lambda c: c["stage1"].update(
+            weights={"kind": "fixed", "values": [float("inf"), 1.0]}
+        ),
+        lambda c: c["stage1"].update(
+            weights={"kind": "fixed", "values": [float("nan"), 1.0]}
+        ),
     ],
 )
 def test_config_rejects_bad_inputs(mutate):
@@ -588,6 +615,21 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert cli_main(["estimate", "--config", path2]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, stage, values",
+    [("estimate-d", "stage1", [0.0, 1.0]), ("estimate", "stage2", [-1.0, 1.0])],
+)
+def test_cli_fixed_weights_must_be_positive(tmp_path, capsys, command, stage, values):
+    """A zero or negative fixed weight is a config error (exit 2), in both
+    stages, rather than a traceback from deep inside the estimator."""
+    raw = toy_config(stage2={"sizes": [500, 500]})
+    raw[stage]["weights"] = {"kind": "fixed", "values": values}
+    path = write_config(tmp_path, raw)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{stage}.weights" in err
+
+
 def test_cli_exit_code_convergence_failure(tmp_path, capsys):
     raw = toy_config(targets=None)
     raw["stage1"]["weights"] = {"kind": "pilot", "pilot_sizes": [3, 3]}
@@ -617,3 +659,15 @@ def test_cli_exit_code_estimation_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("estimation failed: ")
     assert "UndefinedPointError" in err and err.count("\n") == 1
 
+
+
+# ------------------------------------------------------------------ package
+
+
+def test_package_exports_resolve():
+    """Every name in genis.__all__ exists, so `from genis import *` works."""
+    missing = [name for name in genis.__all__ if not hasattr(genis, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from genis import *", namespace)
+    assert set(genis.__all__) <= set(namespace)

@@ -14,7 +14,6 @@ from genis.errors import (
     DegenerateDenominatorError,
     InsufficientRegenerationError,
 )
-from genis.importance import estimate_mean, estimate_ratio
 from genis.regen import (
     ChainTours,
     collect_tours,
@@ -35,7 +34,7 @@ from genis.samplers import (
     sample_t_imh,
 )
 
-from conftest import TABLE_1, TABLE_2, table_mh_samples
+from conftest import TABLE_1, TABLE_2, stage2_row, table_mh_samples
 
 IDENTITY = Integrand("x", lambda x: np.asarray(x, dtype=float))
 W_TRUE = np.array([0.5, 0.25])  # a = (1/2, 1/2) over d = (1, 2)
@@ -156,12 +155,11 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
         chains=tuple(truncate_to_tours(c) for c in chains), stage=2
     )
     a_equiv = w * np.concatenate(([1.0], d_hat))
+    gis = stage2_row(covered, target, toy_refs, a_equiv, d_hat, f=IDENTITY)
     u_rs = rs_estimate_ratio(tours, w, d_hat)
-    u_gis = estimate_ratio(covered, target, toy_refs, a_equiv, d_hat)
-    assert u_rs == pytest.approx(u_gis, rel=1e-12)
+    assert u_rs == pytest.approx(gis.u_hat, rel=1e-12)
     eta_rs = rs_estimate_mean(tours, w, d_hat)
-    eta_gis = estimate_mean(covered, target, IDENTITY, toy_refs, a_equiv, d_hat)
-    assert eta_rs == pytest.approx(eta_gis, rel=1e-12)
+    assert eta_rs == pytest.approx(gis.eta_hat, rel=1e-12)
 
 
 def test_rs_constant_integrand_returns_constant(table_refs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genis.densities import discrete_table_density, t_density
+from genis.densities import UnnormalizedDensity, discrete_table_density, t_density
 from genis.errors import InvalidModelError
 from genis.samplers import (
     ChainSample,
@@ -174,6 +174,51 @@ def test_discrete_mh_regen_marks():
     assert 0 < chain.regen_marks.sum() <= chain.n
     plain = discrete_mh(tab, 5000, seed=5)
     assert np.array_equal(chain.states, plain.states)
+
+
+GAP_TABLE = (1.0, 1.0, 1.0, 1.0, 0.0)
+
+
+def test_discrete_mh_never_emits_a_zero_mass_state():
+    """A chain starts at its first proposal with mass; before, 43 of these
+    seeds started (and stayed a while) at the zero-mass state 4."""
+    gap = discrete_table_density(GAP_TABLE, id="gap")
+    for seed in range(200):
+        assert not np.any(discrete_mh(gap, 20, seed).states == 4)
+
+
+def test_chain_with_mass_at_first_proposal_is_unchanged():
+    """States and marks recorded from the sampler that always started at
+    proposal 0, for chains whose proposal 0 has mass."""
+    gap = discrete_table_density(GAP_TABLE, id="gap")
+    chain = discrete_mh(gap, 12, 1, with_regen=True)
+    assert chain.states.tolist() == [
+        2.0, 2.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0,
+    ]
+    assert chain.regen_marks.tolist() == [
+        bool(m) for m in (1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1)
+    ]
+    chain = sample_t_imh(5, 0.0, 5, 1.0, 8, seed=3, with_regen=True)
+    assert chain.states.tolist() == [
+        3.6949725713300245, 0.4205159706211773, 0.5994047256050916,
+        0.5819088280756706, -0.30242479418593016, 0.8091100117027787,
+        1.0166122173674486, 0.4217586129765313,
+    ]
+    assert chain.regen_marks.tolist() == [
+        bool(m) for m in (1, 0, 1, 0, 1, 1, 0, 0)
+    ]
+
+
+def test_no_proposal_with_mass_is_an_invalid_model():
+    corner = discrete_table_density((0.0, 0.0, 1.0), id="corner")
+    with pytest.raises(InvalidModelError):
+        discrete_mh(corner, 1, seed=1)
+    far = UnnormalizedDensity(
+        "far", lambda x: np.where(np.asarray(x) > 1e6, 0.0, -np.inf)
+    )
+    sampler, log_q = t_proposal(5, 0.0)
+    with pytest.raises(InvalidModelError):
+        independence_mh(far, sampler, log_q, 50, seed=2)
 
 
 def test_discrete_mh_needs_discrete_target():
