@@ -61,36 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat stage-1 ratios as exact (drop their variance term)",
     )
 
-    sub.add_parser(
-        "estimate-d",
-        parents=[common],
-        help="stage 1 only: ratios of normalizing constants",
-    )
-    sub.add_parser(
-        "estimate",
-        parents=[common],
-        help="both stages: ratios, then the target-family sweep",
-    )
-    sub.add_parser(
-        "replicate",
-        parents=[common],
-        help="repeat the experiment under independent seeds",
-    )
-    sub.add_parser(
-        "pilot-weights",
-        parents=[common],
-        help="grid-search chain weights on a pilot run",
-    )
-    sub.add_parser(
-        "oracle-check",
-        parents=[common],
-        help="validate against exhaustively summable table densities",
-    )
-    sub.add_parser(
-        "export-chains",
-        parents=[common],
-        help="write the sampled chains as plain text",
-    )
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -226,36 +198,35 @@ def _cmd_export_chains(args) -> int:
     references = build_references(cfg)
     sizes1, sizes2 = split_sizes(cfg)
     written = []
-    samples1 = sample_stage(cfg, references, sizes1, STAGE1_TAG)
-    for chain in samples1.chains:
-        path = out / f"stage1_{chain.density_id}.txt"
-        save_chain(chain, path)
-        written.append(path)
-    if sizes2 is not None:
-        samples2 = sample_stage(cfg, references, sizes2, STAGE2_TAG)
-        for chain in samples2.chains:
-            path = out / f"stage2_{chain.density_id}.txt"
-            save_chain(chain, path)
-            written.append(path)
+    stages = (("stage1", STAGE1_TAG, sizes1), ("stage2", STAGE2_TAG, sizes2))
+    for stage, tag, sizes in stages:
+        if sizes is None:
+            continue
+        for chain in sample_stage(cfg, references, sizes, tag).chains:
+            written.append(out / f"{stage}_{chain.density_id}.txt")
+            save_chain(chain, written[-1])
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
 _COMMANDS = {
-    "estimate-d": _cmd_estimate_d,
-    "estimate": _cmd_estimate,
-    "replicate": _cmd_replicate,
-    "pilot-weights": _cmd_pilot_weights,
-    "oracle-check": _cmd_oracle_check,
-    "export-chains": _cmd_export_chains,
+    "estimate-d": (_cmd_estimate_d, "stage 1 only: ratios of normalizing constants"),
+    "estimate": (_cmd_estimate, "both stages: ratios, then the target-family sweep"),
+    "replicate": (_cmd_replicate, "repeat the experiment under independent seeds"),
+    "pilot-weights": (_cmd_pilot_weights, "grid-search chain weights on a pilot run"),
+    "oracle-check": (
+        _cmd_oracle_check,
+        "validate against exhaustively summable table densities",
+    ),
+    "export-chains": (_cmd_export_chains, "write the sampled chains as plain text"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -112,6 +112,16 @@ class TargetFamily:
         return iter(self.targets)
 
 
+def _t_params(df: float, mu: float) -> tuple[float, float]:
+    """A Student-t's df and center as floats, checked: df in (0, inf), mu finite."""
+    df, mu = float(df), float(mu)
+    if not 0.0 < df < math.inf:
+        raise ValueError("df must be positive and finite")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
+    return df, mu
+
+
 def t_log_density(df: float, mu: float, x) -> np.ndarray:
     """Log density of a Student-t with df degrees of freedom centered at mu.
 
@@ -120,9 +130,7 @@ def t_log_density(df: float, mu: float, x) -> np.ndarray:
     >>> float(t_log_density(1.0, 0.0, 0.0))  # Cauchy at 0: log(1/pi)
     -1.1447298858494002
     """
-    df = float(df)
-    if not df > 0:
-        raise ValueError("df must be positive")
+    df, mu = _t_params(df, mu)
     x = np.asarray(x, dtype=float)
     const = (
         math.lgamma((df + 1.0) / 2.0)
@@ -138,10 +146,7 @@ def t_label(df: float, mu: float) -> str:
 
 def t_density(df: float, mu: float, id: str | None = None) -> UnnormalizedDensity:
     """Student-t density as an UnnormalizedDensity on the real line."""
-    df = float(df)
-    mu = float(mu)
-    if not df > 0:
-        raise ValueError("df must be positive")
+    df, mu = _t_params(df, mu)
     return UnnormalizedDensity(
         id=t_label(df, mu) if id is None else id,
         log_eval=lambda x, _df=df, _mu=mu: t_log_density(_df, _mu, x),

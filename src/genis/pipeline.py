@@ -27,6 +27,7 @@ from .densities import (
     discrete_table_density,
     identity_integrand,
     t_density,
+    t_family,
 )
 from .errors import ConfigError, EstimationError
 from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
@@ -41,6 +42,7 @@ from .samplers import (
     SampleSet,
     derive_seed,
     discrete_mh,
+    log_splitting_const,
     sample_t_iid,
     sample_t_imh,
 )
@@ -77,6 +79,12 @@ class ReferenceConfig:
     with_regen: bool = False
     splitting_const: float | None = None
     label: str | None = None
+
+    @property
+    def proposal(self) -> tuple[float | None, float | None]:
+        """df and center of the imh proposal; its df defaults to the target's."""
+        df = self.df if self.proposal_df is None else self.proposal_df
+        return df, self.proposal_mu
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,14 @@ class ExperimentConfig:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def _checked(where: str, build, *args):
+    """Apply a constructor's own checks to config values, as a ConfigError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _pick(d: dict, allowed: dict, where: str) -> dict:
@@ -225,7 +241,7 @@ def _reference_from_dict(raw: dict, index: int) -> ReferenceConfig:
     else:
         _require(r["table"] is not None, f"{where}: table reference needs a table")
         _require(r["sampler"] == "mh", f"{where}: table reference uses the mh sampler")
-    return ReferenceConfig(
+    ref = ReferenceConfig(
         family=r["family"],
         sampler=r["sampler"],
         df=None if r["df"] is None else float(r["df"]),
@@ -239,6 +255,15 @@ def _reference_from_dict(raw: dict, index: int) -> ReferenceConfig:
         else float(r["splitting_const"]),
         label=r["label"],
     )
+    if ref.family == "t":
+        _checked(where, t_density, ref.df, ref.mu)
+    else:
+        _checked(where, discrete_table_density, ref.table)
+    if ref.sampler == "imh":
+        _checked(f"{where} proposal", t_density, *ref.proposal)
+    if ref.splitting_const is not None:
+        _checked(where, log_splitting_const, ref.splitting_const)
+    return ref
 
 
 def _stage_from_dict(raw: dict, k: int, where: str) -> StageConfig:
@@ -257,8 +282,7 @@ def _stage_from_dict(raw: dict, k: int, where: str) -> StageConfig:
         if w["kind"] == "fixed":
             _require(values is not None and len(values) == k,
                      f"{where}.weights: fixed kind needs one value per reference")
-            _require(all(v > 0 and math.isfinite(v) for v in values),
-                     f"{where}.weights: fixed values must be positive and finite")
+            _checked(f"{where}.weights", StageWeights, values)
         weights = WeightConfig(
             kind=w["kind"],
             values=values,
@@ -280,8 +304,11 @@ def _targets_from_dict(raw: dict) -> TargetConfig:
     )
     if cfg.family == "t":
         _require(len(cfg.mu_grid) > 0, "targets: t family needs mu_grid")
+        _checked("targets", t_family, cfg.df, cfg.mu_grid)
     else:
         _require(len(cfg.tables) > 0, "targets: table family needs tables")
+        for i, tab in enumerate(cfg.tables):
+            _checked(f"targets.tables[{i}]", discrete_table_density, tab)
     return cfg
 
 
@@ -381,12 +408,10 @@ def _sample_one(
     if ref.sampler == "iid":
         chain = sample_t_iid(ref.df, ref.mu, raw_n, seed, density_id=density.id)
     elif ref.sampler == "imh":
-        pdf = ref.proposal_df if ref.proposal_df is not None else ref.df
         chain = sample_t_imh(
             ref.df,
             ref.mu,
-            pdf,
-            ref.proposal_mu,
+            *ref.proposal,
             raw_n,
             seed,
             with_regen=ref.with_regen,
@@ -676,31 +701,13 @@ class ReplicationReport:
                     out.append(
                         (rec.replication, rec.n_total, f"var_{method}[{j + 2}]", vj)
                     )
-            if rec.targets is not None:
-                for t in rec.targets:
-                    out.append(
-                        (rec.replication, rec.n_total, f"u_hat:{t.target_label}", t.u_hat)
-                    )
-                    out.append(
-                        (rec.replication, rec.n_total, f"se_u:{t.target_label}", t.se_u)
-                    )
-                    if t.eta_hat is not None:
-                        out.append(
-                            (
-                                rec.replication,
-                                rec.n_total,
-                                f"eta_hat:{t.target_label}",
-                                t.eta_hat,
-                            )
-                        )
-                        out.append(
-                            (
-                                rec.replication,
-                                rec.n_total,
-                                f"se_eta:{t.target_label}",
-                                t.se_eta,
-                            )
-                        )
+            for t in rec.targets or ():
+                stats = [("u_hat", t.u_hat), ("se_u", t.se_u)]
+                if t.eta_hat is not None:
+                    stats += [("eta_hat", t.eta_hat), ("se_eta", t.se_eta)]
+                for name, value in stats:
+                    label = f"{name}:{t.target_label}"
+                    out.append((rec.replication, rec.n_total, label, value))
         return out
 
 

@@ -9,7 +9,9 @@ c, an accepted move x -> y is a regeneration with probability
     min(1, c/omega(x)) * min(1, omega(y)/c) / min(1, omega(y)/omega(x)),
 
 evaluated here in log space.  A True entry in regen_marks at index i
-means a new tour starts at state i; index 0 always starts a tour.
+means a new tour starts at state i; index 0 always starts a tour.  The
+MH loop records only the accepted indices; states and the splitting coin
+are computed vectorized from them, bitwise equal to a per-step loop.
 """
 
 from __future__ import annotations
@@ -124,50 +126,43 @@ def _run_imh(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Accept/reject recursion shared by the continuous and discrete kernels.
 
-    The trajectory depends only on (proposals, log_u), so marking
-    regenerations does not perturb the chain itself.  The chain starts at
-    the first proposal with positive target mass, and the recursion rejects
-    every zero-mass proposal after it, so no zero-mass state is emitted;
-    when proposal 0 has mass the chain starts there, as usual.
+    The loop records only the accepted indices; states and the splitting
+    coin are computed vectorized from them, bitwise equal to a per-step
+    loop.  The trajectory depends only on (proposals, log_u), so marking
+    regenerations does not perturb it.  log omega is finite or -inf.  The
+    chain starts at the first proposal with mass, and the recursion rejects
+    every zero-mass proposal after it, so no zero-mass state is emitted.
     """
     n = proposals.shape[0]
-    marks = None
     lw = log_omega_prop.tolist()
     start = next((i for i, w in enumerate(lw) if math.isfinite(w)), None)
     if start is None:
         raise InvalidModelError("no proposal has positive target mass")
-    props = proposals.tolist()
     lu = log_u.tolist()
-    states_out = [0.0] * n
-    cur = props[start]
+    acc = []
     cur_lw = lw[start]
-    states_out[0] = cur
-    if log_coin is not None:
-        marks_out = [False] * n
-        marks_out[0] = True
-        lc = log_coin.tolist()
-        for i in range(1, n):
-            lw_y = lw[i]
-            if lu[i] < lw_y - cur_lw:
-                log_r = (
-                    min(0.0, log_c - cur_lw)
-                    + min(0.0, lw_y - log_c)
-                    - min(0.0, lw_y - cur_lw)
-                )
-                if lc[i] < log_r:
-                    marks_out[i] = True
-                cur = props[i]
-                cur_lw = lw_y
-            states_out[i] = cur
-        marks = np.array(marks_out, dtype=bool)
-    else:
-        for i in range(1, n):
-            lw_y = lw[i]
-            if lu[i] < lw_y - cur_lw:
-                cur = props[i]
-                cur_lw = lw_y
-            states_out[i] = cur
-    return np.array(states_out, dtype=float), marks
+    for i in range(1, n):
+        lw_y = lw[i]
+        if lu[i] < lw_y - cur_lw:
+            acc.append(i)
+            cur_lw = lw_y
+    acc = np.array(acc, dtype=np.intp)
+    pick = np.full(n, start)
+    pick[acc] = acc
+    states = proposals[np.maximum.accumulate(pick)]
+    if log_coin is None:
+        return states, None
+    # accept x -> y: (min(0, c - x) + min(0, y - c)) - min(0, y - x), with
+    # fmin ignoring NaN as min does; a zero's sign cannot flip the coin
+    ly = log_omega_prop[acc]
+    lx = np.concatenate(([lw[start]], ly))[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # quiet, like Python floats
+        log_r = np.fmin(log_c - lx, 0.0) + np.fmin(ly - log_c, 0.0)
+        log_r -= np.fmin(ly - lx, 0.0)
+    marks = np.zeros(n, dtype=bool)
+    marks[acc[log_coin[acc] < log_r]] = True
+    marks[0] = True
+    return states, marks
 
 
 def independence_mh(
@@ -198,8 +193,7 @@ def independence_mh(
             pilot_n=min(2000, max(100, n)),
             seed=derive_seed(seed, 0x5147),
         )
-    if splitting_const is not None and not splitting_const > 0:
-        raise ValueError("splitting_const must be positive")
+    log_c = None if splitting_const is None else log_splitting_const(splitting_const)
 
     rng = np.random.default_rng(seed)
     proposals = np.asarray(proposal_sampler(rng, n), dtype=float)
@@ -212,7 +206,6 @@ def independence_mh(
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random(n))
         log_coin = np.log(rng.random(n)) if with_regen else None
-    log_c = math.log(splitting_const) if with_regen else None
     states, marks = _run_imh(log_omega, proposals, log_u, log_coin, log_c)
     return ChainSample(
         density_id=target.id,
@@ -221,6 +214,13 @@ def independence_mh(
         seed=int(seed),
         regen_marks=marks,
     )
+
+
+def log_splitting_const(splitting_const: float) -> float:
+    """Log of a splitting constant, which must be positive and finite."""
+    if not 0.0 < splitting_const < math.inf:
+        raise ValueError("splitting_const must be positive and finite")
+    return math.log(splitting_const)
 
 
 def tune_splitting_constant(
@@ -308,7 +308,7 @@ def discrete_mh(
         # pilot-free: the table is the whole state space, use its positive median
         pos = np.exp(log_tab[np.isfinite(log_tab)])
         splitting_const = float(np.median(pos))
-    log_c = math.log(splitting_const) if with_regen else None
+    log_c = log_splitting_const(splitting_const) if with_regen else None
     states, marks = _run_imh(log_omega, proposals, log_u, log_coin, log_c)
     return ChainSample(
         density_id=target.id,

@@ -75,6 +75,15 @@ def test_log_density_rejects_bad_values():
         worse.log_density(np.zeros(3))
 
 
+def test_t_density_rejects_bad_parameters():
+    bad = ((0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0), (5.0, math.nan), (5.0, -math.inf))
+    for df, mu in bad:
+        with pytest.raises(ValueError):
+            t_density(df, mu)
+        with pytest.raises(ValueError):
+            t_log_density(df, mu, 0.0)
+
+
 def test_discrete_table_density():
     d = discrete_table_density((3.0, 1.0), id="tilted")
     out = d.log_density(np.array([0.0, 1.0, 0.0]))

@@ -630,6 +630,49 @@ def test_cli_fixed_weights_must_be_positive(tmp_path, capsys, command, stage, va
     assert err.startswith("config error") and f"{stage}.weights" in err
 
 
+NAN, INF = float("nan"), float("inf")
+# (config, block edited, key, bad value, start of the config error message)
+BAD_MODEL_VALUES = [
+    (toy_config, ("references", 0), "df", 0, "references[0]: df "),
+    (toy_config, ("references", 0), "df", -1, "references[0]: df "),
+    (toy_config, ("references", 0), "mu", NAN, "references[0]: mu "),
+    (toy_config, ("references", 1), "proposal_df", 0, "references[1] proposal: df "),
+    (toy_config, ("targets",), "df", 0, "targets: df "),
+    (toy_config, ("targets",), "mu_grid", [0.5, 0.5], "targets: target labels "),
+    (toy_config, ("references", 1), "splitting_const", 0,
+     "references[1]: splitting_const "),
+    (toy_config, ("references", 1), "splitting_const", INF,
+     "references[1]: splitting_const "),
+    (table_config, ("references", 1), "table", [1, -1], "references[1]: table "),
+    (table_config, ("references", 0), "table", [0, 0], "references[0]: table "),
+    (table_config, ("references", 1), "table", [1, NAN], "references[1]: table "),
+    (table_config, ("targets",), "tables", [[1, 1], [0, 0]],
+     "targets.tables[1]: table "),
+]
+
+
+@pytest.mark.parametrize(
+    "base, block, key, value, message",
+    BAD_MODEL_VALUES,
+    ids=[f"{'.'.join(map(str, b))}.{k}={v}" for _, b, k, v, _ in BAD_MODEL_VALUES],
+)
+def test_cli_bad_model_values_are_config_errors(
+    tmp_path, capsys, base, block, key, value, message
+):
+    """Values a density or sampler constructor rejects exit 2 with a message
+    naming the field, not with a traceback (exit 1) or, for an infinite
+    splitting constant, a chain without regenerations (exit 4)."""
+    raw = base()
+    edited = raw
+    for part in block:
+        edited = edited[part]
+    edited[key] = value
+    path = write_config(tmp_path, raw)
+    assert cli_main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_exit_code_convergence_failure(tmp_path, capsys):
     raw = toy_config(targets=None)
     raw["stage1"]["weights"] = {"kind": "pilot", "pilot_sizes": [3, 3]}

@@ -1,5 +1,8 @@
 """Chain samplers: seeding, kernels, regeneration marking, persistence."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from genis.densities import UnnormalizedDensity, discrete_table_density, t_densi
 from genis.errors import InvalidModelError
 from genis.samplers import (
     ChainSample,
+    _run_imh,
     SampleSet,
     derive_seed,
     discrete_mh,
@@ -219,6 +223,164 @@ def test_no_proposal_with_mass_is_an_invalid_model():
     sampler, log_q = t_proposal(5, 0.0)
     with pytest.raises(InvalidModelError):
         independence_mh(far, sampler, log_q, 50, seed=2)
+
+
+# ------------------------------------------------ the IMH recursion itself
+
+
+def _loop_imh(log_omega_prop, proposals, log_u, log_coin, log_c):
+    """Reference for _run_imh: the per-step loop it replaced, verbatim."""
+    n = proposals.shape[0]
+    marks = None
+    lw = log_omega_prop.tolist()
+    start = next((i for i, w in enumerate(lw) if math.isfinite(w)), None)
+    if start is None:
+        raise InvalidModelError("no proposal has positive target mass")
+    props = proposals.tolist()
+    lu = log_u.tolist()
+    states_out = [0.0] * n
+    cur = props[start]
+    cur_lw = lw[start]
+    states_out[0] = cur
+    if log_coin is not None:
+        marks_out = [False] * n
+        marks_out[0] = True
+        lc = log_coin.tolist()
+        for i in range(1, n):
+            lw_y = lw[i]
+            if lu[i] < lw_y - cur_lw:
+                log_r = (
+                    min(0.0, log_c - cur_lw)
+                    + min(0.0, lw_y - log_c)
+                    - min(0.0, lw_y - cur_lw)
+                )
+                if lc[i] < log_r:
+                    marks_out[i] = True
+                cur = props[i]
+                cur_lw = lw_y
+            states_out[i] = cur
+        marks = np.array(marks_out, dtype=bool)
+    else:
+        for i in range(1, n):
+            lw_y = lw[i]
+            if lu[i] < lw_y - cur_lw:
+                cur = props[i]
+                cur_lw = lw_y
+            states_out[i] = cur
+    return np.array(states_out, dtype=float), marks
+
+
+@st.composite
+def imh_inputs(draw):
+    """Random recursion inputs: n in 1..300; log omega with ties, moderate
+    or overflowing spread and -inf entries (also at proposal 0); -inf in
+    log_u and log_coin; any finite log c; with and without the coin."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from(["ties", "moderate", "overflowing"]))
+    if spread == "ties":
+        log_omega = 0.7 * rng.integers(0, 3, n)
+    else:
+        scale = 3.0 if spread == "moderate" else 1.7e308  # below the largest double
+        log_omega = scale * rng.uniform(-1.0, 1.0, n)
+    log_omega[rng.random(n) < draw(st.floats(0.0, 1.0))] = -math.inf
+    if draw(st.booleans()):
+        log_omega[0] = -math.inf
+
+    def log_uniforms():
+        out = np.log(rng.random(n))
+        out[rng.random(n) < draw(st.floats(0.0, 0.5))] = -math.inf
+        return out
+
+    proposals = 0.5 * np.arange(n) - 3.0
+    log_u = log_uniforms()
+    if not draw(st.booleans()):
+        return log_omega, proposals, log_u, None, None
+    any_finite = st.floats(allow_nan=False, allow_infinity=False)
+    log_c = draw(st.one_of(st.floats(-3.0, 3.0), any_finite))
+    return log_omega, proposals, log_u, log_uniforms(), log_c
+
+
+@given(args=imh_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_run_imh_matches_the_per_step_loop(args):
+    """States and marks are bitwise equal to the per-step loop."""
+    try:
+        expected = _loop_imh(*args)
+    except InvalidModelError:
+        with pytest.raises(InvalidModelError):
+            _run_imh(*args)
+        return
+    states, marks = _run_imh(*args)
+    assert states.dtype == expected[0].dtype
+    assert np.array_equal(states, expected[0])
+    if expected[1] is None:
+        assert marks is None
+    else:
+        assert marks.dtype == bool and np.array_equal(marks, expected[1])
+
+
+def test_run_imh_single_step():
+    props = np.array([2.5])
+    minus_one = np.array([-1.0])
+    states, marks = _run_imh(np.array([0.3]), props, minus_one, minus_one, 0.0)
+    assert states.tolist() == [2.5] and marks.tolist() == [True]
+    with pytest.raises(InvalidModelError):
+        _run_imh(np.array([-np.inf]), props, np.array([-1.0]), None, None)
+
+
+def test_run_imh_late_start_without_accepts():
+    """The chain starts at proposal 1, the first with mass, and never moves."""
+    log_omega = np.array([-np.inf, 0.5, -np.inf, -np.inf])
+    props = np.array([10.0, 11.0, 12.0, 13.0])
+    log_u = np.array([-1.0, 0.0, -1.0, -1.0])
+    log_coin = np.full(4, -1.0)
+    for coin, c in ((None, None), (log_coin, 0.2)):
+        states, marks = _run_imh(log_omega, props, log_u, coin, c)
+        assert states.tolist() == [11.0] * 4
+        expected = _loop_imh(log_omega, props, log_u, coin, c)
+        assert np.array_equal(states, expected[0])
+        if coin is not None:
+            assert marks.tolist() == [True, False, False, False]
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of states (little-endian float64) and marks (bool bytes), recorded
+# from the per-step loop
+FROZEN_T_CHAINS = {
+    1: (
+        "7cbd630360195a321fa0f3fc6a3b133689d5e79f93a3b53ca466f479609f2d30",
+        "6ae98adb619bfd2659de57707db923a8321631c379260a8304031af5f645be92",
+    ),
+    2: (
+        "6270b3b51128f2c4bd9edb75bbd51f3f5ba0eb66b7e85237c83f8a34b7fed5f0",
+        "a95a71ff7b82804cd5ff79831a23393ec6f9434610d303f4a702287f4786dfd3",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_T_CHAINS))
+def test_t_chain_matches_frozen_digest(seed):
+    chain = sample_t_imh(5, 0, 5, 1, 100_000, seed, with_regen=True)
+    assert (_sha(chain.states.astype("<f8")), _sha(chain.regen_marks)) == (
+        FROZEN_T_CHAINS[seed]
+    )
+
+
+def test_discrete_chain_matches_frozen_digest():
+    """Seed 0 proposes the zero-mass state 4 first, so the chain starts at
+    its second proposal."""
+    gap = discrete_table_density(GAP_TABLE, id="gap")
+    chain = discrete_mh(gap, 5000, 0, with_regen=True)
+    assert _sha(chain.states.astype("<f8")) == (
+        "c52b53e44b2bc5a46036e6a7be5ea76b1e201f0d496c61a0cc0ebcc67f7281dd"
+    )
+    assert _sha(chain.regen_marks) == (
+        "5a76e8803d67a09a270824b4631770e06fe80d27d4645fc5b65ebab667118970"
+    )
 
 
 def test_discrete_mh_needs_discrete_target():
