@@ -11,11 +11,15 @@ are deterministic regardless of execution order.
 
 from __future__ import annotations
 
+import csv
+import functools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -156,172 +160,151 @@ def _checked(where: str, build, *args):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _pick(d: dict, allowed: dict, where: str) -> dict:
-    unknown = set(d) - set(allowed)
-    _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(d)
-    return out
+_TYPE_NAMES = {bool: "a bool", str: "a string", int: "an integer", float: "a number"}
+# builtins first: an abstract-class check costs more than the read itself
+_REAL = (float, int, numbers.Real)
+_INTEGRAL = (int, numbers.Integral)
 
 
-def _defaults(cls) -> dict:
-    """Field defaults of a config dataclass; a field without one maps to None."""
-    return {
-        f.name: None if f.default is MISSING else f.default for f in fields(cls)
-    }
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, annotation, required) for each field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
 
 
-def _tuple_or_none(v, cast=float):
-    if v is None:
-        return None
-    return tuple(cast(x) for x in v)
+def _read(tp, value, where: str):
+    """Read a JSON value as the annotated type `tp`; `where` names it in errors.
+
+    Objects become config dataclasses, lists tuples, and null is accepted
+    exactly where the annotation admits None.
+    """
+    if tp in _TYPE_NAMES:
+        return _read_scalar(tp, value, where)
+    origin = get_origin(tp)
+    if origin in (Union, UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        return _read(tp, value, where)
+    if origin is tuple:
+        _require(isinstance(value, (list, tuple)), f"{where}: must be a list")
+        item = get_args(tp)[0]
+        return tuple(_read(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    name = where or "config"
+    _require(isinstance(value, dict), f"{name}: must be an object")
+    spec = _fields(tp)
+    unknown = set(value) - {f[0] for f in spec}
+    _require(not unknown, f"{name}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for key, ftp, required in spec:
+        if key in value:
+            kwargs[key] = _read(ftp, value[key], f"{where}.{key}" if where else key)
+        else:  # the constructor fills in the field default
+            _require(not required, f"{name}: {key} is required")
+    return tp(**kwargs)
+
+
+def _read_scalar(tp, value, where: str):
+    """A bool or string as is; a number in its JSON meaning: an integer field
+    takes an integral float such as 1e5, and no number field takes a bool."""
+    if tp is bool or tp is str:
+        ok = isinstance(value, tp)
+    elif isinstance(value, bool) or not isinstance(value, _REAL):
+        ok = False
+    elif tp is int:
+        ok = isinstance(value, _INTEGRAL) or float(value).is_integer()
+    else:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{where}: number out of range") from exc
+    if not ok:
+        raise ConfigError(f"{where}: must be {_TYPE_NAMES[tp]}")
+    return int(value) if tp is int else value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a JSON-style dict."""
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    top = _pick(raw, _defaults(ExperimentConfig), "config")
-    _require(isinstance(top["references"], list) and top["references"],
-             "config: references must be a nonempty list")
-    refs = tuple(_reference_from_dict(r, i) for i, r in enumerate(top["references"]))
-    _require(top["stage1"] is not None, "config: stage1 is required")
-    stage1 = _stage_from_dict(top["stage1"], len(refs), "stage1")
-    stage2 = (
-        None
-        if top["stage2"] is None
-        else _stage_from_dict(top["stage2"], len(refs), "stage2")
-    )
-    targets = None if top["targets"] is None else _targets_from_dict(top["targets"])
-    truth = None if top["truth"] is None else _truth_from_dict(top["truth"])
-    integrand = top["integrand"]
-    _require(
-        integrand in (None, "x"),
-        "config: integrand must be 'x' or null",
-    )
-    se_method = top["se_method"]
-    _require(se_method in ("bm", "rs", "both"), "config: bad se_method")
-    cfg = ExperimentConfig(
-        references=refs,
-        stage1=stage1,
-        stage2=stage2,
-        targets=targets,
-        integrand=integrand,
-        master_seed=int(top["master_seed"]),
-        burn_in=int(top["burn_in"]),
-        thinning=int(top["thinning"]),
-        bm_nu=float(top["bm_nu"]),
-        bm_explicit_b=None
-        if top["bm_explicit_b"] is None
-        else int(top["bm_explicit_b"]),
-        se_method=se_method,
-        assume_infinite_stage1=bool(top["assume_infinite_stage1"]),
-        replications=int(top["replications"]),
-        size_grid=tuple(int(s) for s in top["size_grid"]),
-        workers=int(top["workers"]),
-        tail_guard=float(top["tail_guard"]),
-        truth=truth,
-    )
+    cfg = _read(ExperimentConfig, raw, "")
     _validate(cfg)
     return cfg
 
 
-def _reference_from_dict(raw: dict, index: int) -> ReferenceConfig:
-    where = f"references[{index}]"
-    _require(isinstance(raw, dict), f"{where}: must be an object")
-    r = _pick(raw, _defaults(ReferenceConfig), where)
-    _require(r["family"] in ("t", "table"), f"{where}: family must be 't' or 'table'")
-    _require(r["sampler"] in ("iid", "imh", "mh"), f"{where}: bad sampler")
-    if r["family"] == "t":
-        _require(r["df"] is not None and r["mu"] is not None,
-                 f"{where}: t reference needs df and mu")
-        _require(r["sampler"] in ("iid", "imh"), f"{where}: t reference uses iid or imh")
-        if r["sampler"] == "imh":
-            _require(r["proposal_mu"] is not None,
-                     f"{where}: imh sampler needs proposal_mu")
-    else:
-        _require(r["table"] is not None, f"{where}: table reference needs a table")
-        _require(r["sampler"] == "mh", f"{where}: table reference uses the mh sampler")
-    ref = ReferenceConfig(
-        family=r["family"],
-        sampler=r["sampler"],
-        df=None if r["df"] is None else float(r["df"]),
-        mu=None if r["mu"] is None else float(r["mu"]),
-        proposal_df=None if r["proposal_df"] is None else float(r["proposal_df"]),
-        proposal_mu=None if r["proposal_mu"] is None else float(r["proposal_mu"]),
-        table=_tuple_or_none(r["table"]),
-        with_regen=bool(r["with_regen"]),
-        splitting_const=None
-        if r["splitting_const"] is None
-        else float(r["splitting_const"]),
-        label=r["label"],
-    )
+_WEIGHT_KINDS = {1: ("naive", "fixed", "pilot"), 2: ("naive", "fixed", "inv_dist", "ess")}
+
+
+def _validate_reference(ref: ReferenceConfig, where: str):
+    _require(ref.family in ("t", "table"), f"{where}: family must be 't' or 'table'")
+    _require(ref.sampler in ("iid", "imh", "mh"), f"{where}: bad sampler")
     if ref.family == "t":
+        _require(ref.df is not None and ref.mu is not None,
+                 f"{where}: t reference needs df and mu")
+        _require(ref.sampler in ("iid", "imh"), f"{where}: t reference uses iid or imh")
+        if ref.sampler == "imh":
+            _require(ref.proposal_mu is not None,
+                     f"{where}: imh sampler needs proposal_mu")
         _checked(where, t_density, ref.df, ref.mu)
     else:
+        _require(ref.table is not None, f"{where}: table reference needs a table")
+        _require(ref.sampler == "mh", f"{where}: table reference uses the mh sampler")
         _checked(where, discrete_table_density, ref.table)
     if ref.sampler == "imh":
         _checked(f"{where} proposal", t_density, *ref.proposal)
     if ref.splitting_const is not None:
         _checked(where, log_splitting_const, ref.splitting_const)
-    return ref
 
 
-def _stage_from_dict(raw: dict, k: int, where: str) -> StageConfig:
-    _require(isinstance(raw, dict), f"{where}: must be an object")
-    s = _pick(raw, _defaults(StageConfig), where)
-    _require(isinstance(s["sizes"], list) and len(s["sizes"]) == k,
-             f"{where}: sizes must list one size per reference")
-    sizes = tuple(int(x) for x in s["sizes"])
-    _require(all(x > 0 for x in sizes), f"{where}: sizes must be positive")
-    weights = WeightConfig()
-    if s["weights"] is not None:
-        w = _pick(s["weights"], _defaults(WeightConfig), f"{where}.weights")
-        _require(w["kind"] in ("naive", "fixed", "inv_dist", "ess", "pilot"),
-                 f"{where}.weights: bad kind")
-        values = _tuple_or_none(w["values"])
-        if w["kind"] == "fixed":
-            _require(values is not None and len(values) == k,
-                     f"{where}.weights: fixed kind needs one value per reference")
-            _checked(f"{where}.weights", StageWeights, values)
-        weights = WeightConfig(
-            kind=w["kind"],
-            values=values,
-            step=float(w["step"]),
-            pilot_sizes=_tuple_or_none(w["pilot_sizes"], int),
-        )
-    return StageConfig(sizes=sizes, weights=weights)
+def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses):
+    """Sizes and weights of one stage block; `uses` lists the stages its
+    weights serve (stage 1, 2, or both when targets share the stage1 block)."""
+    k = len(cfg.references)
+    _require(len(stage.sizes) == k, f"{where}: sizes must list one size per reference")
+    _require(all(x > 0 for x in stage.sizes), f"{where}: sizes must be positive")
+    w = stage.weights
+    for n in uses:
+        _require(w.kind in _WEIGHT_KINDS[n],
+                 f"{where}.weights: kind {w.kind!r} is not valid for stage {n}")
+    if w.kind == "fixed":
+        _require(w.values is not None and len(w.values) == k,
+                 f"{where}.weights: fixed kind needs one value per reference")
+        _checked(f"{where}.weights", StageWeights, w.values)
+    if w.kind == "pilot" and w.pilot_sizes is not None:
+        _require(len(w.pilot_sizes) == k and all(x > 0 for x in w.pilot_sizes),
+                 f"{where}.weights: pilot_sizes must list one positive size per reference")
+    if w.kind in ("inv_dist", "ess"):
+        _require(all(r.family == "t" for r in cfg.references),
+                 "inv_dist/ess weights need t references with locations")
+        _require(cfg.targets is not None and cfg.targets.family == "t",
+                 "inv_dist/ess weights need a t target family")
 
 
-def _targets_from_dict(raw: dict) -> TargetConfig:
-    _require(isinstance(raw, dict), "targets: must be an object")
-    t = _pick(raw, _defaults(TargetConfig), "targets")
-    _require(t["family"] in ("t", "table"), "targets: family must be 't' or 'table'")
-    cfg = TargetConfig(
-        family=t["family"],
-        df=float(t["df"]),
-        mu_grid=tuple(float(x) for x in t["mu_grid"]),
-        tables=tuple(tuple(float(v) for v in tab) for tab in t["tables"]),
-    )
-    if cfg.family == "t":
-        _require(len(cfg.mu_grid) > 0, "targets: t family needs mu_grid")
-        _checked("targets", t_family, cfg.df, cfg.mu_grid)
+def _validate_targets(t: TargetConfig):
+    _require(t.family in ("t", "table"), "targets: family must be 't' or 'table'")
+    if t.family == "t":
+        _require(len(t.mu_grid) > 0, "targets: t family needs mu_grid")
+        _checked("targets", t_family, t.df, t.mu_grid)
     else:
-        _require(len(cfg.tables) > 0, "targets: table family needs tables")
-        for i, tab in enumerate(cfg.tables):
+        _require(len(t.tables) > 0, "targets: table family needs tables")
+        for i, tab in enumerate(t.tables):
             _checked(f"targets.tables[{i}]", discrete_table_density, tab)
-    return cfg
-
-
-def _truth_from_dict(raw: dict) -> TruthConfig:
-    t = _pick(raw, _defaults(TruthConfig), "truth")
-    return TruthConfig(
-        d=_tuple_or_none(t["d"]),
-        u=_tuple_or_none(t["u"]),
-        eta=_tuple_or_none(t["eta"]),
-    )
 
 
 def _validate(cfg: ExperimentConfig):
+    _require(len(cfg.references) > 0, "config: references must be a nonempty list")
+    for i, ref in enumerate(cfg.references):
+        _validate_reference(ref, f"references[{i}]")
+    shared = cfg.targets is not None and cfg.stage2 is None
+    _validate_stage(cfg, cfg.stage1, "stage1", (1, 2) if shared else (1,))
+    if cfg.stage2 is not None:
+        _validate_stage(cfg, cfg.stage2, "stage2", (2,))
+    if cfg.targets is not None:
+        _validate_targets(cfg.targets)
+    _require(cfg.integrand in (None, "x"), "config: integrand must be 'x' or null")
+    _require(cfg.se_method in ("bm", "rs", "both"), "config: bad se_method")
     _require(cfg.burn_in >= 0, "config: burn_in must be nonnegative")
     _require(cfg.thinning >= 1, "config: thinning must be at least 1")
     _require(0 < cfg.bm_nu < 1, "config: bm_nu must lie in (0, 1)")
@@ -515,48 +498,30 @@ def _resolve_stage1_weights(
         return None
     if wc.kind == "fixed":
         return StageWeights(np.asarray(wc.values, dtype=float))
-    if wc.kind == "pilot":
-        return StageWeights(pilot_weights(cfg, references, rep_index)[1])
-    raise ConfigError(f"stage1 weight kind {wc.kind!r} is not valid for stage 1")
+    return StageWeights(pilot_weights(cfg, references, rep_index)[1])
 
 
 def _resolve_stage2_weights(
     cfg: ExperimentConfig,
     samples2: SampleSet,
 ) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
-    """Either one shared weight vector or one per target."""
+    """Either one shared weight vector or one per target; _validate has
+    checked the kind and that inv_dist/ess have t references and targets."""
     wc = cfg.stage2.weights if cfg.stage2 is not None else cfg.stage1.weights
     n_per = samples2.n_per_chain
     if wc.kind == "naive":
         return naive_weights(n_per), None
     if wc.kind == "fixed":
         return np.asarray(wc.values, dtype=float), None
-    if wc.kind in ("inv_dist", "ess"):
-        _require(
-            all(r.family == "t" for r in cfg.references),
-            "inv_dist/ess weights need t references with locations",
+    locs = np.array([r.mu for r in cfg.references])
+    if wc.kind == "inv_dist":
+        per = [inv_dist_weights(mu, locs, n_per) for mu in cfg.targets.mu_grid]
+    else:
+        ess = np.array(
+            [effective_sample_size(c.states, cfg.bm_spec) for c in samples2.chains]
         )
-        _require(
-            cfg.targets is not None and cfg.targets.family == "t",
-            "inv_dist/ess weights need a t target family",
-        )
-        locs = np.array([r.mu for r in cfg.references])
-        if wc.kind == "inv_dist":
-            per = [
-                inv_dist_weights(mu, locs, n_per) for mu in cfg.targets.mu_grid
-            ]
-        else:
-            ess = np.array(
-                [
-                    effective_sample_size(c.states, cfg.bm_spec)
-                    for c in samples2.chains
-                ]
-            )
-            per = [
-                ess_inv_dist_weights(mu, locs, ess) for mu in cfg.targets.mu_grid
-            ]
-        return None, per
-    raise ConfigError(f"stage2 weight kind {wc.kind!r} is not valid for stage 2")
+        per = [ess_inv_dist_weights(mu, locs, ess) for mu in cfg.targets.mu_grid]
+    return None, per
 
 
 @dataclass(frozen=True)
@@ -754,7 +719,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
         k = len(cfg.references)
         for size in cfg.size_grid:
             for rep in range(cfg.replications):
-                jobs.append((cfg, (int(size),) * k, rep, True))
+                jobs.append((cfg, (size,) * k, rep, True))
     else:
         for rep in range(cfg.replications):
             jobs.append((cfg, None, rep, False))
@@ -870,102 +835,67 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_d_estimate_csv(path, est: RatioEstimate, ref_labels: Sequence[str]):
-    """Per-component ratio estimates, one row per (component, se method)."""
-    import csv
-
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["component", "reference_id", "d_hat", "asym_var", "se", "method", "n"]
-        )
-        for method, cov in (("bm", est.cov_bm), ("rs", est.cov_rs)):
-            if cov is None:
-                continue
-            se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / est.n_total)
-            for j in range(est.d_hat.size):
-                writer.writerow(
-                    [
-                        f"d[{j + 2}]",
-                        ref_labels[j + 1],
-                        _fmt(float(est.d_hat[j])),
-                        _fmt(float(cov[j, j])),
-                        _fmt(float(se[j])),
-                        method,
-                        est.n_total,
-                    ]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_d_estimate_csv(path, est: RatioEstimate, ref_labels: Sequence[str]):
+    """Per-component ratio estimates, one row per (component, se method)."""
+    rows = []
+    for method, cov in (("bm", est.cov_bm), ("rs", est.cov_rs)):
+        if cov is None:
+            continue
+        se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / est.n_total)
+        for j in range(est.d_hat.size):
+            rows.append(
+                [
+                    f"d[{j + 2}]",
+                    ref_labels[j + 1],
+                    _fmt(float(est.d_hat[j])),
+                    _fmt(float(cov[j, j])),
+                    _fmt(float(se[j])),
+                    method,
+                    est.n_total,
+                ]
+            )
+    header = ["component", "reference_id", "d_hat", "asym_var", "se", "method", "n"]
+    _write_csv(path, header, rows)
 
 
 def write_targets_csv(path, results: Sequence[TargetResult]):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "target_label",
-                "u_hat",
-                "eta_hat",
-                "se_u",
-                "se_eta",
-                "var_stage1_u",
-                "var_stage2_u",
-                "var_stage1_eta",
-                "var_stage2_eta",
-                "q",
-                "n",
-                "flags",
-            ]
-        )
-        for r in results:
-            writer.writerow(
-                [
-                    r.target_label,
-                    _fmt(r.u_hat),
-                    _fmt(r.eta_hat),
-                    _fmt(r.se_u),
-                    _fmt(r.se_eta),
-                    _fmt(r.var_stage1_u),
-                    _fmt(r.var_stage2_u),
-                    _fmt(r.var_stage1_eta),
-                    _fmt(r.var_stage2_eta),
-                    _fmt(r.q),
-                    r.n,
-                    ";".join(r.flags),
-                ]
-            )
+    header = ["target_label", "u_hat", "eta_hat", "se_u", "se_eta", "var_stage1_u",
+              "var_stage2_u", "var_stage1_eta", "var_stage2_eta", "q", "n", "flags"]
+    rows = (
+        [r.target_label]
+        + [_fmt(v) for v in (r.u_hat, r.eta_hat, r.se_u, r.se_eta, r.var_stage1_u,
+                             r.var_stage2_u, r.var_stage1_eta, r.var_stage2_eta, r.q)]
+        + [r.n, ";".join(r.flags)]
+        for r in results
+    )
+    _write_csv(path, header, rows)
 
 
 def write_replications_csv(path, report: ReplicationReport):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "sample_size", "method", "estimate"])
-        for row in report.rows():
-            writer.writerow(
-                [row[0], row[1], row[2], _fmt(row[3])]
-            )
+    rows = ([row[0], row[1], row[2], _fmt(row[3])] for row in report.rows())
+    _write_csv(path, ["replication", "sample_size", "method", "estimate"], rows)
 
 
 def write_tours_csv(path, tours_by_chain):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "tour_index", "V", "U", "T"])
-        for tours in tours_by_chain:
-            for t in range(tours.count):
-                writer.writerow(
-                    [
-                        tours.density_id,
-                        t,
-                        _fmt(None if tours.v_sums is None else float(tours.v_sums[t])),
-                        _fmt(float(tours.u_sums[t])),
-                        int(tours.lengths[t]),
-                    ]
-                )
+    rows = (
+        [
+            tours.density_id,
+            t,
+            _fmt(None if tours.v_sums is None else float(tours.v_sums[t])),
+            _fmt(float(tours.u_sums[t])),
+            int(tours.lengths[t]),
+        ]
+        for tours in tours_by_chain
+        for t in range(tours.count)
+    )
+    _write_csv(path, ["chain", "tour_index", "V", "U", "T"], rows)
 
 
 def stage2_tours(cfg: ExperimentConfig, result: TwoStageResult):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from genis.importance import DEFAULT_TAIL_GUARD
 from genis.pipeline import (
     STAGE1_TAG,
     STAGE2_TAG,
+    ExperimentConfig,
     ReferenceConfig,
+    StageConfig,
     TargetConfig,
+    TruthConfig,
     WeightConfig,
     build_references,
     config_from_dict,
@@ -104,7 +108,8 @@ def test_config_defaults_and_labels():
 
 def test_config_defaults_come_from_the_dataclasses():
     """Keys left out of the JSON take the dataclass field defaults."""
-    raw = toy_config()
+    # pilot weights cannot also weight stage 2, so this config has no targets
+    raw = toy_config(targets=None)
     raw["stage1"]["weights"] = {"kind": "pilot"}
     cfg = config_from_dict(raw)
     assert cfg.tail_guard == DEFAULT_TAIL_GUARD
@@ -112,7 +117,7 @@ def test_config_defaults_come_from_the_dataclasses():
     assert cfg.integrand == "x" and cfg.stage2 is None and cfg.truth is None
     assert cfg.stage1.weights == WeightConfig(kind="pilot")
     assert cfg.stage1.weights.step == DEFAULT_STEP
-    assert cfg.targets == TargetConfig(mu_grid=(0.5,))
+    assert config_from_dict(toy_config()).targets == TargetConfig(mu_grid=(0.5,))
     assert cfg.references[0] == ReferenceConfig("t", "iid", df=5.0, mu=1.0)
 
 
@@ -141,6 +146,12 @@ def test_config_defaults_come_from_the_dataclasses():
         lambda c: c["stage1"].update(
             weights={"kind": "fixed", "values": [float("nan"), 1.0]}
         ),
+        lambda c: c.update(targets=None, stage1={
+            "sizes": [1000, 1000], "weights": {"kind": "pilot", "pilot_sizes": [300]}
+        }),
+        lambda c: c.update(targets=None, stage1={
+            "sizes": [1000, 1000], "weights": {"kind": "pilot", "pilot_sizes": [0, 300]}
+        }),
     ],
 )
 def test_config_rejects_bad_inputs(mutate):
@@ -172,6 +183,54 @@ def test_config_table_targets_need_table_references():
     raw["targets"] = {"family": "table", "tables": [[1.0, 1.0]]}
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_shipped_configs_parse_to_expected():
+    """configs/toy.json reads to this config, every field spelled out."""
+    expected = ExperimentConfig(
+        references=(
+            ReferenceConfig(
+                family="t", sampler="iid", df=5.0, mu=1.0, proposal_df=None,
+                proposal_mu=None, table=None, with_regen=False,
+                splitting_const=None, label=None,
+            ),
+            ReferenceConfig(
+                family="t", sampler="imh", df=5.0, mu=0.0, proposal_df=5.0,
+                proposal_mu=1.0, table=None, with_regen=True,
+                splitting_const=None, label=None,
+            ),
+        ),
+        stage1=StageConfig(
+            sizes=(100000, 100000),
+            weights=WeightConfig(kind="naive", values=None, step=0.05, pilot_sizes=None),
+        ),
+        stage2=StageConfig(
+            sizes=(10000, 10000),
+            weights=WeightConfig(kind="naive", values=None, step=0.05, pilot_sizes=None),
+        ),
+        targets=TargetConfig(
+            family="t", df=5.0, mu_grid=(0.0, 0.25, 0.5, 0.75, 1.0), tables=()
+        ),
+        integrand="x",
+        master_seed=1,
+        burn_in=0,
+        thinning=1,
+        bm_nu=0.5,
+        bm_explicit_b=None,
+        se_method="both",
+        assume_infinite_stage1=False,
+        replications=1,
+        size_grid=(),
+        workers=1,
+        tail_guard=DEFAULT_TAIL_GUARD,
+        truth=TruthConfig(
+            d=(1.0,), u=(1.0,) * 5, eta=(0.0, 0.25, 0.5, 0.75, 1.0)
+        ),
+    )
+    cfg = config_from_json(Path(__file__).parents[1] / "configs" / "toy.json")
+    assert cfg == expected
+    assert all(type(s) is int for s in cfg.stage1.sizes)
+    assert type(cfg.references[0].df) is float
 
 
 def test_config_from_json_roundtrip(tmp_path):
@@ -670,6 +729,99 @@ def test_cli_bad_model_values_are_config_errors(
     path = write_config(tmp_path, raw)
     assert cli_main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+# (block edited, key, value of the wrong JSON type, field path in the message)
+WRONG_TYPES = [
+    (("references", 0), "df", "five", "references[0].df"),
+    (("stage1",), "sizes", ["a", 10], "stage1.sizes[0]"),
+    ((), "master_seed", "x", "master_seed"),
+    (("references", 1), "with_regen", "no", "references[1].with_regen"),
+    ((), "assume_infinite_stage1", "false", "assume_infinite_stage1"),
+    (("stage1",), "sizes", [1000.7, 1000], "stage1.sizes[0]"),
+    (("stage1",), "sizes", [True, 1000], "stage1.sizes[0]"),
+    (("targets",), "mu_grid", "01", "targets.mu_grid"),
+    (("targets",), "mu_grid", 0.5, "targets.mu_grid"),
+    (("references", 0), "label", 3, "references[0].label"),
+    (("stage1",), "weights", [1, 2], "stage1.weights"),
+]
+
+
+@pytest.mark.parametrize(
+    "block, key, value, path",
+    WRONG_TYPES,
+    ids=[f"{'.'.join(map(str, b + (k,)))}={v!r}" for b, k, v, _ in WRONG_TYPES],
+)
+def test_cli_wrong_json_types_are_config_errors(tmp_path, capsys, block, key, value, path):
+    """A value of the wrong JSON type exits 2 naming its field, instead of a
+    traceback (exit 1), a silent cast ("no" as true, 1000.7 as 1000, "01" as
+    two grid points) or a run on the cast value."""
+    raw = toy_config()
+    edited = raw
+    for part in block:
+        edited = edited[part]
+    edited[key] = value
+    config = write_config(tmp_path, raw)
+    assert cli_main(["estimate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: must be ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_reader_numbers_nulls_and_required_fields():
+    """Integers of any size stay exact, an integral float is an integer and an
+    integer a float; a float beyond range, a null where the field is not
+    optional, and a missing required field are config errors."""
+    raw = toy_config(master_seed=10**400, replications=2.0)
+    raw["stage1"]["sizes"] = [1e3, 1000]
+    raw["references"][0]["df"] = 5
+    cfg = config_from_dict(raw)
+    assert cfg.master_seed == 10**400 and cfg.replications == 2
+    assert cfg.stage1.sizes == (1000, 1000) and type(cfg.stage1.sizes[0]) is int
+    assert cfg.references[0].df == 5.0 and type(cfg.references[0].df) is float
+    with pytest.raises(ConfigError, match=r"references\[0\].df: number out of range"):
+        config_from_dict(toy_config(references=[dict(raw["references"][0], df=10**400)]))
+    raw = toy_config(integrand=None, stage2=None, truth=None)
+    assert config_from_dict(raw).integrand is None
+    with pytest.raises(ConfigError, match=r"^stage1.weights: must be an object"):
+        config_from_dict(toy_config(stage1={"sizes": [10, 10], "weights": None}))
+    with pytest.raises(ConfigError, match=r"^references\[0\]: family is required"):
+        config_from_dict(toy_config(references=[{"sampler": "iid"}]))
+
+
+def test_cli_huge_master_seed_runs(tmp_path):
+    """An integer seed beyond float range is read exactly, as before."""
+    config = write_config(tmp_path, toy_config(master_seed=10**400))
+    assert cli_main(["estimate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+
+# (command, config, stage block, weights) whose weight kind cannot serve
+WRONG_STAGE_KINDS = [
+    ("replicate", toy_config(targets=None, replications=2), "stage1", {"kind": "inv_dist"}),
+    ("estimate-d", toy_config(targets=None), "stage1", {"kind": "ess"}),
+    ("estimate", toy_config(), "stage1", {"kind": "pilot"}),
+    ("estimate", toy_config(stage2={"sizes": [300, 300]}), "stage2", {"kind": "pilot"}),
+    ("estimate", table_config(), "stage2", {"kind": "inv_dist"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, raw, stage, weights",
+    WRONG_STAGE_KINDS,
+    ids=[f"{c}-{s}-{w['kind']}" for c, _, s, w in WRONG_STAGE_KINDS],
+)
+def test_cli_weight_kinds_checked_when_read(tmp_path, capsys, command, raw, stage, weights):
+    """Stage 1 takes naive, fixed or pilot weights and stage 2 naive, fixed,
+    inv_dist or ess (the stage1 block serves both when targets have no stage2
+    block).  A kind that cannot serve exits 2 before any chain is drawn and
+    writes nothing; it used to fail after sampling, or per replication."""
+    raw = json.loads(json.dumps(raw))
+    raw[stage]["weights"] = weights
+    config = write_config(tmp_path, raw)
+    assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{stage}.weights: kind " in err or "inv_dist/ess weights need" in err
     assert not (tmp_path / "o").exists()
 
 
