@@ -51,8 +51,9 @@ def block_size(n: int, spec: BatchMeansSpec = DEFAULT_BM_SPEC) -> int:
 
 
 def _block_means(col: np.ndarray, e: int, b: int) -> np.ndarray:
-    # ascontiguousarray keeps the reduction identical across source layouts
-    return np.ascontiguousarray(col[: e * b]).reshape(e, b).mean(axis=1)
+    # ascontiguousarray keeps the reduction identical across source layouts;
+    # add.reduce / b is np.mean's own arithmetic without its Python wrapper
+    return np.add.reduce(np.ascontiguousarray(col[: e * b]).reshape(e, b), axis=1) / b
 
 
 def bm_cov(series, b: int) -> np.ndarray:
@@ -64,9 +65,21 @@ def bm_cov(series, b: int) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 1:
+    if x.ndim != 2:
         raise ValueError("series must be a nonempty 1-d or 2-d array")
-    n, p = x.shape
+    return bm_cov_columns([x[:, j] for j in range(x.shape[1])], b)
+
+
+def bm_cov_columns(columns, b: int) -> np.ndarray:
+    """`bm_cov` of the series whose p columns are the given 1-d arrays.
+
+    Bitwise equal to ``bm_cov(np.column_stack(columns), b)``, without
+    building the (n, p) matrix.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = cols[0].shape[0] if cols and cols[0].ndim == 1 else 0
+    if n < 1 or any(c.ndim != 1 or c.shape[0] != n for c in cols):
+        raise ValueError("columns must be nonempty 1-d arrays of one length")
     b = int(b)
     if b < 1:
         raise ValueError("block size must be positive")
@@ -78,9 +91,10 @@ def bm_cov(series, b: int) -> np.ndarray:
     # each centered column is kept contiguous so np.dot takes the same
     # kernel whether the call was univariate or multivariate
     centered = []
-    for j in range(p):
-        m = _block_means(x[:, j], e, b)
-        centered.append(m - m.mean())
+    for col in cols:
+        m = _block_means(col, e, b)
+        centered.append(m - np.add.reduce(m) / e)
+    p = len(cols)
     out = np.empty((p, p))
     scale = b / (e - 1)
     for j in range(p):

@@ -67,14 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = config_from_json(args.config)
+    # the overrides enter the JSON object, so they are read and validated
+    # with the rest of the config
+    overrides = {}
     if args.seed is not None:
-        cfg = replace(cfg, master_seed=int(args.seed))
+        overrides["master_seed"] = args.seed
     if args.se_method is not None:
-        cfg = replace(cfg, se_method=args.se_method)
+        overrides["se_method"] = args.se_method
     if args.assume_infinite_stage1:
-        cfg = replace(cfg, assume_infinite_stage1=True)
-    return cfg
+        overrides["assume_infinite_stage1"] = True
+    return config_from_json(args.config, overrides)
 
 
 def _out_dir(args) -> Path:

@@ -58,7 +58,7 @@ class UnnormalizedDensity:
         out = np.atleast_1d(np.asarray(self.log_eval(x), dtype=float))
         if out.shape != x.shape:
             raise ValueError(f"density {self.id!r}: log_eval changed the shape")
-        if np.any(np.isnan(out)) or np.any(np.isposinf(out)):
+        if not np.all(out < np.inf):  # one pass: false at NaN and +inf
             raise ValueError(f"density {self.id!r}: log_eval produced NaN or +inf")
         return out
 

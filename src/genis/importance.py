@@ -17,11 +17,11 @@ estimated by batch means chain by chain.
 
 `estimate_family` is the entry point.  Per call it evaluates the
 reference log densities and f once per chain, and the log mixture
-denominator once per distinct weight vector.  Each target then takes one
-pass: per chain, one evaluation of its log density gives both u and the
-sensitivity kernel, whose exponential serves the g = 1 and the g = f
-gradient sums; one batch-means matrix of (v, u), or of u alone without
-f, gives both stage-2 variances.
+denominator once per run of targets sharing a weight vector.  Each
+target then takes one pass: per chain, one evaluation of its log density
+gives both u and the sensitivity kernel, whose exponential serves the
+g = 1 and the g = f gradient sums; one batch-means matrix of (v, u), or
+of u alone without f, gives both stage-2 variances.
 """
 
 from __future__ import annotations
@@ -32,12 +32,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, bm_cov, block_size
+from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_cov_columns
 from .densities import Integrand, TargetFamily, UnnormalizedDensity, log_sum_exp_rows
 from .errors import DegenerateDenominatorError, EstimationError
 from .samplers import SampleSet
 
 DEFAULT_TAIL_GUARD = 1e3
+
+# normalized weights, per-chain log mixtures, and twice those
+_Mixture = tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -91,25 +94,27 @@ class _Context:
             for x in self.states
         ]
         self.f = f
-        self._mixtures: dict[tuple, tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._last: tuple = (None, None)  # (weight vector object, its mixture)
 
     @cached_property
     def f_vals(self) -> list[np.ndarray] | None:
         # first read inside a target's pass, so a failing f is isolated there
         return None if self.f is None else [self.f.values(x) for x in self.states]
 
-    def mixture(self, a_vec) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Normalized weights and per-chain log mixtures, cached per vector."""
+    def mixture(self, a_vec) -> _Mixture:
+        """The mixture of a weight vector; only the last one is kept, so a
+        vector object shared by consecutive targets is checked and built
+        once, and a sweep with one vector per target holds one mixture."""
+        if a_vec is self._last[0]:
+            return self._last[1]
         a = np.atleast_1d(np.asarray(a_vec, dtype=float))
         if a.shape != self.d_full.shape or np.any(a <= 0) or not np.all(np.isfinite(a)):
             raise ValueError("a must be a positive weight per chain")
         a = a / a.sum()
-        key = tuple(np.round(a, 15))
-        if key not in self._mixtures:
-            log_coef = np.log(a) - np.log(self.d_full)
-            log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
-            self._mixtures[key] = (a, log_mix)
-        return self._mixtures[key]
+        log_coef = np.log(a) - np.log(self.d_full)
+        log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
+        self._last = (a_vec, (a, log_mix, [2.0 * m for m in log_mix]))
+        return self._last[1]
 
 
 class _Pass(NamedTuple):
@@ -135,23 +140,23 @@ def _target_pass(
     g(x) nu(x) nu_j(x) / mix(x)^2 with g = 1 and g = f, in log space.
     Chain l enters the batch means with weight a_l^2 / s_l, s_l = n_l / n.
     """
-    a, log_mix = ctx.mixture(a_vec)
+    a, log_mix, log_mix2 = ctx.mixture(a_vec)
     f_vals = ctx.f_vals
     u_series = []
     c_sum = np.zeros(len(a) - 1)
     s_sum = None if f_vals is None else np.zeros(len(a) - 1)
     for l, x in enumerate(ctx.states):
         log_nu = target.log_density(x)
-        with np.errstate(over="ignore"):
-            u = np.exp(log_nu - log_mix[l])
-            kernel = np.exp(
-                (log_nu - 2.0 * log_mix[l])[:, None] + ctx.ref_logs[l][:, 1:]
-            )
-        if not np.all(np.isfinite(u)):
+        u = log_nu - log_mix[l]
+        kernel = (log_nu - log_mix2[l])[:, None] + ctx.ref_logs[l][:, 1:]
+        with np.errstate(over="ignore"):  # exp in place: both exponents are temporaries
+            np.exp(u, out=u)
+            np.exp(kernel, out=kernel)
+        if not np.isfinite(u).all():
             raise DegenerateDenominatorError(
                 f"importance weights overflow for target {target.id!r}"
             )
-        if not np.all(np.isfinite(kernel)):
+        if not np.isfinite(kernel).all():
             raise DegenerateDenominatorError(
                 f"sensitivity kernel overflow for target {target.id!r}"
             )
@@ -159,16 +164,16 @@ def _target_pass(
         w_l = a[l] / ctx.n_per[l]
         c_sum += w_l * kernel.sum(axis=0)
         if f_vals is not None:
-            s_sum += w_l * (kernel * f_vals[l][:, None]).sum(axis=0)
+            s_sum += w_l * np.multiply(kernel, f_vals[l][:, None], out=kernel).sum(axis=0)
     u_hat = float(sum(a[l] * u.sum() / ctx.n_per[l] for l, u in enumerate(u_series)))
     c_vec = c_sum * a[1:] / ctx.d_full[1:] ** 2
 
     p = 1 if f_vals is None else 2
     bm = np.zeros((p, p))
     for l, u in enumerate(u_series):
-        series = u if f_vals is None else np.column_stack([f_vals[l] * u, u])
+        series = [u] if f_vals is None else [f_vals[l] * u, u]
         s_l = ctx.n_per[l] / ctx.n
-        bm += (a[l] ** 2 / s_l) * bm_cov(series, block_size(u.size, bm_spec))
+        bm += (a[l] ** 2 / s_l) * bm_cov_columns(series, block_size(u.size, bm_spec))
     if f_vals is None:
         return _Pass(u_series, u_hat, None, c_vec, None, bm)
 
@@ -266,7 +271,7 @@ def _one_target(
 ) -> TargetResult:
     p = _target_pass(ctx, target, a_vec, bm_spec)
     all_u = np.concatenate(p.u)
-    mean_u = all_u.mean()
+    mean_u = np.add.reduce(all_u) / all_u.size  # np.mean's arithmetic
     tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
     var1_u = float(q) * float(p.c_vec @ cov @ p.c_vec) if p.c_vec.size else 0.0
     var2_u = float(p.bm[-1, -1])  # bitwise the univariate BM of u

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
+import itertools
 import json
 import math
 import numbers
@@ -305,6 +307,7 @@ def _validate(cfg: ExperimentConfig):
         _validate_targets(cfg.targets)
     _require(cfg.integrand in (None, "x"), "config: integrand must be 'x' or null")
     _require(cfg.se_method in ("bm", "rs", "both"), "config: bad se_method")
+    _require(cfg.master_seed >= 0, "config: master_seed must be nonnegative")
     _require(cfg.burn_in >= 0, "config: burn_in must be nonnegative")
     _require(cfg.thinning >= 1, "config: thinning must be at least 1")
     _require(0 < cfg.bm_nu < 1, "config: bm_nu must lie in (0, 1)")
@@ -331,7 +334,9 @@ def _validate(cfg: ExperimentConfig):
         )
 
 
-def config_from_json(path) -> ExperimentConfig:
+def config_from_json(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a JSON config file; `overrides` replace its top-level keys
+    before the config is read and validated."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -339,6 +344,8 @@ def config_from_json(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return config_from_dict(raw)
 
 
@@ -835,11 +842,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, rows=(), lines=()):
+    """Write header and rows with csv, then `lines`, text already in csv's
+    form (fields quoted as csv quotes them, each line ending in \\r\\n)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(lines)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv writes it inside a row, i.e. quoted only where needed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
 
 
 def write_d_estimate_csv(path, est: RatioEstimate, ref_labels: Sequence[str]):
@@ -884,18 +901,21 @@ def write_replications_csv(path, report: ReplicationReport):
 
 
 def write_tours_csv(path, tours_by_chain):
-    rows = (
-        [
-            tours.density_id,
-            t,
-            _fmt(None if tours.v_sums is None else float(tours.v_sums[t])),
-            _fmt(float(tours.u_sums[t])),
-            int(tours.lengths[t]),
-        ]
-        for tours in tours_by_chain
-        for t in range(tours.count)
+    _write_csv(
+        path,
+        ["chain", "tour_index", "V", "U", "T"],
+        lines=itertools.chain.from_iterable(_tour_lines(t) for t in tours_by_chain),
     )
-    _write_csv(path, ["chain", "tour_index", "V", "U", "T"], rows)
+
+
+def _tour_lines(tours):
+    # one f-string per tour: floats as repr (what _fmt writes), the label
+    # quoted once; csv.writer would scan every field of every row
+    label = _csv_field(tours.density_id)
+    v_col = itertools.repeat("") if tours.v_sums is None else map(repr, tours.v_sums.tolist())
+    rows = zip(itertools.count(), v_col, tours.u_sums.tolist(), tours.lengths.tolist())
+    for t, v, u, length in rows:
+        yield f"{label},{t},{v},{u!r},{length}\r\n"
 
 
 def stage2_tours(cfg: ExperimentConfig, result: TwoStageResult):

@@ -110,7 +110,7 @@ def toy_both_100():
 
 @pytest.fixture(scope="module")
 def toy_tuned_100():
-    raw = _toy_raw(se_method="bm", replications=100)
+    raw = _toy_raw(se_method="bm", replications=100, workers=2)
     raw["stage1"]["weights"] = {"kind": "fixed", "values": [0.82, 0.18]}
     return run_replications(config_from_dict(raw))
 
@@ -118,14 +118,15 @@ def toy_tuned_100():
 @pytest.fixture(scope="module")
 def toy_grid_500():
     raw = _toy_raw(
-        se_method="bm", replications=500, size_grid=[1000, 10_000, 100_000]
+        se_method="bm", replications=500, size_grid=[1000, 10_000, 100_000],
+        workers=2,
     )
     return run_replications(config_from_dict(raw))
 
 
 @pytest.fixture(scope="module")
 def stage2_cov_500():
-    raw = _toy_raw(se_method="bm", replications=500)
+    raw = _toy_raw(se_method="bm", replications=500, workers=2)
     raw["stage1"] = {"sizes": [10_000, 10_000]}
     raw["stage2"] = {"sizes": [1000, 1000]}
     raw["targets"] = {"family": "t", "df": 5.0, "mu_grid": [0.0, 0.5, 1.0]}

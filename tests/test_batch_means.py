@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genis.batch_means import BatchMeansSpec, block_size, bm_cov, bm_variance
+from genis.batch_means import (
+    BatchMeansSpec,
+    block_size,
+    bm_cov,
+    bm_cov_columns,
+    bm_variance,
+)
 from genis.errors import InsufficientDataError
 
 
@@ -103,6 +109,39 @@ def test_noncontiguous_input_same_answer():
     wide = rng.standard_normal((400, 6))
     view = wide[:, ::3]
     np.testing.assert_array_equal(bm_cov(view, 20), bm_cov(view.copy(), 20))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=4, max_value=600),
+    p=st.integers(min_value=1, max_value=4),
+    b=st.integers(min_value=1, max_value=300),
+    stride=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_columns_equal_column_stack_bitwise(seed, n, p, b, stride):
+    """Batch means over 1-d columns equal bm_cov of the stacked matrix bit
+    for bit, with remainder rows (n not a multiple of b) and strided views."""
+    b = min(b, n // 2)
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((n * stride, p * stride)) * rng.uniform(0.1, 1e3)
+    cols = [wide[::stride, j * stride] for j in range(p)]  # strided when stride > 1
+    got = bm_cov_columns(cols, b)
+    np.testing.assert_array_equal(got, bm_cov(np.column_stack(cols), b))
+    np.testing.assert_array_equal(got, bm_cov(wide[::stride, ::stride], b))
+    for j in range(p):
+        assert got[j, j] == bm_variance(np.ascontiguousarray(cols[j]), b)
+
+
+def test_columns_validation():
+    with pytest.raises(ValueError):
+        bm_cov_columns([np.zeros(10), np.zeros(9)], 2)
+    with pytest.raises(ValueError):
+        bm_cov_columns([np.zeros((10, 2))], 2)
+    with pytest.raises(ValueError):
+        bm_cov_columns([], 2)
+    with pytest.raises(InsufficientDataError):
+        bm_cov_columns([np.zeros(10)], 6)
 
 
 @given(

@@ -73,6 +73,19 @@ def test_log_density_rejects_bad_values():
     )
     with pytest.raises(ValueError):
         worse.log_density(np.zeros(3))
+    for bad in (np.nan, np.inf):  # one bad value among finite ones and -inf
+        values = np.array([-1.0, -np.inf, bad, -2.0])
+        odd = UnnormalizedDensity("odd", lambda x, v=values: v.copy())
+        with pytest.raises(ValueError, match=r"^density 'odd': log_eval produced NaN or \+inf$"):
+            odd.log_density(np.zeros(4))
+
+
+def test_log_density_accepts_minus_inf():
+    values = np.array([-np.inf, 0.0, -np.inf, 3.5])
+    dens = UnnormalizedDensity("zeros", lambda x: values.copy(), StateSpace("continuous"))
+    np.testing.assert_array_equal(dens.log_density(np.zeros(4)), values)
+    nowhere = UnnormalizedDensity("nowhere", lambda x: np.full_like(x, -np.inf))
+    np.testing.assert_array_equal(nowhere.log_density(np.zeros(3)), np.full(3, -np.inf))
 
 
 def test_t_density_rejects_bad_parameters():

@@ -1,6 +1,7 @@
 """Config handling, the two-stage driver, replications, and the CLI."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -854,6 +855,104 @@ def test_cli_exit_code_estimation_failure(tmp_path, capsys, monkeypatch):
     assert err.startswith("estimation failed: ")
     assert "UndefinedPointError" in err and err.count("\n") == 1
 
+
+
+TOY_JSON = Path(__file__).parents[1] / "configs" / "toy.json"
+
+
+def _toy_json(**overrides) -> dict:
+    raw = json.loads(TOY_JSON.read_text())
+    raw.update(overrides)
+    return raw
+
+
+def test_cli_overrides_are_validated_with_the_config(tmp_path, capsys):
+    """--se-method is checked by the config rules it can break: a chain
+    without regeneration marks, or burn-in, under RS is exit 2 (the
+    override once came after the checks and the run exited 1 with a
+    ValueError)."""
+    no_marks = _toy_json(se_method="bm")
+    no_marks["references"][1]["with_regen"] = False
+    cases = (
+        ("estimate", no_marks, "rs", "config error: references[1]: regenerative SEs"),
+        ("estimate-d", _toy_json(se_method="bm", burn_in=10), "both",
+         "config error: regenerative standard errors are incompatible"),
+    )
+    for command, raw, method, message in cases:
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        args = [command, "--config", config, "--out", str(out), "--se-method", method]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+
+def test_cli_assume_infinite_stage1_override(tmp_path):
+    config = write_config(tmp_path, toy_config())
+    out = tmp_path / "o"
+    args = ["estimate", "--config", config, "--out", str(out), "--assume-infinite-stage1"]
+    assert cli_main(args) == 0
+    with open(out / "targets.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["q"], r["var_stage1_u"]) for r in rows] == [("0.0", "0.0")]
+
+
+def test_negative_master_seed_is_a_config_error(tmp_path, capsys):
+    """From the config file or from --seed, a negative seed is exit 2 naming
+    the field (it was exit 1 with numpy's SeedSequence ValueError)."""
+    cases = ((toy_config(master_seed=-5), []), (toy_config(), ["--seed", "-5"]))
+    for raw, extra in cases:
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert cli_main(["estimate", "--config", config, "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: master_seed must be nonnegative")
+        assert not out.exists()
+
+
+# sha256 of the CSVs that `genis estimate --seed 1` writes for configs/toy.json,
+# recorded from the csv.writer-per-row writers with numpy 2.4 and its OpenBLAS
+# 0.3.31 wheel on x86-64
+TOY_CSV_SHA256 = {
+    "d_estimate.csv": "9e13deeef4e5dc35471b8653d0a09c6ef9cd9d08d4b93daa75317f561a383775",
+    "targets.csv": "034180ca38a814fcc4d2275dff9436a069bc7f3df94e4ff749de70cb57e8dc29",
+    "tours.csv": "3ac5fc3a6a4d361bdf8e7fcc1785d1873d4847e282a9919bd606432cb2feda00",
+}
+
+
+def test_cli_toy_csvs_match_the_recorded_bytes(tmp_path):
+    """The writers' bytes are unchanged.  d_estimate.csv and targets.csv also
+    carry the rounding of the Newton steps and of BLAS dot products, so on
+    another CPU or BLAS build their digests may differ with no change to the
+    code; there, compare the CSVs with those of the previous commit instead."""
+    out = tmp_path / "o"
+    args = ["estimate", "--config", str(TOY_JSON), "--seed", "1", "--out", str(out)]
+    assert cli_main(args) == 0
+    got = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in TOY_CSV_SHA256}
+    assert got == TOY_CSV_SHA256
+
+
+@pytest.mark.parametrize(
+    "integrand, digest, first",
+    [
+        ("x", "42eb05c02502ced8a38fda21f30e7a53c766c93524ca53ffa115d8bc2396095f",
+         b'"imh, ""zero""",0,1.2891698690250806,5.539160589712195,5\r\n'),
+        (None, "3dffc970322d3d2ddc2b42b500a6c32f733b0e1dbd6609fe30d5201097be0860",
+         b'"imh, ""zero""",0,,5.539160589712195,5\r\n'),
+    ],
+)
+def test_tours_csv_quotes_labels_as_csv_does(tmp_path, integrand, digest, first):
+    """A label with a comma and a double quote is quoted as csv.writer quotes
+    it; the bytes were recorded from the csv.writer-per-row writer."""
+    raw = toy_config(stage2={"sizes": [300, 300]}, integrand=integrand)
+    raw["references"][1]["label"] = 'imh, "zero"'
+    out = tmp_path / "o"
+    assert cli_main(["estimate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    data = (out / "tours.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert first in data and data.endswith(b"\r\n")
+    with open(out / "tours.csv", newline="") as fh:
+        assert {r[0] for r in list(csv.reader(fh))[1:]} == {"t5_mu1", 'imh, "zero"'}
 
 
 # ------------------------------------------------------------------ package
