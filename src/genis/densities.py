@@ -83,11 +83,6 @@ class Integrand:
 identity_integrand = Integrand("x", lambda x: np.asarray(x, dtype=float))
 
 
-def constant_integrand(c: float) -> Integrand:
-    c = float(c)
-    return Integrand(f"const={c:g}", lambda x, _c=c: np.full(np.shape(x), _c))
-
-
 @dataclass(frozen=True)
 class TargetFamily:
     """An ordered collection of target densities sharing one state space."""
@@ -100,10 +95,6 @@ class TargetFamily:
         labels = [t.id for t in self.targets]
         if len(set(labels)) != len(labels):
             raise ValueError("target labels must be distinct")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(t.id for t in self.targets)
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -202,32 +193,3 @@ def log_sum_exp_rows(mat: np.ndarray) -> np.ndarray:
     shifted[np.isneginf(mat)] = 0.0
     return m + np.log(np.sum(shifted, axis=1))
 
-
-def mixture_log_density(
-    references: Sequence[UnnormalizedDensity],
-    log_coef: np.ndarray,
-    x,
-) -> np.ndarray:
-    """log of sum_s exp(log_coef[s]) * nu_s(x), evaluated stably."""
-    mat = np.column_stack([ref.log_density(x) for ref in references])
-    return log_sum_exp_rows(mat + np.asarray(log_coef, dtype=float))
-
-
-def mixture_density(
-    references: Sequence[UnnormalizedDensity],
-    coef,
-    id: str = "mixture",
-) -> UnnormalizedDensity:
-    """The positive combination sum_s coef[s]*nu_s as a density object."""
-    coef = np.asarray(coef, dtype=float)
-    if coef.shape != (len(references),):
-        raise ValueError("one coefficient per reference required")
-    if np.any(coef <= 0) or not np.all(np.isfinite(coef)):
-        raise ValueError("mixture coefficients must be positive and finite")
-    log_coef = np.log(coef)
-    refs = tuple(references)
-    return UnnormalizedDensity(
-        id=id,
-        log_eval=lambda x: mixture_log_density(refs, log_coef, x),
-        space=refs[0].space,
-    )

@@ -59,7 +59,6 @@ from .weights import (
     inv_dist_weights,
     naive_weights,
     pilot_optimal_weights,
-    simplex_grid,
 )
 
 Z_95 = 1.959963984540054  # standard normal 0.975 quantile
@@ -310,10 +309,13 @@ def _validate(cfg: ExperimentConfig):
     _require(cfg.master_seed >= 0, "config: master_seed must be nonnegative")
     _require(cfg.burn_in >= 0, "config: burn_in must be nonnegative")
     _require(cfg.thinning >= 1, "config: thinning must be at least 1")
-    _require(0 < cfg.bm_nu < 1, "config: bm_nu must lie in (0, 1)")
+    _checked(
+        "config: bm_nu, bm_explicit_b", BatchMeansSpec, cfg.bm_nu, cfg.bm_explicit_b
+    )
     _require(cfg.replications >= 1, "config: replications must be positive")
     _require(cfg.workers >= 1, "config: workers must be positive")
     _require(all(s > 0 for s in cfg.size_grid), "config: size_grid must be positive")
+    _require(cfg.tail_guard > 0, "config: tail_guard must be positive")
     needs_marks = cfg.se_method in ("rs", "both")
     if needs_marks and (cfg.burn_in > 0 or cfg.thinning > 1):
         raise ConfigError(
@@ -497,7 +499,6 @@ def pilot_weights(
 def _resolve_stage1_weights(
     cfg: ExperimentConfig,
     references: Sequence[UnnormalizedDensity],
-    samples1: SampleSet,
     rep_index: int,
 ) -> StageWeights | None:
     wc = cfg.stage1.weights
@@ -545,7 +546,7 @@ def run_two_stage(cfg: ExperimentConfig, rep_index: int = 0) -> TwoStageResult:
     references = build_references(cfg)
     sizes1, sizes2 = split_sizes(cfg)
     samples1 = sample_stage(cfg, references, sizes1, STAGE1_TAG, rep_index)
-    weights = _resolve_stage1_weights(cfg, references, samples1, rep_index)
+    weights = _resolve_stage1_weights(cfg, references, rep_index)
     ratio_est = estimate_ratios(
         samples1,
         references,

@@ -1,25 +1,17 @@
-"""Regenerative-simulation estimators and tour bookkeeping.
+"""Regeneration tours: bookkeeping and the regenerative long-run covariance.
 
-Chains carrying regeneration marks decompose into iid tours.  With tour
-sums U_t (importance weights), V_t (weighted integrand), and lengths T_t,
-ratio estimates and their standard errors follow from the classical
-regenerative ratio-estimator recipe: for an estimate r = sum A_t / sum B_t
-over complete tours, Var(r) is estimated by
+Chains carrying regeneration marks decompose into iid tours.  Two users
+share that decomposition here:
 
-    sum_t (A_t - r * B_t)^2 / (sum_t B_t)^2.
+- ``tours.csv`` lists, per complete tour, its length T_t and the sums
+  U_t of the importance weights and V_t of the weighted integrand, with
 
-With per-draw tours (iid) and B_t = 1 this is the familiar s^2 / n up to
-the ddof convention, which anchors the scale.
+      u(x) = nu(x) / sum_l w_l nu_l(x),
 
-Everything here serves as an independent cross-check of the batch-means
-route; the two never share variance code.
-
-The importance weight used on the regenerative route is
-
-    u(x) = nu(x) / sum_l w_l nu_l(x),
-
-which does not involve the stage-1 ratio estimates, so tour sums can be
-formed once and reused for any d.
+  which does not involve the stage-1 ratio estimates;
+- stage 1's regenerative route estimates the long-run covariance of the
+  membership-probability series from tour sums (``rs_long_run_cov``),
+  independently of the batch-means route.
 """
 
 from __future__ import annotations
@@ -60,14 +52,6 @@ class ChainTours:
             if v_sums.shape != lengths.shape:
                 raise ValueError("v_sums must align with lengths")
             object.__setattr__(self, "v_sums", v_sums)
-
-    @property
-    def count(self) -> int:
-        return self.lengths.size
-
-    @property
-    def n_covered(self) -> int:
-        return int(self.lengths.sum())
 
 
 def tour_boundaries(chain: ChainSample) -> np.ndarray:
@@ -150,130 +134,6 @@ def collect_tours(
     return [split_tours(c, references, target, w, f) for c in samples.chains]
 
 
-def _full_d(d_hat) -> np.ndarray:
-    d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
-    return np.concatenate(([1.0], d_hat))
-
-
-def _chain_ratios(tours: Sequence[ChainTours], which: str) -> np.ndarray:
-    out = np.empty(len(tours))
-    for l, t in enumerate(tours):
-        sums = t.u_sums if which == "u" else t.v_sums
-        if sums is None:
-            raise ValueError("tours lack integrand sums; pass f to split_tours")
-        out[l] = sums.sum() / t.lengths.sum()
-    return out
-
-
-def rs_estimate_ratio(tours: Sequence[ChainTours], w, d_hat) -> float:
-    """Regenerative estimate of the target/first-reference constant ratio."""
-    w = np.asarray(w, dtype=float)
-    d = _full_d(d_hat)
-    return float(np.sum(w * d * _chain_ratios(tours, "u")))
-
-
-def rs_estimate_mean(tours: Sequence[ChainTours], w, d_hat) -> float:
-    """Regenerative estimate of the target expectation of f."""
-    w = np.asarray(w, dtype=float)
-    d = _full_d(d_hat)
-    denom = float(np.sum(w * d * _chain_ratios(tours, "u")))
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateDenominatorError("regenerative weight sum is not positive")
-    return float(np.sum(w * d * _chain_ratios(tours, "v"))) / denom
-
-
-def rs_ratio_sensitivity(tours: Sequence[ChainTours], w) -> np.ndarray:
-    """Gradient of the ratio estimate in the stage-1 ratios, tour-estimated.
-
-    Component j-1 is w_j times the tour estimate of the mean importance
-    weight under reference j, for j = 2..k.
-    """
-    w = np.asarray(w, dtype=float)
-    u_bar = _chain_ratios(tours, "u")
-    return (w * u_bar)[1:]
-
-
-def rs_mean_sensitivity(tours: Sequence[ChainTours], w, d_hat) -> np.ndarray:
-    """Gradient of the mean estimate in the stage-1 ratios, tour-estimated."""
-    w = np.asarray(w, dtype=float)
-    d = _full_d(d_hat)
-    u_bar = _chain_ratios(tours, "u")
-    v_bar = _chain_ratios(tours, "v")
-    denom = float(np.sum(w * d * u_bar))
-    if denom <= 0 or not np.isfinite(denom):
-        raise DegenerateDenominatorError("regenerative weight sum is not positive")
-    num = float(np.sum(w * d * v_bar))
-    return (w * v_bar)[1:] / denom - num * (w * u_bar)[1:] / denom**2
-
-
-def _ratio_var(a_sums: np.ndarray, b_sums: np.ndarray, ratio: float) -> float:
-    # sum (A_t - r B_t)^2 / (sum B_t)^2, the classical recipe
-    resid = a_sums - ratio * b_sums
-    total_b = b_sums.sum()
-    if total_b <= 0:
-        raise DegenerateDenominatorError("tour lengths sum to zero")
-    return float(np.dot(resid, resid) / total_b**2)
-
-
-def rs_variance(
-    tours: Sequence[ChainTours],
-    w,
-    d_hat,
-    sensitivity,
-    stage1_cov,
-    q: float,
-    quantity: str = "ratio",
-) -> float:
-    """Asymptotic variance (per-sample scale) of the regenerative estimate.
-
-    Returns q * s^T W s + n * Var_hat(point estimate), where s is the
-    supplied sensitivity vector, W the stage-1 asymptotic covariance of
-    the ratio estimates, and the second term the standard regenerative
-    ratio-estimator variance combined across independent chains.  Divide
-    by the covered sample count and take the square root for a standard
-    error.  Pass q=0 to treat stage 1 as exact.
-    """
-    if quantity not in ("ratio", "mean"):
-        raise ValueError("quantity must be 'ratio' or 'mean'")
-    w = np.asarray(w, dtype=float)
-    d = _full_d(d_hat)
-    s = np.asarray(sensitivity, dtype=float)
-    W = np.asarray(stage1_cov, dtype=float)
-    if s.shape != (len(tours) - 1,) or W.shape != (s.size, s.size):
-        raise ValueError("sensitivity/stage1_cov shapes do not match chain count")
-
-    n_covered = sum(t.n_covered for t in tours)
-    coef = w * d
-    if quantity == "ratio":
-        var_point = 0.0
-        for l, t in enumerate(tours):
-            r_l = t.u_sums.sum() / t.lengths.sum()
-            var_point += coef[l] ** 2 * _ratio_var(
-                t.u_sums, t.lengths.astype(float), r_l
-            )
-    else:
-        u_bar = _chain_ratios(tours, "u")
-        v_bar = _chain_ratios(tours, "v")
-        u_star = float(np.sum(coef * u_bar))
-        if u_star <= 0 or not np.isfinite(u_star):
-            raise DegenerateDenominatorError("regenerative weight sum is not positive")
-        eta = float(np.sum(coef * v_bar)) / u_star
-        var_point = 0.0
-        for l, t in enumerate(tours):
-            lengths = t.lengths.astype(float)
-            a = t.v_sums - v_bar[l] * lengths
-            b = t.u_sums - u_bar[l] * lengths
-            total_t = lengths.sum()
-            var_v = float(np.dot(a, a)) / total_t**2
-            var_u = float(np.dot(b, b)) / total_t**2
-            cov_vu = float(np.dot(a, b)) / total_t**2
-            var_point += (
-                coef[l] ** 2 * (var_v - 2.0 * eta * cov_vu + eta**2 * var_u) / u_star**2
-            )
-    stage1 = float(q) * float(s @ W @ s) if s.size else 0.0
-    return stage1 + n_covered * var_point
-
-
 def rs_long_run_cov(series, marks) -> np.ndarray:
     """Regenerative estimate of the long-run covariance of a vector series.
 
@@ -304,19 +164,3 @@ def rs_long_run_cov(series, marks) -> np.ndarray:
     resid = sums - lengths[:, None] * gbar
     return (resid.T @ resid) / total_t
 
-
-def truncate_to_tours(chain: ChainSample) -> ChainSample:
-    """The prefix of a chain covered by complete tours."""
-    bounds = tour_boundaries(chain)
-    end = int(bounds[-1])
-    if end == chain.n:
-        return chain
-    return ChainSample(
-        density_id=chain.density_id,
-        states=chain.states[:end],
-        kind=chain.kind,
-        seed=chain.seed,
-        regen_marks=None
-        if chain.regen_marks is None
-        else chain.regen_marks[:end],
-    )

@@ -60,10 +60,6 @@ class StageWeights:
             raise ValueError("chain weights must be positive and finite")
         object.__setattr__(self, "a", a / a.sum())
 
-    @property
-    def k(self) -> int:
-        return self.a.size
-
     def w(self, n_per_chain) -> np.ndarray:
         """Per-sample weights w_l = a_l * n / n_l."""
         n_per = np.asarray(n_per_chain, dtype=float)
@@ -93,10 +89,6 @@ class RatioEstimate:
     cov_rs: np.ndarray | None
     iterations: int
     grad_norm: float
-
-    @property
-    def k(self) -> int:
-        return self.zeta_hat.size
 
     @property
     def n_total(self) -> int:
@@ -178,37 +170,6 @@ def _prepared(samples, references, weights):
     n_per = samples.n_per_chain.astype(float)
     weights = naive_stage_weights(n_per) if weights is None else weights
     return mats, weights.w(n_per), weights.a
-
-
-def quasi_log_likelihood(
-    samples: SampleSet,
-    references: Sequence[UnnormalizedDensity],
-    zeta,
-    weights: StageWeights | None = None,
-) -> float:
-    """Weighted reverse-logistic objective; invariant to shifting zeta."""
-    mats, w, a = _prepared(samples, references, weights)
-    return _evaluate(mats, np.asarray(zeta, dtype=float), w, a)[0]
-
-
-def quasi_score(
-    samples: SampleSet,
-    references: Sequence[UnnormalizedDensity],
-    zeta,
-    weights: StageWeights | None = None,
-) -> np.ndarray:
-    """Gradient of the objective in zeta; components sum to zero."""
-    mats, w, a = _prepared(samples, references, weights)
-    return _evaluate(mats, np.asarray(zeta, dtype=float), w, a)[1]
-
-
-def membership_probs(
-    x, references: Sequence[UnnormalizedDensity], zeta
-) -> np.ndarray:
-    """Membership probabilities p_l(x, zeta), one row per state."""
-    mat = np.stack([ref.log_density(x) for ref in references])
-    ones = np.ones(1)
-    return _evaluate([mat], np.asarray(zeta, dtype=float), ones, ones)[3][0].T
 
 
 def _fit(

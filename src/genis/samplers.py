@@ -347,7 +347,11 @@ def save_chain(chain: ChainSample, path) -> None:
 
 
 def load_chain(path) -> ChainSample:
-    """Read a chain written by save_chain."""
+    """Read a chain written by save_chain.
+
+    The read side of ``genis export-chains``: no code path of the package
+    calls it, it is kept so exported files can be loaded back.
+    """
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith(_HEADER_PREFIX):

@@ -9,8 +9,21 @@ two states gives exact truth for every estimand.
 import numpy as np
 import pytest
 
-from genis.densities import TargetFamily, discrete_table_density, t_density
+from genis.densities import (
+    Integrand,
+    TargetFamily,
+    UnnormalizedDensity,
+    discrete_table_density,
+    log_sum_exp_rows,
+    t_density,
+)
 from genis.importance import estimate_family
+from genis.regen import tour_boundaries
+from genis.reverse_logistic import (
+    _evaluate,
+    log_density_matrices,
+    naive_stage_weights,
+)
 from genis.samplers import ChainSample, SampleSet, derive_seed, discrete_mh
 
 TABLE_1 = (1.0, 1.0)
@@ -87,3 +100,50 @@ def stage2_row(samples, target, refs, a, d_hat, f=None, cov=None, q=0.0):
 @pytest.fixture(scope="session")
 def toy_refs():
     return [t_density(5, 1.0), t_density(5, 0.0)]
+
+
+def mixture(references, coef, id="mixture"):
+    """The positive combination sum_s coef[s] * nu_s as a density."""
+    log_coef = np.log(np.asarray(coef, dtype=float))
+
+    def log_eval(x):
+        mat = np.column_stack([ref.log_density(x) for ref in references])
+        return log_sum_exp_rows(mat + log_coef)
+
+    return UnnormalizedDensity(id, log_eval, references[0].space)
+
+
+def constant(c):
+    """The integrand identically equal to c."""
+    c = float(c)
+    return Integrand(f"const={c:g}", lambda x: np.full(np.shape(x), c))
+
+
+def rl_evaluate(samples, references, zeta, weights=None):
+    """Stage 1's evaluator at zeta: the objective, the score, the curvature
+    B and the per-chain (k, n_l) membership probabilities, under naive
+    chain weights unless `weights` is given."""
+    n_per = samples.n_per_chain.astype(float)
+    weights = naive_stage_weights(n_per) if weights is None else weights
+    mats = log_density_matrices(samples, references)
+    return _evaluate(mats, np.asarray(zeta, dtype=float), weights.w(n_per), weights.a)
+
+
+def covered_prefix(samples):
+    """Each chain cut at the end of its last complete tour."""
+    chains = []
+    for c in samples.chains:
+        end = int(tour_boundaries(c)[-1])
+        marks = None if c.regen_marks is None else c.regen_marks[:end]
+        chains.append(ChainSample(c.density_id, c.states[:end], c.kind, c.seed, marks))
+    return SampleSet(chains=tuple(chains), stage=samples.stage)
+
+
+def rs_point_estimates(tours, w, d_hat):
+    """Regenerative estimates of the ratio u and the mean eta from tour sums:
+    u = sum_l w_l d_l sum U / sum T and eta = sum_l w_l d_l sum V / sum T / u."""
+    coef = np.asarray(w, dtype=float) * np.concatenate(([1.0], np.atleast_1d(d_hat)))
+    u_bar = np.array([t.u_sums.sum() / t.lengths.sum() for t in tours])
+    v_bar = np.array([t.v_sums.sum() / t.lengths.sum() for t in tours])
+    u_hat = float(np.sum(coef * u_bar))
+    return u_hat, float(np.sum(coef * v_bar)) / u_hat

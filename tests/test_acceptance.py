@@ -14,37 +14,30 @@ import numpy as np
 import pytest
 
 from genis.cli import main as cli_main
-from genis.densities import (
-    Integrand,
-    constant_integrand,
-    discrete_table_density,
-    mixture_density,
-    t_density,
-)
+from genis.densities import Integrand, discrete_table_density, t_density
 from genis.pipeline import (
     config_from_dict,
     oracle_check,
     run_replications,
     run_two_stage,
 )
-from genis.regen import (
-    collect_tours,
-    rs_estimate_mean,
-    rs_estimate_ratio,
-    truncate_to_tours,
-)
+from genis.regen import collect_tours
 from genis.reverse_logistic import (
     _deflated_info_pinv,
     fit_reverse_logistic,
     info_matrix,
-    membership_probs,
     naive_stage_weights,
-    quasi_log_likelihood,
-    quasi_score,
 )
 from genis.samplers import SampleSet, sample_t_iid, sample_t_imh
 
-from conftest import stage2_row
+from conftest import (
+    constant,
+    covered_prefix,
+    mixture,
+    rl_evaluate,
+    rs_point_estimates,
+    stage2_row,
+)
 
 MASTER = 20240819
 Z95 = 1.959963984540054
@@ -265,27 +258,27 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
     n_per = samples.n_per_chain.astype(float)
     n = float(n_per.sum())
 
-    ll = quasi_log_likelihood(samples, toy_refs, zeta)
-    shift = abs(quasi_log_likelihood(samples, toy_refs, zeta + 0.37) - ll)
+    ll, _, _, probs = rl_evaluate(samples, toy_refs, zeta)
+    shift = abs(rl_evaluate(samples, toy_refs, zeta + 0.37)[0] - ll)
     checks.append(("shift", shift <= 1e-8 * (1.0 + abs(ll))))
 
     scale = a * n / n_per
     lhs = np.zeros(len(toy_refs))
-    for l, c in enumerate(samples.chains):
-        lhs += scale[l] * membership_probs(c.states, toy_refs, zeta).sum(axis=0)
+    for l, p in enumerate(probs):
+        lhs += scale[l] * p.sum(axis=1)
     score_err = float(np.max(np.abs(lhs - a * n))) / n
     checks.append(("score", score_err <= 1e-8))
 
     zeta0 = np.array([0.3, -0.2])
-    g = quasi_score(samples, toy_refs, zeta0)
+    g = rl_evaluate(samples, toy_refs, zeta0)[1]
     h = 1e-5
     fd = np.zeros(2)
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
         fd[j] = (
-            quasi_log_likelihood(samples, toy_refs, zeta0 + e)
-            - quasi_log_likelihood(samples, toy_refs, zeta0 - e)
+            rl_evaluate(samples, toy_refs, zeta0 + e)[0]
+            - rl_evaluate(samples, toy_refs, zeta0 - e)[0]
         ) / (2.0 * h)
     grad_rel = float(np.max(np.abs(g - fd)) / np.max(np.abs(g)))
     checks.append(("gradient-fd", grad_rel <= 1e-6))
@@ -313,7 +306,7 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
         ),
         stage=2,
     )
-    mix = mixture_density(toy_refs, [0.5, 0.25], id="mix")
+    mix = mixture(toy_refs, [0.5, 0.25], id="mix")
     mix_row = stage2_row(st2, mix, toy_refs, half, d_plug)
     checks.append(("mixture-unit-weight", abs(mix_row.u_hat - 1.0) <= 1e-10))
     checks.append(("mixture-zero-variance", abs(mix_row.var_stage2_u) <= 1e-12))
@@ -325,7 +318,7 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
         table_refs,
         half,
         d_plug,
-        f=constant_integrand(3.25),
+        f=constant(3.25),
     )
     checks.append(("constant-mean", abs(const.eta_hat - 3.25) <= 1e-10))
     checks.append(
@@ -350,14 +343,12 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
     s2 = SampleSet(chains=chains2, stage=2)
     tgt = t_density(5, 0.5)
     tours = collect_tours(s2, toy_refs, tgt, w2, f=IDENTITY)
-    covered = SampleSet(
-        chains=tuple(truncate_to_tours(c) for c in chains2), stage=2
-    )
     a_eq = w2 * np.concatenate(([1.0], d_hat))
-    gis = stage2_row(covered, tgt, toy_refs, a_eq, d_hat, f=IDENTITY)
+    gis = stage2_row(covered_prefix(s2), tgt, toy_refs, a_eq, d_hat, f=IDENTITY)
     u_gis, eta_gis = gis.u_hat, gis.eta_hat
-    u_rel = abs(rs_estimate_ratio(tours, w2, d_hat) - u_gis) / abs(u_gis)
-    eta_rel = abs(rs_estimate_mean(tours, w2, d_hat) - eta_gis) / abs(eta_gis)
+    u_rs, eta_rs = rs_point_estimates(tours, w2, d_hat)
+    u_rel = abs(u_rs - u_gis) / abs(u_gis)
+    eta_rel = abs(eta_rs - eta_gis) / abs(eta_gis)
     checks.append(("tour-prefix-identity", max(u_rel, eta_rel) <= 1e-12))
 
     bad = [name for name, ok in checks if not ok]

@@ -11,9 +11,7 @@ from genis.densities import (
     StateSpace,
     TargetFamily,
     UnnormalizedDensity,
-    constant_integrand,
     discrete_table_density,
-    mixture_density,
     t_density,
     t_family,
 )
@@ -31,7 +29,9 @@ from genis.samplers import ChainSample, SampleSet, sample_t_iid, sample_t_imh
 from conftest import (
     TABLE_1,
     TABLE_2,
+    constant,
     exact_proportion_chain,
+    mixture,
     stage2_row,
     table_mh_samples,
 )
@@ -89,7 +89,7 @@ def _chains_at(x, refs):
 
 
 def test_weights_of_the_matching_mixture_are_one(toy_refs):
-    target = mixture_density(toy_refs, [0.5, 0.25], id="mix")
+    target = mixture(toy_refs, [0.5, 0.25], id="mix")
     x = np.linspace(-8.0, 8.0, 50)
     p = _pass(_chains_at(x, toy_refs), target, toy_refs, HALF, TRUE_D)
     for u in p.u:
@@ -133,7 +133,7 @@ def test_mixture_target_estimates_one_exactly(toy_refs):
         sample_t_iid(5, 0.0, 500, seed=2),
     )
     samples = SampleSet(chains=chains, stage=2)
-    target = mixture_density(toy_refs, [0.5, 0.25], id="mix")
+    target = mixture(toy_refs, [0.5, 0.25], id="mix")
     row = stage2_row(samples, target, toy_refs, HALF, TRUE_D)
     assert row.u_hat == pytest.approx(1.0, abs=1e-12)
     assert row.var_stage2_u == pytest.approx(0.0, abs=1e-14)
@@ -142,7 +142,7 @@ def test_mixture_target_estimates_one_exactly(toy_refs):
 def test_constant_integrand_returns_the_constant(table_refs, exact_table_samples):
     row = stage2_row(
         exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
-        f=constant_integrand(3.25),
+        f=constant(3.25),
     )
     assert row.eta_hat == pytest.approx(3.25, rel=1e-14)
 
@@ -204,7 +204,7 @@ def test_mean_sensitivity_vanishes_for_constant_integrand(
     table_refs, exact_table_samples
 ):
     p = _pass(exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
-              f=constant_integrand(2.0))
+              f=constant(2.0))
     np.testing.assert_allclose(p.e_vec, 0.0, atol=1e-10)
 
 
@@ -236,12 +236,12 @@ def test_var_stage2_u_same_with_and_without_integrand(table_refs):
 
 def test_joint_cov_constant_integrand_entries(table_refs, exact_table_samples):
     gamma_one = _pass(exact_table_samples, _table_target(), table_refs, HALF,
-                      TRUE_D, f=constant_integrand(1.0)).bm
+                      TRUE_D, f=constant(1.0)).bm
     # f identically 1 makes the two series identical
     assert gamma_one[0, 0] == gamma_one[1, 1]
     assert gamma_one[0, 1] == gamma_one[0, 0]
     gamma_zero = _pass(exact_table_samples, _table_target(), table_refs, HALF,
-                       TRUE_D, f=constant_integrand(0.0)).bm
+                       TRUE_D, f=constant(0.0)).bm
     assert gamma_zero[0, 0] == 0.0
     assert gamma_zero[0, 1] == 0.0
 
@@ -280,7 +280,7 @@ def test_mean_estimate_constant_integrand_zero_variance(
 ):
     row = stage2_row(
         exact_table_samples, _table_target(), table_refs, HALF, TRUE_D,
-        f=constant_integrand(4.0), cov=np.array([[0.9]]), q=1.0,
+        f=constant(4.0), cov=np.array([[0.9]]), q=1.0,
     )
     assert row.eta_hat == pytest.approx(4.0, rel=1e-14)
     assert row.var_stage1_eta == pytest.approx(0.0, abs=1e-18)

@@ -1,31 +1,16 @@
-"""Tour bookkeeping and regenerative estimates used to cross-check batch means."""
+"""Tour bookkeeping and the regenerative long-run covariance."""
 
 import numpy as np
 import pytest
 
-from genis.densities import (
-    Integrand,
-    constant_integrand,
-    discrete_table_density,
-    mixture_density,
-    t_density,
-)
-from genis.errors import (
-    DegenerateDenominatorError,
-    InsufficientRegenerationError,
-)
+from genis.densities import Integrand, discrete_table_density, t_density
+from genis.errors import InsufficientRegenerationError
 from genis.regen import (
     ChainTours,
     collect_tours,
-    rs_estimate_mean,
-    rs_estimate_ratio,
     rs_long_run_cov,
-    rs_mean_sensitivity,
-    rs_ratio_sensitivity,
-    rs_variance,
     split_tours,
     tour_boundaries,
-    truncate_to_tours,
 )
 from genis.samplers import (
     ChainSample,
@@ -34,18 +19,18 @@ from genis.samplers import (
     sample_t_imh,
 )
 
-from conftest import TABLE_1, TABLE_2, stage2_row, table_mh_samples
+from conftest import (
+    constant,
+    covered_prefix,
+    mixture,
+    rs_point_estimates,
+    stage2_row,
+    table_mh_samples,
+)
 
 IDENTITY = Integrand("x", lambda x: np.asarray(x, dtype=float))
 W_TRUE = np.array([0.5, 0.25])  # a = (1/2, 1/2) over d = (1, 2)
 TRUE_D = np.array([2.0])
-
-
-def _table_refs():
-    return [
-        discrete_table_density(TABLE_1, id="flat"),
-        discrete_table_density(TABLE_2, id="tilted"),
-    ]
 
 
 def _marked_chain(states, marks, density_id="c"):
@@ -70,10 +55,6 @@ def test_boundaries_drop_incomplete_tail():
     chain = _marked_chain([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 0, 1, 0])
     bounds = tour_boundaries(chain)
     np.testing.assert_array_equal(bounds, [0, 3])
-    trunc = truncate_to_tours(chain)
-    assert trunc.n == 3
-    np.testing.assert_array_equal(trunc.states, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(trunc.regen_marks, [True, False, False])
 
 
 def test_boundaries_markov_needs_marks_and_two_tours():
@@ -85,11 +66,6 @@ def test_boundaries_markov_needs_marks_and_two_tours():
         tour_boundaries(single)
 
 
-def test_truncate_is_identity_when_fully_covered():
-    chain = sample_t_iid(5, 0.0, 5, seed=2)
-    assert truncate_to_tours(chain) is chain
-
-
 # -------------------------------------------------------------- tour sums
 
 
@@ -97,7 +73,7 @@ def test_split_tours_per_draw_marks(toy_refs):
     chain = sample_t_iid(5, 1.0, 50, seed=3)
     target = t_density(5, 0.5)
     tours = split_tours(chain, toy_refs, target, W_TRUE)
-    assert tours.count == 50
+    assert tours.lengths.size == 50
     np.testing.assert_array_equal(tours.lengths, 1)
     # per-draw tour sums are the weights themselves
     ref_log = np.column_stack([r.log_density(chain.states) for r in toy_refs])
@@ -112,10 +88,10 @@ def test_split_tours_weight_mixture_gives_lengths(toy_refs):
     chain = sample_t_imh(
         5, 0.0, 5, 1.0, 400, seed=4, with_regen=True, splitting_const=0.8
     )
-    target = mixture_density(toy_refs, W_TRUE, id="wmix")
+    target = mixture(toy_refs, W_TRUE, id="wmix")
     tours = split_tours(chain, toy_refs, target, W_TRUE)
     np.testing.assert_allclose(tours.u_sums, tours.lengths, rtol=1e-12)
-    assert tours.n_covered <= chain.n
+    assert tours.lengths.sum() <= chain.n
 
 
 def test_split_tours_validation(toy_refs):
@@ -151,49 +127,55 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
     samples = SampleSet(chains=chains, stage=2)
     target = t_density(5, 0.5)
     tours = collect_tours(samples, toy_refs, target, w, f=IDENTITY)
-    covered = SampleSet(
-        chains=tuple(truncate_to_tours(c) for c in chains), stage=2
-    )
     a_equiv = w * np.concatenate(([1.0], d_hat))
-    gis = stage2_row(covered, target, toy_refs, a_equiv, d_hat, f=IDENTITY)
-    u_rs = rs_estimate_ratio(tours, w, d_hat)
+    gis = stage2_row(
+        covered_prefix(samples), target, toy_refs, a_equiv, d_hat, f=IDENTITY
+    )
+    u_rs, eta_rs = rs_point_estimates(tours, w, d_hat)
     assert u_rs == pytest.approx(gis.u_hat, rel=1e-12)
-    eta_rs = rs_estimate_mean(tours, w, d_hat)
     assert eta_rs == pytest.approx(gis.eta_hat, rel=1e-12)
 
 
 def test_rs_constant_integrand_returns_constant(table_refs):
     samples = table_mh_samples(500, master_seed=41, stage=2)
     target = discrete_table_density((2.0, 2.0), id="even")
-    tours = collect_tours(
-        samples, table_refs, target, W_TRUE, f=constant_integrand(2.5)
-    )
-    assert rs_estimate_mean(tours, W_TRUE, TRUE_D) == pytest.approx(
+    tours = collect_tours(samples, table_refs, target, W_TRUE, f=constant(2.5))
+    for t in tours:
+        np.testing.assert_allclose(t.v_sums, 2.5 * t.u_sums, rtol=1e-13)
+    assert rs_point_estimates(tours, W_TRUE, TRUE_D)[1] == pytest.approx(
         2.5, rel=1e-13
     )
-    np.testing.assert_allclose(
-        rs_mean_sensitivity(tours, W_TRUE, TRUE_D), 0.0, atol=1e-13
-    )
+
+
+def _rs_standard_errors(samples, refs, target, w, d_hat):
+    """Tour estimates of u and eta (f = IDENTITY) with their regenerative
+    standard errors.  Per chain, rs_long_run_cov of the per-draw series
+    (f u, u) over its tours, divided by the covered length, is the
+    covariance of the chain's tour ratios (sum V / sum T, sum U / sum T);
+    the delta method combines the chains."""
+    tours = collect_tours(samples, refs, target, w, f=IDENTITY)
+    u_hat, eta_hat = rs_point_estimates(tours, w, d_hat)
+    coef = np.asarray(w, dtype=float) * np.concatenate(([1.0], d_hat))
+    mix = mixture(refs, w)
+    var_u = var_eta = 0.0
+    for l, (chain, t) in enumerate(zip(samples.chains, tours)):
+        x = chain.states
+        u = np.exp(target.log_density(x) - mix.log_density(x))
+        gamma = rs_long_run_cov(np.column_stack((x * u, u)), chain.regen_marks)
+        gamma /= t.lengths.sum()
+        grad = np.array([1.0, -eta_hat])
+        var_u += coef[l] ** 2 * gamma[1, 1]
+        var_eta += coef[l] ** 2 * float(grad @ gamma @ grad) / u_hat**2
+    return u_hat, eta_hat, np.sqrt(var_u), np.sqrt(var_eta)
 
 
 def test_rs_discrete_three_se_oracle(table_refs):
     samples = table_mh_samples(20_000, master_seed=43, stage=2)
     target = discrete_table_density((2.0, 2.0), id="even")
-    tours = collect_tours(samples, table_refs, target, W_TRUE, f=IDENTITY)
-    u_hat = rs_estimate_ratio(tours, W_TRUE, TRUE_D)
-    m_vec = rs_ratio_sensitivity(tours, W_TRUE)
-    var_u = rs_variance(
-        tours, W_TRUE, TRUE_D, m_vec, np.zeros((1, 1)), q=0.0, quantity="ratio"
+    u_hat, eta_hat, se_u, se_eta = _rs_standard_errors(
+        samples, table_refs, target, W_TRUE, TRUE_D
     )
-    n_cov = sum(t.n_covered for t in tours)
-    se_u = np.sqrt(var_u / n_cov)
     assert abs(u_hat - 2.0) <= 3.0 * se_u
-    eta_hat = rs_estimate_mean(tours, W_TRUE, TRUE_D)
-    l_vec = rs_mean_sensitivity(tours, W_TRUE, TRUE_D)
-    var_eta = rs_variance(
-        tours, W_TRUE, TRUE_D, l_vec, np.zeros((1, 1)), q=0.0, quantity="mean"
-    )
-    se_eta = np.sqrt(var_eta / n_cov)
     assert abs(eta_hat - 0.5) <= 3.0 * se_eta
 
 
@@ -205,87 +187,44 @@ def test_rs_toy_mean_three_se(toy_refs):
     samples = SampleSet(chains=chains, stage=2)
     target = t_density(5, 0.5)
     w = np.array([0.5, 0.5])
-    tours = collect_tours(samples, toy_refs, target, w, f=IDENTITY)
-    eta_hat = rs_estimate_mean(tours, w, np.array([1.0]))
-    l_vec = rs_mean_sensitivity(tours, w, np.array([1.0]))
-    var_eta = rs_variance(
-        tours, w, np.array([1.0]), l_vec, np.zeros((1, 1)), q=0.0,
-        quantity="mean",
+    _, eta_hat, _, se = _rs_standard_errors(
+        samples, toy_refs, target, w, np.array([1.0])
     )
-    se = np.sqrt(var_eta / sum(t.n_covered for t in tours))
     assert abs(eta_hat - 0.5) <= 3.0 * se
-
-
-def test_rs_degenerate_denominator():
-    tours = [ChainTours("c", np.array([2, 2]), np.array([0.0, 0.0]),
-                        v_sums=np.array([0.0, 0.0]))]
-    with pytest.raises(DegenerateDenominatorError):
-        rs_estimate_mean(tours, [1.0], np.empty(0))
 
 
 # ------------------------------------------------------------ permutations
 
 
 def test_tour_permutation_invariance(table_refs):
+    """Tours are iid, so reordering whole tours leaves the regenerative
+    long-run covariance unchanged."""
     samples = table_mh_samples(4000, master_seed=47, stage=2)
     target = discrete_table_density((2.0, 2.0), id="even")
-    tours = collect_tours(samples, table_refs, target, W_TRUE, f=IDENTITY)
+    mix = mixture(table_refs, W_TRUE)
     rng = np.random.default_rng(0)
-    shuffled = []
-    for t in tours:
-        perm = rng.permutation(t.count)
-        shuffled.append(
-            ChainTours(
-                density_id=t.density_id,
-                lengths=t.lengths[perm],
-                u_sums=t.u_sums[perm],
-                v_sums=t.v_sums[perm],
-            )
+    for chain in samples.chains:
+        x = chain.states
+        u = np.exp(target.log_density(x) - mix.log_density(x))
+        series = np.column_stack((x * u, u))
+        bounds = tour_boundaries(chain)
+        perm = rng.permutation(bounds.size - 1)
+        # the incomplete last tour stays at the end, where it is dropped
+        order = np.concatenate(
+            [np.arange(bounds[i], bounds[i + 1]) for i in perm]
+            + [np.arange(bounds[-1], chain.n)]
         )
-    assert rs_estimate_ratio(shuffled, W_TRUE, TRUE_D) == pytest.approx(
-        rs_estimate_ratio(tours, W_TRUE, TRUE_D), rel=1e-12
-    )
-    m_vec = rs_ratio_sensitivity(tours, W_TRUE)
-    v_base = rs_variance(
-        tours, W_TRUE, TRUE_D, m_vec, np.eye(1), q=0.3, quantity="ratio"
-    )
-    v_shuf = rs_variance(
-        shuffled, W_TRUE, TRUE_D, rs_ratio_sensitivity(shuffled, W_TRUE),
-        np.eye(1), q=0.3, quantity="ratio",
-    )
-    assert v_shuf == pytest.approx(v_base, rel=1e-12)
+        marks = np.zeros(chain.n, dtype=bool)
+        marks[np.cumsum(np.diff(bounds)[perm])] = True
+        marks[0] = True
+        np.testing.assert_allclose(
+            rs_long_run_cov(series[order], marks),
+            rs_long_run_cov(series, chain.regen_marks),
+            rtol=1e-12,
+        )
 
 
 # --------------------------------------------------------------- variances
-
-
-def test_rs_variance_identical_tours_is_stage1_only():
-    tours = [
-        ChainTours("a", np.array([2, 2, 2]), np.array([1.5, 1.5, 1.5])),
-        ChainTours("b", np.array([3, 3]), np.array([0.6, 0.6])),
-    ]
-    m_vec = rs_ratio_sensitivity(tours, [0.5, 0.5])
-    w_mat = np.array([[2.0]])
-    v0 = rs_variance(tours, [0.5, 0.5], [1.0], m_vec, w_mat, q=0.0)
-    assert v0 == pytest.approx(0.0, abs=1e-15)
-    v1 = rs_variance(tours, [0.5, 0.5], [1.0], m_vec, w_mat, q=0.25)
-    assert v1 == pytest.approx(0.25 * float(m_vec @ w_mat @ m_vec), rel=1e-12)
-
-
-def test_rs_variance_nonnegative_and_validates(table_refs):
-    samples = table_mh_samples(1000, master_seed=48, stage=2)
-    target = discrete_table_density((2.0, 2.0), id="even")
-    tours = collect_tours(samples, table_refs, target, W_TRUE, f=IDENTITY)
-    m_vec = rs_ratio_sensitivity(tours, W_TRUE)
-    assert (
-        rs_variance(tours, W_TRUE, TRUE_D, m_vec, np.eye(1), q=0.5) >= 0.0
-    )
-    with pytest.raises(ValueError):
-        rs_variance(tours, W_TRUE, TRUE_D, m_vec, np.eye(2), q=0.5)
-    with pytest.raises(ValueError):
-        rs_variance(
-            tours, W_TRUE, TRUE_D, m_vec, np.eye(1), q=0.5, quantity="middle"
-        )
 
 
 def test_rs_long_run_cov_iid_is_sample_covariance():

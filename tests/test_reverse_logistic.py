@@ -18,16 +18,12 @@ from genis.densities import (
 )
 from genis.errors import ConvergenceError, UndefinedPointError
 from genis.reverse_logistic import (
-    RatioEstimate,
     StageWeights,
     estimate_ratios,
     fit_reverse_logistic,
     info_matrix,
     log_density_matrices,
-    membership_probs,
     naive_stage_weights,
-    quasi_log_likelihood,
-    quasi_score,
     ratio_covariance,
     ratio_jacobian,
     score_long_run_cov,
@@ -45,7 +41,13 @@ from genis.samplers import (
     sample_t_imh,
 )
 
-from conftest import TABLE_1, TABLE_2, exact_proportion_chain, table_mh_samples
+from conftest import (
+    TABLE_1,
+    TABLE_2,
+    exact_proportion_chain,
+    rl_evaluate,
+    table_mh_samples,
+)
 
 # Stage 1 of configs/toy.json (se_method "both"), frozen from the row-major
 # stage-1 code that recomputed the softmax for every quantity.
@@ -73,6 +75,13 @@ def _flat_pair(n=3):
     return SampleSet(chains=chains), refs
 
 
+def _membership(x, refs, zeta):
+    """Membership probabilities at states x, one row per state."""
+    x = np.asarray(x, dtype=float)
+    chains = tuple(ChainSample(ref.id, x, "iid", 0) for ref in refs)
+    return rl_evaluate(SampleSet(chains=chains), refs, zeta)[3][0].T
+
+
 # --------------------------------------------------------------- membership
 
 
@@ -81,7 +90,7 @@ def test_membership_equal_densities_is_uniform():
         discrete_table_density((4, 4), id="a"),
         discrete_table_density((4, 4), id="b"),
     ]
-    p = membership_probs([0.0, 1.0], refs, np.zeros(2))
+    p = _membership([0.0, 1.0], refs, np.zeros(2))
     np.testing.assert_allclose(p, 0.5, atol=1e-12)
 
 
@@ -90,17 +99,17 @@ def test_membership_four_to_one():
         discrete_table_density((4, 4), id="heavy"),
         discrete_table_density((1, 1), id="light"),
     ]
-    p = membership_probs([0.0], refs, np.zeros(2))
+    p = _membership([0.0], refs, np.zeros(2))
     np.testing.assert_allclose(p, [[0.8, 0.2]], atol=1e-12)
     # an offset of -log 4 on the heavy component cancels the ratio
-    p = membership_probs([0.0], refs, np.array([-math.log(4.0), 0.0]))
+    p = _membership([0.0], refs, np.array([-math.log(4.0), 0.0]))
     np.testing.assert_allclose(p, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_membership_rows_sum_to_one():
     refs = [t_density(5, 1.0), t_density(5, 0.0)]
     x = np.linspace(-30.0, 30.0, 101)
-    p = membership_probs(x, refs, np.array([0.3, -0.3]))
+    p = _membership(x, refs, np.array([0.3, -0.3]))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
@@ -137,7 +146,7 @@ def test_qll_single_point_per_chain():
     samples, refs = _flat_pair(n=1)
     # w = (1, 1); both membership probabilities are 1/2 at every state
     expected = 2.0 * (2.0 * math.log(0.5))
-    got = quasi_log_likelihood(samples, refs, np.zeros(2))
+    got = rl_evaluate(samples, refs, np.zeros(2))[0]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -148,9 +157,9 @@ def test_qll_shift_invariance():
         discrete_table_density(TABLE_2, id=samples.chains[1].density_id),
     ]
     zeta = np.array([0.4, -0.1])
-    base = quasi_log_likelihood(samples, refs, zeta)
+    base = rl_evaluate(samples, refs, zeta)[0]
     for c in (-3.0, 0.7):
-        shifted = quasi_log_likelihood(samples, refs, zeta + c)
+        shifted = rl_evaluate(samples, refs, zeta + c)[0]
         assert shifted == pytest.approx(base, rel=1e-10)
 
 
@@ -163,21 +172,21 @@ def test_qll_weight_scale_invariance():
     zeta = np.array([0.2, -0.2])
     w1 = StageWeights(np.array([0.3, 0.7]))
     w2 = StageWeights(np.array([3.0, 7.0]))
-    assert quasi_log_likelihood(samples, refs, zeta, w1) == pytest.approx(
-        quasi_log_likelihood(samples, refs, zeta, w2), rel=1e-14
+    assert rl_evaluate(samples, refs, zeta, w1)[0] == pytest.approx(
+        rl_evaluate(samples, refs, zeta, w2)[0], rel=1e-14
     )
 
 
 def test_score_components_sum_to_zero_and_symmetry_zero():
     samples, refs = _flat_pair(n=4)
-    g = quasi_score(samples, refs, np.zeros(2))
+    g = rl_evaluate(samples, refs, np.zeros(2))[1]
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
     samples2 = table_mh_samples(500, master_seed=9)
     refs2 = [
         discrete_table_density(TABLE_1, id=samples2.chains[0].density_id),
         discrete_table_density(TABLE_2, id=samples2.chains[1].density_id),
     ]
-    g2 = quasi_score(samples2, refs2, np.array([0.1, -0.3]))
+    g2 = rl_evaluate(samples2, refs2, np.array([0.1, -0.3]))[1]
     assert abs(g2.sum()) <= 1e-10 * samples2.n_total
 
 
@@ -193,14 +202,14 @@ def test_score_matches_central_differences():
     weights = StageWeights(np.array([0.5, 0.3, 0.2]))
     for _ in range(3):
         zeta = rng.normal(scale=0.5, size=3)
-        g = quasi_score(samples, refs, zeta, weights)
+        g = rl_evaluate(samples, refs, zeta, weights)[1]
         h = 1e-6
         for r in range(3):
             e = np.zeros(3)
             e[r] = h
             fd = (
-                quasi_log_likelihood(samples, refs, zeta + e, weights)
-                - quasi_log_likelihood(samples, refs, zeta - e, weights)
+                rl_evaluate(samples, refs, zeta + e, weights)[0]
+                - rl_evaluate(samples, refs, zeta - e, weights)[0]
             ) / (2 * h)
             assert fd == pytest.approx(g[r], rel=1e-6, abs=1e-8)
 
@@ -232,7 +241,7 @@ def test_first_order_conditions_at_fit():
         discrete_table_density(TABLE_2, id=samples.chains[1].density_id),
     ]
     zeta = fit_reverse_logistic(samples, refs)
-    g = quasi_score(samples, refs, zeta)
+    g = rl_evaluate(samples, refs, zeta)[1]
     assert np.max(np.abs(g)) <= 1e-8 * samples.n_total
 
 
@@ -274,9 +283,8 @@ def test_fit_objective_not_decreased():
         discrete_table_density(TABLE_2, id=samples.chains[1].density_id),
     ]
     zeta = fit_reverse_logistic(samples, refs)
-    assert quasi_log_likelihood(samples, refs, zeta) >= quasi_log_likelihood(
-        samples, refs, np.zeros(2)
-    )
+    ll_fit = rl_evaluate(samples, refs, zeta)[0]
+    assert ll_fit >= rl_evaluate(samples, refs, np.zeros(2))[0]
 
 
 # ------------------------------------------------------------ ratio mapping
@@ -360,8 +368,8 @@ def test_info_matrix_is_minus_scaled_hessian():
         e = np.zeros(2)
         e[r] = h
         col = (
-            quasi_score(samples, refs, zeta + e, weights)
-            - quasi_score(samples, refs, zeta - e, weights)
+            rl_evaluate(samples, refs, zeta + e, weights)[1]
+            - rl_evaluate(samples, refs, zeta - e, weights)[1]
         ) / (2 * h)
         np.testing.assert_allclose(col, -n * b[:, r], rtol=1e-4, atol=1e-6)
 
@@ -387,7 +395,7 @@ def test_omega_replication_oracle(table_refs):
     omegas = np.zeros((2, 2))
     for r in range(reps):
         samples = table_mh_samples(n_per, master_seed=1000, rep=r)
-        g = quasi_score(samples, table_refs, zeta0)
+        g = rl_evaluate(samples, table_refs, zeta0)[1]
         scores[r] = g / math.sqrt(samples.n_total)
         omegas += score_long_run_cov(samples, table_refs, zeta0, [0.5, 0.5])
     omegas /= reps
