@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from types import UnionType
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
@@ -59,6 +58,7 @@ from .weights import (
     inv_dist_weights,
     naive_weights,
     pilot_optimal_weights,
+    simplex_grid,
 )
 
 Z_95 = 1.959963984540054  # standard normal 0.975 quantile
@@ -273,6 +273,11 @@ def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses)
         _require(w.values is not None and len(w.values) == k,
                  f"{where}.weights: fixed kind needs one value per reference")
         _checked(f"{where}.weights", StageWeights, w.values)
+    if w.kind == "pilot":
+        grid = _checked(f"{where}.weights", simplex_grid, k, w.step)
+        _require(len(grid) > 0,
+                 f"{where}.weights: step {w.step:g} leaves an empty weight grid "
+                 f"for {k} references")
     if w.kind == "pilot" and w.pilot_sizes is not None:
         _require(len(w.pilot_sizes) == k and all(x > 0 for x in w.pilot_sizes),
                  f"{where}.weights: pilot_sizes must list one positive size per reference")
@@ -315,7 +320,9 @@ def _validate(cfg: ExperimentConfig):
     _require(cfg.replications >= 1, "config: replications must be positive")
     _require(cfg.workers >= 1, "config: workers must be positive")
     _require(all(s > 0 for s in cfg.size_grid), "config: size_grid must be positive")
-    _require(cfg.tail_guard > 0, "config: tail_guard must be positive")
+    # the largest weight is never below the mean, so a guard of 1 or less
+    # would flag every row whose weights are not all equal
+    _require(cfg.tail_guard > 1, "config: tail_guard must exceed 1")
     needs_marks = cfg.se_method in ("rs", "both")
     if needs_marks and (cfg.burn_in > 0 or cfg.thinning > 1):
         raise ConfigError(
@@ -733,6 +740,9 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
             jobs.append((cfg, None, rep, False))
 
     if cfg.workers > 1:
+        # imported here: a serial run need not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_one_replication, jobs, chunksize=1))
     else:

@@ -145,22 +145,25 @@ def rs_long_run_cov(series, marks) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    n, p = x.shape
+    n = x.shape[0]
     if marks is None:
         centered = x - x.mean(axis=0)
         return centered.T @ centered / n
     marks = np.asarray(marks, dtype=bool)
     if marks.shape != (n,) or not marks[0]:
         raise ValueError("marks must align with the series and start a tour at 0")
-    starts = np.flatnonzero(marks)
-    if starts.size < 2:
+    bounds = np.flatnonzero(marks)
+    if bounds.size < 2:
         raise InsufficientRegenerationError("fewer than two regeneration marks")
-    bounds = starts.astype(np.int64)
     lengths = np.diff(bounds).astype(float)
-    csum = np.vstack([np.zeros(p), np.cumsum(x, axis=0)])
-    sums = csum[bounds[1:]] - csum[bounds[:-1]]
+    # tour t sums rows bounds[t]..ends[t]; the first tour starts at row 0
+    ends = bounds[1:] - 1
+    csum = np.cumsum(x, axis=0)
+    sums = csum[ends]
+    sums[1:] -= csum[ends[:-1]]
+    del csum
     total_t = lengths.sum()
     gbar = sums.sum(axis=0) / total_t
-    resid = sums - lengths[:, None] * gbar
-    return (resid.T @ resid) / total_t
+    sums -= lengths[:, None] * gbar
+    return (sums.T @ sums) / total_t
 

@@ -25,7 +25,10 @@ Layout: each chain's log densities are one (k, n_l) array, component
 major, so reductions over components run over k contiguous rows.  The
 objective, the score, B and the membership probabilities all come from
 one softmax per chain in a single evaluator; the Newton fit evaluates
-each iterate once, and B and Omega reuse its last evaluation.
+each iterate once, and B and Omega reuse its last evaluation.  The
+evaluator frees each n-length temporary once it is spent, and
+estimate_ratios drops the log-density matrices before the Omega routes
+run, so they never coexist with the routes' prefix sums and batch copies.
 """
 
 from __future__ import annotations
@@ -152,11 +155,14 @@ def _evaluate(
         if np.any(np.isneginf(m)):
             raise UndefinedPointError("all reference densities vanish at a state")
         p -= m
+        del m  # n-length temporaries are freed as soon as they are spent
         own = p[l].copy()
         np.exp(p, out=p)
         total = p.sum(axis=0)
         p /= total
-        ll += w[l] * float(np.sum(own - np.log(total)))
+        own -= np.log(total, out=total)
+        ll += w[l] * float(np.sum(own))
+        del own, total
         p_sum = p.sum(axis=1)
         score[l] += w[l] * mat.shape[1]
         score -= w[l] * p_sum
@@ -176,8 +182,8 @@ def _fit(
     mats: list[np.ndarray],
     a: np.ndarray,
     n_per: np.ndarray,
-    tol: float,
-    max_iter: int,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Damped Newton from zeta = 0 under sum(zeta) = 0.
 
@@ -186,6 +192,8 @@ def _fit(
     probabilities are returned with it (None for a single chain).
     """
     k = a.size
+    if k != len(mats):
+        raise ValueError("weights must have one entry per chain")
     if k == 1:
         return np.zeros(1), 0, 0.0, None, None
     n = float(n_per.sum())
@@ -396,26 +404,21 @@ def ratio_covariance(d_jacobian, info_pinv, omega) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _estimate_from_mats(
-    mats: list[np.ndarray],
+def _estimate_from_fit(
+    fit: tuple,
     chains,
     a: np.ndarray,
     n_per: np.ndarray,
     bm_spec: BatchMeansSpec,
     se_method: str,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RatioEstimate:
-    """Stage 1 on prebuilt log-density matrices: fit, ratios, covariance.
+    """Ratios and their covariance from the result of `_fit`.
 
     B and Omega come from the membership probabilities of the fit's last
-    evaluation, taken at the returned zeta.
+    evaluation, taken at the returned zeta; the log-density matrices are
+    not needed, so a caller that is done with them can free them first.
     """
-    if a.size != len(mats):
-        raise ValueError("weights must have one entry per chain")
-    zeta, iterations, grad_norm, info, probs = _fit(
-        mats, a, n_per.astype(float), tol, max_iter
-    )
+    zeta, iterations, grad_norm, info, probs = fit
     d_hat = zeta_to_ratios(zeta, a)
     methods = [m for m in ("bm", "rs") if se_method in (m, "both")]
     if a.size == 1:
@@ -454,6 +457,6 @@ def estimate_ratios(
     mats = log_density_matrices(samples, references)
     n_per = samples.n_per_chain
     a = (naive_stage_weights(n_per) if weights is None else weights).a
-    return _estimate_from_mats(
-        mats, samples.chains, a, n_per, bm_spec, se_method, tol, max_iter
-    )
+    fit = _fit(mats, a, n_per.astype(float), tol, max_iter)
+    del mats  # the Omega routes need only the fit's membership probabilities
+    return _estimate_from_fit(fit, samples.chains, a, n_per, bm_spec, se_method)

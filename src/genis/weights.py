@@ -17,7 +17,12 @@ import numpy as np
 
 from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_variance
 from .errors import ConvergenceError, EstimationError
-from .reverse_logistic import StageWeights, _estimate_from_mats, log_density_matrices
+from .reverse_logistic import (
+    StageWeights,
+    _estimate_from_fit,
+    _fit,
+    log_density_matrices,
+)
 from .samplers import SampleSet
 
 WEIGHT_FLOOR = 1e-6
@@ -125,6 +130,7 @@ def pilot_optimal_weights(
     if len(grid) == 0:
         raise ValueError("empty weight grid")
     n_per = pilot_samples.n_per_chain
+    n_per_f = n_per.astype(float)
     naive = naive_weights(n_per)
     mats = log_density_matrices(pilot_samples, references)
     diagnostics: dict[tuple, float] = {}
@@ -132,9 +138,10 @@ def pilot_optimal_weights(
     for a_vec in grid:
         a_vec = np.asarray(a_vec, dtype=float)
         key = tuple(a_vec)
+        a = StageWeights(a_vec).a
         try:
-            est = _estimate_from_mats(
-                mats, pilot_samples.chains, StageWeights(a_vec).a, n_per, bm_spec, "bm"
+            est = _estimate_from_fit(
+                _fit(mats, a, n_per_f), pilot_samples.chains, a, n_per, bm_spec, "bm"
             )
             score = float(np.trace(est.cov)) if est.cov.size else 0.0
         except EstimationError:

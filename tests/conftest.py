@@ -6,6 +6,8 @@ unnormalized masses (1, 1) and (3, 1), so the normalizing constants are
 two states gives exact truth for every estimand.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,22 @@ def rs_point_estimates(tours, w, d_hat):
     v_bar = np.array([t.v_sums.sum() / t.lengths.sum() for t in tours])
     u_hat = float(np.sum(coef * u_bar))
     return u_hat, float(np.sum(coef * v_bar)) / u_hat
+
+
+def traced_peak(fn):
+    """fn() and the peak of traced memory it allocated beyond what was
+    live when it was called, in bytes (numpy reports its buffers to
+    tracemalloc).  Allocations made before the call, such as the inputs,
+    do not count."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, peak

@@ -646,6 +646,24 @@ def test_cli_pilot_weights_are_the_estimators_weights(tmp_path, capsys):
     np.testing.assert_allclose(printed, used, atol=5e-5)
 
 
+@pytest.mark.parametrize("command", ["estimate-d", "pilot-weights"])
+@pytest.mark.parametrize("step", [0, 1.5, -0.1, 0.7])
+def test_cli_bad_pilot_step_is_a_config_error(tmp_path, capsys, command, step):
+    """A pilot grid step outside (0, 1), or one that leaves the grid empty
+    (0.7 rounds to one step per unit, too few for two positive weights),
+    exits 2 naming stage1.weights before any chain is drawn; it used to
+    exit 1 with a ValueError traceback from the grid search."""
+    raw = toy_config(targets=None)
+    raw["stage1"]["weights"] = {"kind": "pilot", "step": step, "pilot_sizes": [300, 300]}
+    path = write_config(tmp_path, raw)
+    argv = [command, "--config", path]
+    if command == "estimate-d":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: stage1.weights: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_oracle_check(tmp_path, capsys):
     path = write_config(tmp_path, table_config())
     assert cli_main(["oracle-check", "--config", path]) == 0
@@ -719,6 +737,8 @@ BAD_MODEL_VALUES = [
      "config: bm_nu, bm_explicit_b: explicit_b "),
     (toy_config, (), "tail_guard", 0, "config: tail_guard "),
     (toy_config, (), "tail_guard", -1, "config: tail_guard "),
+    (toy_config, (), "tail_guard", 0.5, "config: tail_guard "),
+    (toy_config, (), "tail_guard", 1, "config: tail_guard "),
 ]
 
 
@@ -731,9 +751,10 @@ def test_cli_bad_model_values_are_config_errors(
     tmp_path, capsys, base, block, key, value, message
 ):
     """Values a density, sampler or batch-means constructor rejects, and a
-    tail guard that is not positive, exit 2 with a message naming the field,
-    not with a traceback (exit 1), a run that flags every target row or, for
-    an infinite splitting constant, a chain without regenerations (exit 4)."""
+    tail guard of 1 or less, exit 2 with a message naming the field, not
+    with a traceback (exit 1), a run that flags every target row (the
+    largest weight is never below the mean) or, for an infinite splitting
+    constant, a chain without regenerations (exit 4)."""
     raw = base()
     edited = raw
     for part in block:

@@ -47,6 +47,7 @@ from conftest import (
     exact_proportion_chain,
     rl_evaluate,
     table_mh_samples,
+    traced_peak,
 )
 
 # Stage 1 of configs/toy.json (se_method "both"), frozen from the row-major
@@ -524,6 +525,26 @@ def test_toy_config_stage1_matches_frozen_reference():
     assert est.d_hat[0] == pytest.approx(TOY_D_HAT, rel=1e-10)
     assert est.cov_bm[0, 0] == pytest.approx(TOY_COV_BM, rel=1e-10)
     assert est.cov_rs[0, 0] == pytest.approx(TOY_COV_RS, rel=1e-10)
+
+
+def test_stage1_memory_peak(toy_refs):
+    """Stage 1 with both Omega routes on 2 x 100k draws peaks, beyond the
+    live samples, below 11.5 chain-length float64 arrays (9.2 MB).  It
+    measures 10.0 (8.0 MB, set by the Newton fit), so the bound leaves 15%
+    headroom; with the log-density matrices alive through the Omega routes
+    and the RS prefix sums stacked, it peaked at 13.5 (10.8 MB)."""
+    def pair(n):
+        return SampleSet(chains=(
+            sample_t_iid(5, 1.0, n, seed=11),
+            sample_t_imh(5, 0.0, 5, 1.0, n, seed=12, with_regen=True),
+        ))
+
+    n = 100_000
+    estimate_ratios(pair(500), toy_refs, se_method="both")  # first-call imports
+    samples = pair(n)
+    est, peak = traced_peak(lambda: estimate_ratios(samples, toy_refs, se_method="both"))
+    assert est.cov_bm is not None and est.cov_rs is not None
+    assert peak < 11.5 * 8 * n
 
 
 def test_estimate_ratios_toy_pair(toy_refs):

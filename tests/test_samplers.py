@@ -25,6 +25,8 @@ from genis.samplers import (
     tune_splitting_constant,
 )
 
+from conftest import traced_peak
+
 
 # ---------------------------------------------------------------- seeding
 
@@ -368,6 +370,18 @@ def test_t_chain_matches_frozen_digest(seed):
     assert (_sha(chain.states.astype("<f8")), _sha(chain.regen_marks)) == (
         FROZEN_T_CHAINS[seed]
     )
+
+
+def test_marked_imh_chain_memory_peak():
+    """A marked IMH chain at n = 100k peaks below nine n-length float64
+    arrays of traced memory (7.2 MB).  It measures 7.15 (5.7 MB), so the
+    bound leaves 26% headroom; the recursion over Python list copies of
+    log omega and log u peaked at 18.2 (14.6 MB)."""
+    n = 100_000
+    sample_t_imh(5, 0, 5, 1, 1000, 1, with_regen=True)  # first-call imports
+    chain, peak = traced_peak(lambda: sample_t_imh(5, 0, 5, 1, n, 1, with_regen=True))
+    assert chain.n == n
+    assert peak < 9 * 8 * n
 
 
 def test_discrete_chain_matches_frozen_digest():
