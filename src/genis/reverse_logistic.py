@@ -24,8 +24,14 @@ as an independent route, from regeneration tours.
 Layout: each chain's log densities are one (k, n_l) array, component
 major, so reductions over components run over k contiguous rows.  The
 objective, the score, B and the membership probabilities all come from
-one softmax per chain in a single evaluator; the Newton fit evaluates
-each iterate once, and B and Omega reuse its last evaluation.  The
+one softmax per chain.  The evaluator has two steps: `_parts` computes
+each chain's weight-free parts at zeta (own-term sum, column sums of the
+membership probabilities, diag(p_sum) - p p^T, and the probabilities),
+and `_combine` weighs them with w and a.  The parts at zeta = 0 do not
+depend on the weights, so the pilot grid computes them once for all its
+points.  The vanishing-state check runs once per fit, at zeta = 0, and
+again only at a non-finite iterate.  The Newton fit evaluates each
+iterate once, and B and Omega reuse its last evaluation.  The
 evaluator frees each n-length temporary once it is spent, and
 estimate_ratios drops the log-density matrices before the Omega routes
 run, so they never coexist with the routes' prefix sums and batch copies.
@@ -136,39 +142,59 @@ def log_density_matrices(
     ]
 
 
-def _evaluate(
-    mats: list[np.ndarray], zeta: np.ndarray, w: np.ndarray, a: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Objective, score, curvature B and (k, n_l) membership probabilities.
+def _parts(mats: list[np.ndarray], zeta: np.ndarray, check: bool = True) -> list:
+    """Per chain, the weight-free parts of the evaluator at zeta.
 
-    One softmax per chain feeds all four; w weighs the objective and the
-    score, a the curvature.
+    Chain l gives its own-term sum sum_i log p_l, the column sums p_sum
+    of its (k, n_l) membership probabilities p, diag(p_sum) - p p^T and
+    p itself, all from one softmax.  With `check`, a state where every
+    reference density vanishes raises UndefinedPointError.
     """
-    k = zeta.size
-    ll = 0.0
-    score = np.zeros(k)
-    info = np.zeros((k, k))
-    probs = []
+    parts = []
     for l, mat in enumerate(mats):
         p = mat + zeta[:, None]
-        m = np.max(p, axis=0)
-        if np.any(np.isneginf(m)):
+        # the ufunc reductions are np.max's and np.sum's own arithmetic
+        # without their Python wrappers
+        m = np.maximum.reduce(p, axis=0)
+        if check and np.any(np.isneginf(m)):
             raise UndefinedPointError("all reference densities vanish at a state")
         p -= m
         del m  # n-length temporaries are freed as soon as they are spent
         own = p[l].copy()
         np.exp(p, out=p)
-        total = p.sum(axis=0)
+        total = np.add.reduce(p, axis=0)
         p /= total
         own -= np.log(total, out=total)
-        ll += w[l] * float(np.sum(own))
+        own_sum = float(np.add.reduce(own))
         del own, total
-        p_sum = p.sum(axis=1)
-        score[l] += w[l] * mat.shape[1]
+        p_sum = np.add.reduce(p, axis=1)
+        parts.append((own_sum, p_sum, np.diag(p_sum) - p @ p.T, p))
+    return parts
+
+
+def _combine(
+    parts: list, w: np.ndarray, a: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Objective, score, curvature B and membership probabilities from
+    the parts of `_parts`: w weighs the objective and the score, a the
+    curvature."""
+    k = w.size
+    ll = 0.0
+    score = np.zeros(k)
+    info = np.zeros((k, k))
+    for l, (own_sum, p_sum, curv, p) in enumerate(parts):
+        ll += w[l] * own_sum
+        score[l] += w[l] * p.shape[1]
         score -= w[l] * p_sum
-        info += (a[l] / mat.shape[1]) * (np.diag(p_sum) - p @ p.T)
-        probs.append(p)
-    return ll, score, 0.5 * (info + info.T), probs
+        info += (a[l] / p.shape[1]) * curv
+    return ll, score, 0.5 * (info + info.T), [part[3] for part in parts]
+
+
+def _evaluate(
+    mats: list[np.ndarray], zeta: np.ndarray, w: np.ndarray, a: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Objective, score, curvature B and (k, n_l) membership probabilities."""
+    return _combine(_parts(mats, zeta), w, a)
 
 
 def _prepared(samples, references, weights):
@@ -184,12 +210,21 @@ def _fit(
     n_per: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: list | None = None,
 ):
     """Damped Newton from zeta = 0 under sum(zeta) = 0.
 
-    Each iterate is centred before it is evaluated, so the returned zeta
-    is the point of the last evaluation, whose B and membership
-    probabilities are returned with it (None for a single chain).
+    `start`, when given, holds `_parts(mats, np.zeros(k))`, which do not
+    depend on the weights, so several fits on one set of matrices can
+    share them.  Each iterate is centred before it is evaluated, so the
+    returned zeta is the point of the last evaluation, whose B and
+    membership probabilities are returned with it (None for a single
+    chain).
+
+    The vanishing-state check runs at zeta = 0 only: while zeta is
+    finite, a column of mat + zeta is all -inf exactly when the column of
+    mat is.  An iterate with a non-finite entry (an overflowed step) is
+    checked again.
     """
     k = a.size
     if k != len(mats):
@@ -199,7 +234,7 @@ def _fit(
     n = float(n_per.sum())
     w = a * n / n_per
     zeta = np.zeros(k)
-    ev = _evaluate(mats, zeta, w, a)
+    ev = _combine(_parts(mats, zeta) if start is None else start, w, a)
     for it in range(max_iter + 1):
         ll, g, info, probs = ev
         # per-sample scale: the raw score is O(n), so an absolute cutoff
@@ -243,7 +278,7 @@ def _fit(
         for _ in range(60):
             cand = zeta + t * step
             cand -= cand.mean()
-            ev = _evaluate(mats, cand, w, a)
+            ev = _combine(_parts(mats, cand, not np.isfinite(cand).all()), w, a)
             if full_step or ev[0] >= ll + 1e-4 * t * slope:
                 break
             t *= 0.5

@@ -21,6 +21,7 @@ from .reverse_logistic import (
     StageWeights,
     _estimate_from_fit,
     _fit,
+    _parts,
     log_density_matrices,
 )
 from .samplers import SampleSet
@@ -117,12 +118,17 @@ def pilot_optimal_weights(
 ) -> tuple[np.ndarray, dict]:
     """Grid search for the stage-1 weights minimizing trace of the covariance.
 
-    The log-density matrices are built once.  Each grid point is fitted
-    from zeta = 0, since a warm start moves the converged zeta by rounding
-    and can flip near-tied choices.  Grid points where the fit or the
-    covariance fails are skipped; ties are broken toward the pooled naive
-    weights, then lexicographically.  Returns the winning weights and a
-    diagnostics map from grid points to traces (NaN where skipped).
+    The log-density matrices, and the evaluator's weight-free parts at
+    zeta = 0 (with its vanishing-state check), are computed once and
+    shared by every grid point; each point combines them with its own
+    weights, so its trace equals that of a separate `estimate_ratios`
+    bit for bit.  Each grid point is fitted from zeta = 0, since a warm
+    start moves the converged zeta by rounding and can flip near-tied
+    choices.  If the shared parts raise, each point evaluates zeta = 0
+    itself and fails as it would alone.  Grid points where the fit or
+    the covariance fails are skipped; ties are broken toward the pooled
+    naive weights, then lexicographically.  Returns the winning weights
+    and a diagnostics map from grid points to traces (NaN where skipped).
     """
     k = len(references)
     if grid is None:
@@ -133,6 +139,10 @@ def pilot_optimal_weights(
     n_per_f = n_per.astype(float)
     naive = naive_weights(n_per)
     mats = log_density_matrices(pilot_samples, references)
+    try:
+        start = _parts(mats, np.zeros(k))
+    except EstimationError:
+        start = None
     diagnostics: dict[tuple, float] = {}
     best: tuple | None = None
     for a_vec in grid:
@@ -141,7 +151,8 @@ def pilot_optimal_weights(
         a = StageWeights(a_vec).a
         try:
             est = _estimate_from_fit(
-                _fit(mats, a, n_per_f), pilot_samples.chains, a, n_per, bm_spec, "bm"
+                _fit(mats, a, n_per_f, start=start),
+                pilot_samples.chains, a, n_per, bm_spec, "bm",
             )
             score = float(np.trace(est.cov)) if est.cov.size else 0.0
         except EstimationError:

@@ -867,6 +867,16 @@ def test_cli_exit_code_convergence_failure(tmp_path, capsys):
     assert "convergence failure" in capsys.readouterr().err
 
 
+def test_cli_pilot_weights_exits_3_when_every_grid_point_fails(tmp_path, capsys):
+    """Three draws per pilot chain are too few for batch means, so every
+    grid point fails and the search raises ConvergenceError."""
+    raw = toy_config(targets=None)
+    raw["stage1"]["weights"] = {"kind": "pilot", "step": 0.25, "pilot_sizes": [3, 3]}
+    path = write_config(tmp_path, raw)
+    assert cli_main(["pilot-weights", "--config", path]) == 3
+    assert "every grid point failed" in capsys.readouterr().err
+
+
 def test_cli_exit_code_insufficient_data(tmp_path, capsys):
     raw = toy_config(targets=None)
     raw["stage1"]["sizes"] = [3, 3]

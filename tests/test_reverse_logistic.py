@@ -127,7 +127,8 @@ def test_log_density_matrices_are_component_major():
     np.testing.assert_array_equal(mats[1][2], refs[2].log_density(chains[1].states))
 
 
-def test_all_references_vanishing_at_a_state_is_undefined():
+def _both_vanish_at_1():
+    """Two tables without mass at state 1, and chains that visit it."""
     refs = [
         discrete_table_density((1, 0, 1), id="left"),
         discrete_table_density((1, 0, 2), id="right"),
@@ -136,8 +137,39 @@ def test_all_references_vanishing_at_a_state_is_undefined():
         ChainSample("left", np.array([0.0, 1.0, 2.0, 0.0]), "iid", 0),
         ChainSample("right", np.array([2.0, 0.0, 2.0, 2.0]), "iid", 0),
     )
-    with pytest.raises(UndefinedPointError):
-        estimate_ratios(SampleSet(chains=chains), refs)
+    return SampleSet(chains=chains), refs
+
+
+def test_all_references_vanishing_at_a_state_is_undefined():
+    samples, refs = _both_vanish_at_1()
+    with pytest.raises(UndefinedPointError, match="all reference densities vanish at a state"):
+        estimate_ratios(samples, refs)
+
+
+def test_vanishing_state_raises_on_every_evaluator_path():
+    """The fit checks vanishing states once, at zeta = 0; the evaluator
+    called on its own still checks at the zeta it is given."""
+    samples, refs = _both_vanish_at_1()
+    zeta, a = np.array([0.3, -0.3]), np.array([0.4, 0.6])
+    calls = (
+        lambda: rl_evaluate(samples, refs, zeta),
+        lambda: info_matrix(samples, refs, zeta, a),
+        lambda: score_long_run_cov(samples, refs, zeta, a),
+        lambda: fit_reverse_logistic(samples, refs),
+    )
+    for call in calls:
+        with pytest.raises(UndefinedPointError, match="all reference densities vanish"):
+            call()
+
+
+def test_single_reference_at_a_zero_mass_state_has_no_ratios():
+    """With one chain there is nothing to fit, so a state outside the
+    reference's support is not checked and the estimate is empty."""
+    ref = discrete_table_density((1, 0, 1), id="left")
+    chain = ChainSample("left", np.array([0.0, 1.0, 2.0, 0.0, 2.0, 0.0]), "iid", 0)
+    est = estimate_ratios(SampleSet(chains=(chain,)), [ref], se_method="both")
+    assert est.d_hat.tolist() == []
+    assert est.cov_bm.shape == (0, 0) and est.cov_rs.shape == (0, 0)
 
 
 # ---------------------------------------------------------------- objective

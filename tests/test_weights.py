@@ -1,12 +1,15 @@
 """Weight strategies: pooled, distance-based, effective-size, pilot search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from genis import reverse_logistic, weights
 from genis.densities import discrete_table_density, t_density
 from genis.errors import ConvergenceError
 from genis.reverse_logistic import StageWeights, estimate_ratios
-from genis.samplers import SampleSet, sample_t_iid, sample_t_imh
+from genis.samplers import ChainSample, SampleSet, sample_t_iid, sample_t_imh
 from genis.weights import (
     effective_sample_size,
     ess_inv_dist_weights,
@@ -213,8 +216,9 @@ def test_pilot_all_points_failing_raises(toy_refs):
 
 
 def test_pilot_grid_matches_estimate_ratios_per_point():
-    """Building the matrices once changes nothing: every grid trace and the
-    argmin equal those of a separate estimate_ratios call per point."""
+    """Building the matrices and the zeta = 0 parts once changes nothing:
+    every grid trace and the argmin equal, bit for bit, those of a separate
+    estimate_ratios call per point."""
     mus = (0.0, 1.0, 2.0)
     refs = [t_density(5, mu) for mu in mus]
     chains = tuple(
@@ -228,5 +232,85 @@ def test_pilot_grid_matches_estimate_ratios_per_point():
         traces[tuple(point)] = float(np.trace(est.cov))
     assert diag.keys() == traces.keys()
     for key, trace in traces.items():
-        assert diag[key] == pytest.approx(trace, rel=1e-12)
+        assert diag[key] == trace
     np.testing.assert_array_equal(best, min(traces, key=traces.get))
+
+
+def _three_t_pilot():
+    mus = (0.0, 1.0, 2.0)
+    refs = [t_density(5, mu) for mu in mus]
+    chains = tuple(sample_t_iid(5, mu, 2000, seed=70 + i) for i, mu in enumerate(mus))
+    return SampleSet(chains=chains), refs
+
+
+def _toy_pilot():
+    chains = (
+        sample_t_iid(5, 1.0, 1000, seed=31),
+        sample_t_imh(5, 0.0, 5, 1.0, 1000, seed=32),
+    )
+    return SampleSet(chains=chains), [t_density(5, 1.0), t_density(5, 0.0)]
+
+
+# sha256 of the chosen weights followed by the sorted (point, trace) rows of
+# the diagnostics, as little-endian float64; recorded before the grid shared
+# its zeta = 0 evaluation.  Like the frozen chain digests, they may differ on
+# another CPU or BLAS build with no change to the code.
+FROZEN_PILOTS = {
+    "three_t_step_0.1": (
+        _three_t_pilot,
+        0.1,
+        "a52c876ffbb2dd23aa69e70c7264b551ed97eca559fdf4e2bfcaa31cc1e13326",
+    ),
+    "toy_pair_step_0.05": (
+        _toy_pilot,
+        0.05,
+        "dfb6649cc8173ebeaf3d50c95ed39f6ddf607c3d07dd07fe81c6225cc4eb86d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_PILOTS))
+def test_pilot_matches_frozen_digest(case):
+    build, step, digest = FROZEN_PILOTS[case]
+    pilot, refs = build()
+    best, diag = pilot_optimal_weights(pilot, refs, step=step)
+    rows = np.array([key + (trace,) for key, trace in sorted(diag.items())])
+    data = np.concatenate([best, rows.ravel()]).astype("<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_pilot_computes_the_zeta_zero_parts_once(monkeypatch):
+    """The 36 points of a step-0.1 grid on three chains share one zeta = 0
+    evaluation; every other evaluation is at a Newton iterate."""
+    real = reverse_logistic._parts
+    at_zero = []
+
+    def counting(mats, zeta, *args, **kwargs):
+        if not np.any(zeta):
+            at_zero.append(zeta.size)
+        return real(mats, zeta, *args, **kwargs)
+
+    monkeypatch.setattr(reverse_logistic, "_parts", counting)
+    monkeypatch.setattr(weights, "_parts", counting)
+    pilot, refs = _three_t_pilot()
+    _, diag = pilot_optimal_weights(pilot, refs, step=0.1)
+    assert len(diag) == 36
+    assert all(np.isfinite(v) for v in diag.values())
+    assert at_zero == [3]
+
+
+def test_pilot_with_all_references_vanishing_at_a_state_fails_every_point():
+    """Both references vanish at state 1, which each chain visits: every
+    grid point fails, so the search raises ConvergenceError (exit 3), not
+    the UndefinedPointError of a single fit.  No config can express this,
+    since a sampler only emits states where its own target has mass."""
+    refs = [
+        discrete_table_density((1, 0, 1), id="left"),
+        discrete_table_density((1, 0, 2), id="right"),
+    ]
+    chains = (
+        ChainSample("left", np.array([0.0, 1.0, 2.0, 0.0, 2.0, 0.0]), "iid", 0),
+        ChainSample("right", np.array([2.0, 0.0, 2.0, 1.0, 2.0, 2.0]), "iid", 0),
+    )
+    with pytest.raises(ConvergenceError, match="every grid point failed"):
+        pilot_optimal_weights(SampleSet(chains=chains), refs, step=0.25)
