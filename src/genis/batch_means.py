@@ -5,10 +5,11 @@ of length b, the estimator is
 
     (b / (e - 1)) * sum_m (Zbar_m - Zbb)(Zbar_m - Zbb)^T,
 
-where Zbar_m are block means and Zbb is the grand mean over the e*b rows
-actually used.  Trailing remainder rows are dropped.  Entries are
-accumulated per column pair in a fixed order so that the (j, j) entry of
-a multivariate call is bitwise identical to a univariate call on column j.
+where Zbar_m are block means and Zbb is the grand mean over the e*b
+points actually used.  Trailing remainder points are dropped.  `bm_cov`
+takes the p series as rows, a (p, n) array or p separate 1-d arrays, and
+accumulates entries per row pair in a fixed order, so the (j, j) entry of
+a p-row call is bitwise identical to a one-row call on row j.
 """
 
 from __future__ import annotations
@@ -50,36 +51,17 @@ def block_size(n: int, spec: BatchMeansSpec = DEFAULT_BM_SPEC) -> int:
     return max(1, min(b, n // 2))
 
 
-def _block_means(col: np.ndarray, e: int, b: int) -> np.ndarray:
-    # ascontiguousarray keeps the reduction identical across source layouts;
-    # add.reduce / b is np.mean's own arithmetic without its Python wrapper
-    return np.add.reduce(np.ascontiguousarray(col[: e * b]).reshape(e, b), axis=1) / b
+def bm_cov(rows, b: int) -> np.ndarray:
+    """Batch means long-run covariance of the series whose p rows are given.
 
-
-def bm_cov(series, b: int) -> np.ndarray:
-    """Batch means long-run covariance of a (n,) or (n, p) series.
-
+    `rows` is a (p, n) array or a sequence of p 1-d arrays of one length.
     Returns a (p, p) symmetric PSD matrix on the per-sample scale, i.e. it
     estimates lim n*Cov(mean of the series).
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError("series must be a nonempty 1-d or 2-d array")
-    return bm_cov_columns([x[:, j] for j in range(x.shape[1])], b)
-
-
-def bm_cov_columns(columns, b: int) -> np.ndarray:
-    """`bm_cov` of the series whose p columns are the given 1-d arrays.
-
-    Bitwise equal to ``bm_cov(np.column_stack(columns), b)``, without
-    building the (n, p) matrix.
-    """
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    n = cols[0].shape[0] if cols and cols[0].ndim == 1 else 0
-    if n < 1 or any(c.ndim != 1 or c.shape[0] != n for c in cols):
-        raise ValueError("columns must be nonempty 1-d arrays of one length")
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    n = rows[0].shape[0] if rows and rows[0].ndim == 1 else 0
+    if n < 1 or any(r.ndim != 1 or r.shape[0] != n for r in rows):
+        raise ValueError("rows must be nonempty 1-d arrays of one length")
     b = int(b)
     if b < 1:
         raise ValueError("block size must be positive")
@@ -88,13 +70,14 @@ def bm_cov_columns(columns, b: int) -> np.ndarray:
         raise InsufficientDataError(
             f"batch means needs at least 2 full blocks, got n={n}, b={b}"
         )
-    # each centered column is kept contiguous so np.dot takes the same
-    # kernel whether the call was univariate or multivariate
+    # contiguous blocks and centered rows keep the reduction and np.dot on
+    # one kernel whatever the layout and however many rows share the call;
+    # add.reduce / count is np.mean's own arithmetic without its wrapper
     centered = []
-    for col in cols:
-        m = _block_means(col, e, b)
+    for row in rows:
+        m = np.add.reduce(np.ascontiguousarray(row[: e * b]).reshape(e, b), axis=1) / b
         centered.append(m - np.add.reduce(m) / e)
-    p = len(cols)
+    p = len(rows)
     out = np.empty((p, p))
     scale = b / (e - 1)
     for j in range(p):
@@ -103,11 +86,3 @@ def bm_cov_columns(columns, b: int) -> np.ndarray:
             out[j, k] = s
             out[k, j] = s
     return out
-
-
-def bm_variance(series, b: int) -> float:
-    """Scalar batch means long-run variance of a univariate series."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("bm_variance takes a 1-d series")
-    return float(bm_cov(x, b)[0, 0])

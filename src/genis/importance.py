@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_cov_columns
+from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_cov
 from .densities import Integrand, TargetFamily, UnnormalizedDensity, log_sum_exp_rows
 from .errors import DegenerateDenominatorError, EstimationError
 from .samplers import SampleSet
@@ -104,14 +104,18 @@ class _Context:
     def mixture(self, a_vec) -> _Mixture:
         """The mixture of a weight vector; only the last one is kept, so a
         vector object shared by consecutive targets is checked and built
-        once, and a sweep with one vector per target holds one mixture."""
+        once, and a sweep with one vector per target holds one mixture.
+        Weights are nonnegative with a positive sum; a zero weight drops
+        its reference from the mixture and its chain from the estimate."""
         if a_vec is self._last[0]:
             return self._last[1]
         a = np.atleast_1d(np.asarray(a_vec, dtype=float))
-        if a.shape != self.d_full.shape or np.any(a <= 0) or not np.all(np.isfinite(a)):
-            raise ValueError("a must be a positive weight per chain")
+        if (a.shape != self.d_full.shape or np.any(a < 0)
+                or not np.all(np.isfinite(a)) or not a.sum() > 0):
+            raise ValueError("a must be a nonnegative weight per chain, not all zero")
         a = a / a.sum()
-        log_coef = np.log(a) - np.log(self.d_full)
+        with np.errstate(divide="ignore"):  # log 0 = -inf: a dropped reference
+            log_coef = np.log(a) - np.log(self.d_full)
         log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
         self._last = (a_vec, (a, log_mix, [2.0 * m for m in log_mix]))
         return self._last[1]
@@ -173,7 +177,7 @@ def _target_pass(
     for l, u in enumerate(u_series):
         series = [u] if f_vals is None else [f_vals[l] * u, u]
         s_l = ctx.n_per[l] / ctx.n
-        bm += (a[l] ** 2 / s_l) * bm_cov_columns(series, block_size(u.size, bm_spec))
+        bm += (a[l] ** 2 / s_l) * bm_cov(series, block_size(u.size, bm_spec))
     if f_vals is None:
         return _Pass(u_series, u_hat, None, c_vec, None, bm)
 
@@ -217,8 +221,10 @@ def estimate_family(
 
     a is a fixed weight vector shared by all targets; a_per_target
     overrides it with one vector per target (for distance- or ESS-based
-    strategies).  A target whose evaluation fails is reported with NaN
-    estimates and an error flag instead of aborting the run.
+    strategies).  A weight may be zero, as distance-based weights are for
+    a target at a reference's location; that chain then does not enter
+    the target's estimate.  A target whose evaluation fails is reported
+    with NaN estimates and an error flag instead of aborting the run.
     """
     k = len(references)
     if a_per_target is None:

@@ -36,7 +36,7 @@ from .densities import (
 )
 from .errors import ConfigError, EstimationError
 from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
-from .regen import collect_tours
+from .regen import split_tours
 from .reverse_logistic import (
     RatioEstimate,
     StageWeights,
@@ -47,9 +47,9 @@ from .samplers import (
     SampleSet,
     derive_seed,
     discrete_mh,
+    independence_mh,
     log_splitting_const,
     sample_t_iid,
-    sample_t_imh,
 )
 from .weights import (
     DEFAULT_STEP,
@@ -281,6 +281,9 @@ def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses)
     if w.kind == "pilot" and w.pilot_sizes is not None:
         _require(len(w.pilot_sizes) == k and all(x > 0 for x in w.pilot_sizes),
                  f"{where}.weights: pilot_sizes must list one positive size per reference")
+    if w.kind == "ess":
+        _require(all(x >= 4 for x in stage.sizes),
+                 f"{where}.weights: ess weights need at least 4 draws per chain")
     if w.kind in ("inv_dist", "ess"):
         _require(all(r.family == "t" for r in cfg.references),
                  "inv_dist/ess weights need t references with locations")
@@ -299,10 +302,30 @@ def _validate_targets(t: TargetConfig):
             _checked(f"targets.tables[{i}]", discrete_table_density, tab)
 
 
+def _validate_tables(cfg: ExperimentConfig):
+    """Tables share one state space: none has mass beyond the end of the
+    shortest, and each target table has mass only where a reference has."""
+    refs = [r.table for r in cfg.references if r.family == "table"]
+    targets = ()
+    if cfg.targets is not None and cfg.targets.family == "table":
+        targets = cfg.targets.tables
+    tables = [*refs, *targets]
+    size = min((len(t) for t in tables), default=0)
+    _require(not any(any(t[size:]) for t in tables),
+             "config: tables must have one length, up to trailing zeros")
+    for i, tab in enumerate(targets):
+        bare = [s for s in range(size) if tab[s] > 0 and not any(r[s] for r in refs)]
+        _require(not bare, f"targets.tables[{i}]: states {bare} have mass under "
+                           "the target but under no reference")
+
+
 def _validate(cfg: ExperimentConfig):
     _require(len(cfg.references) > 0, "config: references must be a nonempty list")
     for i, ref in enumerate(cfg.references):
         _validate_reference(ref, f"references[{i}]")
+    # a table cannot be evaluated at a t chain's states, nor the reverse
+    _require(len({r.family for r in cfg.references}) == 1,
+             "config: references must be all t or all table densities")
     shared = cfg.targets is not None and cfg.stage2 is None
     _validate_stage(cfg, cfg.stage1, "stage1", (1, 2) if shared else (1,))
     if cfg.stage2 is not None:
@@ -341,6 +364,7 @@ def _validate(cfg: ExperimentConfig):
             all(r.family == "table" for r in cfg.references),
             "config: table targets need table references",
         )
+    _validate_tables(cfg)
 
 
 def config_from_json(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -407,16 +431,14 @@ def _sample_one(
     if ref.sampler == "iid":
         chain = sample_t_iid(ref.df, ref.mu, raw_n, seed, density_id=density.id)
     elif ref.sampler == "imh":
-        chain = sample_t_imh(
-            ref.df,
-            ref.mu,
+        chain = independence_mh(
+            density,
             *ref.proposal,
             raw_n,
             seed,
             with_regen=ref.with_regen,
             splitting_const=ref.splitting_const,
         )
-        chain = replace(chain, density_id=density.id)
     else:
         chain = discrete_mh(
             density,
@@ -944,6 +966,4 @@ def stage2_tours(cfg: ExperimentConfig, result: TwoStageResult):
     family = build_family(cfg)
     f = build_integrand(cfg)
     w = naive_weights(result.stage2_samples.n_per_chain)
-    return collect_tours(
-        result.stage2_samples, references, family.targets[0], w, f
-    )
+    return split_tours(result.stage2_samples, references, family.targets[0], w, f)

@@ -1,17 +1,17 @@
 """Regeneration tours: bookkeeping and the regenerative long-run covariance.
 
-Chains carrying regeneration marks decompose into iid tours.  Two users
-share that decomposition here:
+Chains carrying regeneration marks decompose into iid tours.  Both users
+of that decomposition sum their series over tours with `_tour_sums`:
 
-- ``tours.csv`` lists, per complete tour, its length T_t and the sums
-  U_t of the importance weights and V_t of the weighted integrand, with
+- `split_tours` gives, per chain and per complete tour, the rows of
+  ``tours.csv``: the length T_t and the sums U_t of the importance weights
+  and V_t of the weighted integrand, with
 
       u(x) = nu(x) / sum_l w_l nu_l(x),
 
   which does not involve the stage-1 ratio estimates;
-- stage 1's regenerative route estimates the long-run covariance of the
-  membership-probability series from tour sums (``rs_long_run_cov``),
-  independently of the batch-means route.
+- `rs_long_run_cov`, stage 1's regenerative route, estimates the long-run
+  covariance of series given as rows, as `bm_cov` takes them.
 """
 
 from __future__ import annotations
@@ -78,73 +78,64 @@ def tour_boundaries(chain: ChainSample) -> np.ndarray:
     return starts.astype(np.int64)
 
 
-def _tour_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    return csum[bounds[1:]] - csum[bounds[:-1]]
+def _tour_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of an (n,) or (n, k) series over the tours [bounds[t],
+    bounds[t + 1]), taken along axis 0; the first tour starts at 0."""
+    ends = bounds[1:] - 1
+    csum = np.cumsum(x, axis=0)
+    sums = csum[ends]
+    sums[1:] -= csum[ends[:-1]]
+    return sums
 
 
 def split_tours(
-    chain: ChainSample,
-    references: Sequence[UnnormalizedDensity],
-    target: UnnormalizedDensity,
-    w,
-    f: Integrand | None = None,
-) -> ChainTours:
-    """Tour sums of u (and v = f*u when f is given) for one chain."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (len(references),) or np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("w must be a positive weight per reference")
-    bounds = tour_boundaries(chain)
-    ref_log = np.column_stack([r.log_density(chain.states) for r in references])
-    log_mix = log_sum_exp_rows(ref_log + np.log(w))
-    with np.errstate(over="ignore"):
-        u = np.exp(target.log_density(chain.states) - log_mix)
-    if not np.all(np.isfinite(u)):
-        raise DegenerateDenominatorError(
-            f"importance weights overflow for target {target.id!r}"
-        )
-    lengths = np.diff(bounds)
-    u_sums = _tour_sums(u, bounds)
-    v_sums = None
-    if f is not None:
-        v_sums = _tour_sums(f.values(chain.states) * u, bounds)
-    return ChainTours(
-        density_id=chain.density_id,
-        lengths=lengths,
-        u_sums=u_sums,
-        v_sums=v_sums,
-    )
-
-
-def collect_tours(
     samples: SampleSet,
     references: Sequence[UnnormalizedDensity],
     target: UnnormalizedDensity,
     w,
     f: Integrand | None = None,
 ) -> list[ChainTours]:
-    """split_tours applied to every chain of a sample set."""
+    """Tour sums of u (and v = f*u when f is given) for every chain."""
     if len(samples.chains) != len(references):
         raise ValueError("one chain per reference required")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (len(references),) or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise ValueError("w must be a positive weight per reference")
+    out = []
     for chain, ref in zip(samples.chains, references):
         if chain.density_id != ref.id:
             raise ValueError(
                 f"chain order mismatch: {chain.density_id!r} vs {ref.id!r}"
             )
-    return [split_tours(c, references, target, w, f) for c in samples.chains]
+        bounds = tour_boundaries(chain)
+        ref_log = np.column_stack([r.log_density(chain.states) for r in references])
+        log_mix = log_sum_exp_rows(ref_log + np.log(w))
+        with np.errstate(over="ignore"):
+            u = np.exp(target.log_density(chain.states) - log_mix)
+        if not np.all(np.isfinite(u)):
+            raise DegenerateDenominatorError(
+                f"importance weights overflow for target {target.id!r}"
+            )
+        u_sums = _tour_sums(u, bounds)
+        v_sums = None if f is None else _tour_sums(f.values(chain.states) * u, bounds)
+        out.append(ChainTours(chain.density_id, np.diff(bounds), u_sums, v_sums))
+    return out
 
 
-def rs_long_run_cov(series, marks) -> np.ndarray:
+def rs_long_run_cov(rows, marks) -> np.ndarray:
     """Regenerative estimate of the long-run covariance of a vector series.
 
-    Tour sums G_t over complete tours give the per-sample scale estimate
-    sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T / sum_t T_t, with gbar the
-    ratio estimate of the series mean.  marks=None means iid (per-draw
-    tours), in which case this reduces to the plain sample covariance.
+    `rows` is a (k, n) array or a sequence of k 1-d arrays, as for
+    `bm_cov`.  Tour sums G_t over complete tours give the per-sample scale
+    estimate sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T / sum_t T_t, with
+    gbar the ratio estimate of the series mean.  marks=None means iid
+    (per-draw tours), in which case this reduces to the plain sample
+    covariance.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a (k, n) array or a list of 1-d arrays")
+    x = rows.T  # (n, k): C-ordered (m, k) tour sums add up tour by tour
     n = x.shape[0]
     if marks is None:
         centered = x - x.mean(axis=0)
@@ -156,14 +147,8 @@ def rs_long_run_cov(series, marks) -> np.ndarray:
     if bounds.size < 2:
         raise InsufficientRegenerationError("fewer than two regeneration marks")
     lengths = np.diff(bounds).astype(float)
-    # tour t sums rows bounds[t]..ends[t]; the first tour starts at row 0
-    ends = bounds[1:] - 1
-    csum = np.cumsum(x, axis=0)
-    sums = csum[ends]
-    sums[1:] -= csum[ends[:-1]]
-    del csum
+    sums = _tour_sums(x, bounds)
     total_t = lengths.sum()
     gbar = sums.sum(axis=0) / total_t
     sums -= lengths[:, None] * gbar
     return (sums.T @ sums) / total_t
-

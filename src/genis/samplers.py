@@ -1,7 +1,9 @@
 """Chain containers, samplers, and chain persistence.
 
-Chains are either iid draws or Markov chains from an independence
-Metropolis-Hastings kernel.  The MH samplers can record regeneration
+Chains are iid draws (`sample_t_iid`) or Markov chains from an
+independence Metropolis-Hastings kernel: `independence_mh` targets any
+density with a Student-t proposal, and `discrete_mh` targets a finite
+table with a uniform proposal.  Both MH samplers can record regeneration
 times via retrospective splitting: for an independence chain with
 importance ratio omega(x) = target(x)/proposal(x) and splitting constant
 c, an accepted move x -> y is a regeneration with probability
@@ -24,11 +26,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .densities import UnnormalizedDensity, t_density, t_label, t_log_density
+from .densities import UnnormalizedDensity, t_label, t_log_density
 from .errors import InvalidModelError
 
 CHAIN_KINDS = ("iid", "markov")
@@ -114,6 +115,8 @@ def sample_t_iid(
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     states = mu + rng.standard_t(float(df), size=int(n))
+    if not np.isfinite(states).all():  # standard_t overflows for a tiny df
+        raise InvalidModelError(f"t{df:g} draws overflow to a non-finite state")
     return ChainSample(
         density_id=t_label(df, mu) if density_id is None else density_id,
         states=states,
@@ -195,14 +198,15 @@ def _run_imh(
 
 def independence_mh(
     target: UnnormalizedDensity,
-    proposal_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    proposal_log_density: Callable[[np.ndarray], np.ndarray],
+    proposal_df: float,
+    proposal_mu: float,
     n: int,
     seed: int,
     with_regen: bool = False,
     splitting_const: float | None = None,
 ) -> ChainSample:
-    """Independence Metropolis-Hastings chain of length n targeting `target`.
+    """Independence MH chain of length n targeting `target`, with a
+    Student-t proposal of proposal_df degrees of freedom at proposal_mu.
 
     The initial state is the first proposal draw with positive target
     mass.  With with_regen=True, regeneration times from retrospective
@@ -213,21 +217,19 @@ def independence_mh(
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
+    df = float(proposal_df)
+    mu = float(proposal_mu)
     if with_regen and splitting_const is None:
         splitting_const = tune_splitting_constant(
-            target,
-            proposal_sampler,
-            proposal_log_density,
-            pilot_n=min(2000, max(100, n)),
-            seed=derive_seed(seed, 0x5147),
+            target, df, mu, min(2000, max(100, n)), derive_seed(seed, 0x5147)
         )
     log_c = None if splitting_const is None else log_splitting_const(splitting_const)
 
     rng = np.random.default_rng(seed)
-    proposals = np.asarray(proposal_sampler(rng, n), dtype=float)
-    if proposals.shape != (n,):
-        raise InvalidModelError("proposal_sampler must return n draws")
-    log_q = np.asarray(proposal_log_density(proposals), dtype=float)
+    proposals = mu + rng.standard_t(df, size=n)
+    # a tiny df overflows standard_t or the square in q, where q vanishes
+    with np.errstate(over="ignore"):
+        log_q = t_log_density(df, mu, proposals)
     if np.any(np.isneginf(log_q)) or np.any(np.isnan(log_q)):
         raise InvalidModelError("proposal density vanished at its own draw")
     log_omega = target.log_density(proposals) - log_q
@@ -253,56 +255,16 @@ def log_splitting_const(splitting_const: float) -> float:
 
 def tune_splitting_constant(
     target: UnnormalizedDensity,
-    proposal_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    proposal_log_density: Callable[[np.ndarray], np.ndarray],
+    proposal_df: float,
+    proposal_mu: float,
     pilot_n: int = 2000,
     seed: int = 0,
 ) -> float:
     """Splitting constant: median of omega over a pilot chain's states."""
-    pilot = independence_mh(
-        target, proposal_sampler, proposal_log_density, pilot_n, seed
-    )
-    log_omega = target.log_density(pilot.states) - np.asarray(
-        proposal_log_density(pilot.states), dtype=float
-    )
+    pilot = independence_mh(target, proposal_df, proposal_mu, pilot_n, seed)
+    log_q = t_log_density(proposal_df, proposal_mu, pilot.states)
+    log_omega = target.log_density(pilot.states) - log_q
     return float(np.exp(np.median(log_omega)))
-
-
-def t_proposal(df: float, mu: float):
-    """Sampler/log-density pair for a Student-t proposal."""
-    df = float(df)
-    mu = float(mu)
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return mu + rng.standard_t(df, size=size)
-
-    def log_density(x) -> np.ndarray:
-        return t_log_density(df, mu, x)
-
-    return sampler, log_density
-
-
-def sample_t_imh(
-    df: float,
-    mu: float,
-    proposal_df: float,
-    proposal_mu: float,
-    n: int,
-    seed: int,
-    with_regen: bool = False,
-    splitting_const: float | None = None,
-) -> ChainSample:
-    """Independence MH chain for a Student-t target with a Student-t proposal."""
-    sampler, log_density = t_proposal(proposal_df, proposal_mu)
-    return independence_mh(
-        t_density(df, mu),
-        sampler,
-        log_density,
-        n,
-        seed,
-        with_regen=with_regen,
-        splitting_const=splitting_const,
-    )
 
 
 def discrete_mh(

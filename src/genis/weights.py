@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_variance
+from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_cov
 from .errors import ConvergenceError, EstimationError
 from .reverse_logistic import (
     StageWeights,
@@ -46,7 +46,9 @@ def _floored(a: np.ndarray, floor: float) -> np.ndarray:
 def inv_dist_weights(
     mu: float, ref_locations, n_per_chain, floor: float = WEIGHT_FLOOR
 ) -> np.ndarray:
-    """Weights proportional to n_l / |mu - mu_l|; one-hot on exact match."""
+    """Weights proportional to n_l / |mu - mu_l|, floored; one-hot on an
+    exact match, so a target at a reference's location takes its estimate
+    from that reference's chain alone."""
     locs = np.asarray(ref_locations, dtype=float)
     n_per = np.asarray(n_per_chain, dtype=float)
     if locs.shape != n_per.shape:
@@ -85,7 +87,7 @@ def effective_sample_size(
     s2 = float(np.var(x, ddof=1))
     if s2 == 0.0:
         return float(n)
-    lrv = bm_variance(x, block_size(n, bm_spec))
+    lrv = float(bm_cov([x], block_size(n, bm_spec))[0, 0])
     if lrv <= 0.0:
         return float(n)
     return float(min(n * s2 / lrv, n))

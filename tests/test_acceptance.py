@@ -21,14 +21,14 @@ from genis.pipeline import (
     run_replications,
     run_two_stage,
 )
-from genis.regen import collect_tours
+from genis.regen import split_tours
 from genis.reverse_logistic import (
     _deflated_info_pinv,
     fit_reverse_logistic,
     info_matrix,
     naive_stage_weights,
 )
-from genis.samplers import SampleSet, sample_t_iid, sample_t_imh
+from genis.samplers import SampleSet, independence_mh, sample_t_iid
 
 from conftest import (
     constant,
@@ -249,7 +249,7 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
 
     chains = (
         sample_t_iid(5, 1.0, 4000, seed=101),
-        sample_t_imh(5, 0.0, 5, 1.0, 4000, seed=102, with_regen=True),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 4000, seed=102, with_regen=True),
     )
     samples = SampleSet(chains=chains)
     zeta = fit_reverse_logistic(samples, toy_refs)
@@ -338,11 +338,11 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
     w2 = np.array([0.6, 0.55])
     chains2 = (
         sample_t_iid(5, 1.0, 3000, seed=41),
-        sample_t_imh(5, 0.0, 5, 1.0, 3000, seed=42, with_regen=True),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 3000, seed=42, with_regen=True),
     )
     s2 = SampleSet(chains=chains2, stage=2)
     tgt = t_density(5, 0.5)
-    tours = collect_tours(s2, toy_refs, tgt, w2, f=IDENTITY)
+    tours = split_tours(s2, toy_refs, tgt, w2, f=IDENTITY)
     a_eq = w2 * np.concatenate(([1.0], d_hat))
     gis = stage2_row(covered_prefix(s2), tgt, toy_refs, a_eq, d_hat, f=IDENTITY)
     u_gis, eta_gis = gis.u_hat, gis.eta_hat

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genis.batch_means import (
-    BatchMeansSpec,
-    block_size,
-    bm_cov,
-    bm_cov_columns,
-    bm_variance,
-)
+from genis.batch_means import BatchMeansSpec, block_size, bm_cov
 from genis.errors import InsufficientDataError
+
+
+def _variance(x, b):
+    return float(bm_cov([x], b)[0, 0])
 
 
 def test_block_size_default_rule():
@@ -53,7 +51,7 @@ def test_iid_long_run_variance_replications():
     n = 100_000
     b = block_size(n, BatchMeansSpec())
     for _ in range(reps):
-        est = bm_variance(rng.standard_normal(n), b)
+        est = _variance(rng.standard_normal(n), b)
         hits += 0.85 <= est <= 1.15
     assert hits / reps >= 0.90
 
@@ -70,7 +68,7 @@ def test_ar1_long_run_variance():
     for i in range(1, n):
         x[i] = phi * x[i - 1] + innov[i]
     truth = 1.0 / (1.0 - phi) ** 2
-    est = bm_variance(x, block_size(n, BatchMeansSpec()))
+    est = _variance(x, block_size(n, BatchMeansSpec()))
     assert est == pytest.approx(truth, rel=0.15)
 
 
@@ -79,7 +77,7 @@ def test_trailing_remainder_dropped():
     x = np.arange(10, dtype=float)
     y = x.copy()
     y[9] = 1e6
-    assert bm_variance(x, 3) == bm_variance(y, 3)
+    assert _variance(x, 3) == _variance(y, 3)
 
 
 def test_vector_and_scalar_paths_agree_bitwise():
@@ -88,8 +86,8 @@ def test_vector_and_scalar_paths_agree_bitwise():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(500)
     b = 22
-    v = bm_variance(x, b)
-    c = bm_cov(np.column_stack([x, x]), b)
+    v = _variance(x, b)
+    c = bm_cov(np.vstack([x, x]), b)
     assert c[0, 0] == v
     assert c[0, 1] == v
     assert c[1, 0] == v
@@ -99,7 +97,7 @@ def test_vector_and_scalar_paths_agree_bitwise():
 def test_cov_shape_and_symmetry():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((300, 3))
-    c = bm_cov(mat, 17)
+    c = bm_cov(mat.T, 17)
     assert c.shape == (3, 3)
     np.testing.assert_array_equal(c, c.T)
 
@@ -107,7 +105,7 @@ def test_cov_shape_and_symmetry():
 def test_noncontiguous_input_same_answer():
     rng = np.random.default_rng(5)
     wide = rng.standard_normal((400, 6))
-    view = wide[:, ::3]
+    view = wide[:, ::3].T  # rows strided in memory
     np.testing.assert_array_equal(bm_cov(view, 20), bm_cov(view.copy(), 20))
 
 
@@ -120,28 +118,31 @@ def test_noncontiguous_input_same_answer():
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_columns_equal_column_stack_bitwise(seed, n, p, b, stride):
-    """Batch means over 1-d columns equal bm_cov of the stacked matrix bit
-    for bit, with remainder rows (n not a multiple of b) and strided views."""
+    """Batch means over a sequence of 1-d rows equal bm_cov of the stacked
+    (p, n) matrix bit for bit, with remainder points (n not a multiple of
+    b) and strided views."""
     b = min(b, n // 2)
     rng = np.random.default_rng(seed)
     wide = rng.standard_normal((n * stride, p * stride)) * rng.uniform(0.1, 1e3)
     cols = [wide[::stride, j * stride] for j in range(p)]  # strided when stride > 1
-    got = bm_cov_columns(cols, b)
-    np.testing.assert_array_equal(got, bm_cov(np.column_stack(cols), b))
-    np.testing.assert_array_equal(got, bm_cov(wide[::stride, ::stride], b))
+    got = bm_cov(cols, b)
+    np.testing.assert_array_equal(got, bm_cov(np.vstack(cols), b))
+    np.testing.assert_array_equal(got, bm_cov(wide[::stride, ::stride].T, b))
     for j in range(p):
-        assert got[j, j] == bm_variance(np.ascontiguousarray(cols[j]), b)
+        assert got[j, j] == _variance(np.ascontiguousarray(cols[j]), b)
 
 
 def test_columns_validation():
     with pytest.raises(ValueError):
-        bm_cov_columns([np.zeros(10), np.zeros(9)], 2)
+        bm_cov([np.zeros(10), np.zeros(9)], 2)
     with pytest.raises(ValueError):
-        bm_cov_columns([np.zeros((10, 2))], 2)
+        bm_cov([np.zeros((10, 2))], 2)
     with pytest.raises(ValueError):
-        bm_cov_columns([], 2)
+        bm_cov([], 2)
+    with pytest.raises(ValueError):
+        bm_cov(np.zeros(10), 2)  # a 1-d array is not a sequence of rows
     with pytest.raises(InsufficientDataError):
-        bm_cov_columns([np.zeros(10)], 6)
+        bm_cov([np.zeros(10)], 6)
 
 
 @given(
@@ -153,7 +154,7 @@ def test_columns_validation():
 def test_cov_psd(seed, n, p):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, p))
-    c = bm_cov(mat, block_size(n, BatchMeansSpec()))
+    c = bm_cov(mat.T, block_size(n, BatchMeansSpec()))
     eigs = np.linalg.eigvalsh(c)
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
@@ -168,11 +169,11 @@ def test_affine_equivariance(seed, shift, scale):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(240)
     b = 15
-    base = bm_variance(x, b)
-    assert bm_variance(scale * x + shift, b) == pytest.approx(
+    base = _variance(x, b)
+    assert _variance(scale * x + shift, b) == pytest.approx(
         scale**2 * base, rel=1e-9, abs=1e-12
     )
 
 
 def test_constant_series_gives_zero():
-    assert bm_variance(np.full(100, 3.7), 10) == pytest.approx(0.0, abs=1e-20)
+    assert _variance(np.full(100, 3.7), 10) == pytest.approx(0.0, abs=1e-20)

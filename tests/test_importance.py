@@ -24,7 +24,7 @@ from genis.importance import (
 )
 from genis.pipeline import config_from_json, run_two_stage
 from genis.reverse_logistic import estimate_ratios
-from genis.samplers import ChainSample, SampleSet, sample_t_iid, sample_t_imh
+from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
 
 from conftest import (
     TABLE_1,
@@ -398,13 +398,13 @@ def test_family_toy_grid_hits_truth(toy_refs):
     n = 20_000
     chains = (
         sample_t_iid(5, 1.0, n, seed=301),
-        sample_t_imh(5, 0.0, 5, 1.0, n, seed=302),
+        independence_mh(t_density(5, 0.0), 5, 1.0, n, seed=302),
     )
     stage1 = SampleSet(chains=chains, stage=1)
     fit = estimate_ratios(stage1, toy_refs)
     chains2 = (
         sample_t_iid(5, 1.0, 2000, seed=303),
-        sample_t_imh(5, 0.0, 5, 1.0, 2000, seed=304),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 2000, seed=304),
     )
     stage2 = SampleSet(chains=chains2, stage=2)
     family = t_family(5, [round(0.1 * i, 1) for i in range(11)])

@@ -349,16 +349,25 @@ def test_run_two_stage_single_reference_snis():
 
 @pytest.mark.parametrize("kind", ["fixed", "inv_dist", "ess"])
 def test_stage2_weight_kinds_run(kind):
+    """Every stage-2 weight kind runs on a grid that includes the reference
+    locations 0 and 1, where inv_dist and ess put all weight on one chain
+    (the zero weight was once rejected by the mixture)."""
     raw = toy_config()
     weights = {"kind": kind}
     if kind == "fixed":
         weights["values"] = [0.6, 0.4]
     raw["stage2"] = {"sizes": [300, 300], "weights": weights}
     raw["stage1"]["sizes"] = [1200, 1200]
+    raw["targets"]["mu_grid"] = [0.0, 0.5, 1.0]
     result = run_two_stage(config_from_dict(raw))
-    row = result.target_results[0]
-    assert np.isfinite(row.u_hat) and np.isfinite(row.eta_hat)
-    assert row.se_u > 0
+    for row in result.target_results:
+        assert row.flags == ()
+        assert np.isfinite(row.u_hat) and np.isfinite(row.eta_hat)
+        assert np.isfinite(row.se_u) and np.isfinite(row.se_eta)
+    assert result.target_results[1].se_u > 0
+    if kind != "fixed":
+        # the target is the first reference and takes only its chain: u = 1
+        assert result.target_results[2].u_hat == 1.0
 
 
 def test_stage1_pilot_weights_run():
@@ -739,6 +748,10 @@ BAD_MODEL_VALUES = [
     (toy_config, (), "tail_guard", -1, "config: tail_guard "),
     (toy_config, (), "tail_guard", 0.5, "config: tail_guard "),
     (toy_config, (), "tail_guard", 1, "config: tail_guard "),
+    (toy_config, (), "stage2", {"sizes": [3, 3], "weights": {"kind": "ess"}},
+     "stage2.weights: ess weights need at least 4 draws per chain"),
+    (toy_config, ("references",), 1, {"family": "table", "sampler": "mh", "table": [1, 2]},
+     "config: references must be all t or all table densities"),
 ]
 
 
@@ -750,11 +763,12 @@ BAD_MODEL_VALUES = [
 def test_cli_bad_model_values_are_config_errors(
     tmp_path, capsys, base, block, key, value, message
 ):
-    """Values a density, sampler or batch-means constructor rejects, and a
-    tail guard of 1 or less, exit 2 with a message naming the field, not
-    with a traceback (exit 1), a run that flags every target row (the
-    largest weight is never below the mean) or, for an infinite splitting
-    constant, a chain without regenerations (exit 4)."""
+    """Values a density, sampler or batch-means constructor rejects, a
+    tail guard of 1 or less, and ess weights on chains too short for batch
+    means exit 2 with a message naming the field, not with a traceback
+    (exit 1), a run that flags every target row (the largest weight is
+    never below the mean) or, for an infinite splitting constant, a chain
+    without regenerations (exit 4)."""
     raw = base()
     edited = raw
     for part in block:
@@ -901,12 +915,97 @@ def test_cli_exit_code_estimation_failure(tmp_path, capsys, monkeypatch):
 
 
 TOY_JSON = Path(__file__).parents[1] / "configs" / "toy.json"
+ORACLE_JSON = Path(__file__).parents[1] / "configs" / "oracle.json"
 
 
 def _toy_json(**overrides) -> dict:
     raw = json.loads(TOY_JSON.read_text())
     raw.update(overrides)
     return raw
+
+
+@pytest.mark.parametrize("kind", ["inv_dist", "ess"])
+def test_cli_coincident_location_weights_run(tmp_path, kind):
+    """configs/toy.json's grid holds the reference locations 0 and 1; with
+    inv_dist or ess stage-2 weights the run once exited 1 with a ValueError
+    from the mixture."""
+    raw = _toy_json(stage1={"sizes": [2000, 2000]})
+    raw["stage2"] = {"sizes": [1000, 1000], "weights": {"kind": kind}}
+    config = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert cli_main(["estimate", "--config", config, "--out", str(out)]) == 0
+    with open(out / "targets.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["flags"] for r in rows] == [""] * 5
+    assert rows[-1]["target_label"] == "t5_mu1" and float(rows[-1]["u_hat"]) == 1.0
+
+
+def _oracle_json(refs=None, targets=None) -> dict:
+    raw = json.loads(ORACLE_JSON.read_text())
+    raw.update(stage1={"sizes": [2000, 2000]}, stage2={"sizes": [500, 500]})
+    for ref, table in zip(raw["references"], refs or ()):
+        if table is not None:
+            ref["table"] = table
+    if targets is not None:
+        raw["targets"]["tables"] = targets
+    return raw
+
+
+TABLE_MISMATCHES = {
+    # the 5-state first reference's chain visits states the second lacks
+    "short_reference": (_oracle_json(refs=[None, [2.0, 1.0, 1.0]]),
+                        "config: tables must have one length, up to trailing zeros"),
+    # once exit 0 with u_hat 0.87 against the exact 7/6: no reference
+    # reaches states 5 and 6
+    "wide_target": (_oracle_json(targets=[[1.5, 1.5, 1.0, 2.0, 1.0, 1.0, 1.0]]),
+                    "config: tables must have one length, up to trailing zeros"),
+    "target_mass_off_support": (
+        _oracle_json(refs=[[1.0, 0.0, 0.5, 1.5, 1.0], [2.0, 0.0, 1.0, 0.5, 2.5]]),
+        "targets.tables[0]: states [1] have mass under the target but under no "
+        "reference",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_MISMATCHES))
+def test_cli_tables_share_one_state_space(tmp_path, capsys, case):
+    """Tables of different lengths, or a target with mass where every
+    reference vanishes, exit 2 when the config is read: they once exited 1
+    with a ValueError, or 0 with a wrong answer."""
+    raw, message = TABLE_MISMATCHES[case]
+    config = write_config(tmp_path, raw)
+    assert cli_main(["estimate", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    for command in ("oracle-check", "replicate"):
+        assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_tables_may_differ_by_trailing_zeros(tmp_path):
+    """A target table padded with a zero-mass state reads the same state
+    space, so the run writes the bytes of the unpadded one."""
+    outputs = []
+    for pad in ([], [0.0]):
+        raw = _oracle_json(targets=[[1.5, 1.5, 1.0, 2.0, 1.0] + pad])
+        config = write_config(tmp_path, raw)
+        out = tmp_path / f"o{len(pad)}"
+        assert cli_main(["estimate", "--config", config, "--out", str(out)]) == 0
+        outputs.append([(out / n).read_bytes() for n in ("d_estimate.csv", "targets.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("ref", [0, 1], ids=["iid", "imh"])
+def test_cli_overflowing_t_draws_are_invalid_models(tmp_path, capsys, ref):
+    """With df = 1e-3 standard_t overflows to +-inf.  An iid reference once
+    exited 1 with a ValueError from the chain container; both samplers now
+    raise InvalidModelError (exit 5)."""
+    raw = toy_config()
+    raw["references"][ref]["df"] = 1e-3
+    if ref == 1:
+        raw["references"][ref]["proposal_df"] = None  # the target's df
+    config = write_config(tmp_path, raw)
+    assert cli_main(["estimate", "--config", config, "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("estimation failed: InvalidModelError: ")
 
 
 def test_cli_overrides_are_validated_with_the_config(tmp_path, capsys):

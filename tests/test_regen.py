@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genis.densities import Integrand, discrete_table_density, t_density
 from genis.errors import InsufficientRegenerationError
 from genis.regen import (
     ChainTours,
-    collect_tours,
+    _tour_sums,
     rs_long_run_cov,
     split_tours,
     tour_boundaries,
@@ -15,8 +17,8 @@ from genis.regen import (
 from genis.samplers import (
     ChainSample,
     SampleSet,
+    independence_mh,
     sample_t_iid,
-    sample_t_imh,
 )
 
 from conftest import (
@@ -69,10 +71,21 @@ def test_boundaries_markov_needs_marks_and_two_tours():
 # -------------------------------------------------------------- tour sums
 
 
+def _toy_set(chain):
+    """`chain` in its slot of the toy_refs order (t5_mu1, t5_mu0), with a
+    short iid chain in the other slot."""
+    slots = {
+        "t5_mu1": sample_t_iid(5, 1.0, 20, seed=0),
+        "t5_mu0": sample_t_iid(5, 0.0, 20, seed=0),
+    }
+    slots[chain.density_id] = chain
+    return SampleSet(chains=(slots["t5_mu1"], slots["t5_mu0"]))
+
+
 def test_split_tours_per_draw_marks(toy_refs):
     chain = sample_t_iid(5, 1.0, 50, seed=3)
     target = t_density(5, 0.5)
-    tours = split_tours(chain, toy_refs, target, W_TRUE)
+    tours = split_tours(_toy_set(chain), toy_refs, target, W_TRUE)[0]
     assert tours.lengths.size == 50
     np.testing.assert_array_equal(tours.lengths, 1)
     # per-draw tour sums are the weights themselves
@@ -85,22 +98,54 @@ def test_split_tours_per_draw_marks(toy_refs):
 def test_split_tours_weight_mixture_gives_lengths(toy_refs):
     """When the target is the w-mixture of the references, u is one at
     every state, so each tour's weight sum equals its length."""
-    chain = sample_t_imh(
-        5, 0.0, 5, 1.0, 400, seed=4, with_regen=True, splitting_const=0.8
+    chain = independence_mh(
+        t_density(5, 0.0), 5, 1.0, 400, seed=4, with_regen=True, splitting_const=0.8
     )
     target = mixture(toy_refs, W_TRUE, id="wmix")
-    tours = split_tours(chain, toy_refs, target, W_TRUE)
+    tours = split_tours(_toy_set(chain), toy_refs, target, W_TRUE)[1]
     np.testing.assert_allclose(tours.u_sums, tours.lengths, rtol=1e-12)
     assert tours.lengths.sum() <= chain.n
 
 
 def test_split_tours_validation(toy_refs):
-    chain = sample_t_iid(5, 1.0, 10, seed=5)
+    samples = _toy_set(sample_t_iid(5, 1.0, 10, seed=5))
     target = t_density(5, 0.5)
     with pytest.raises(ValueError):
-        split_tours(chain, toy_refs, target, [0.5])
+        split_tours(samples, toy_refs, target, [0.5])
     with pytest.raises(ValueError):
-        split_tours(chain, toy_refs, target, [0.5, -0.1])
+        split_tours(samples, toy_refs, target, [0.5, -0.1])
+    with pytest.raises(ValueError, match="one chain per reference"):
+        split_tours(samples, toy_refs[:1], target, [1.0])
+    with pytest.raises(ValueError, match="chain order mismatch"):
+        split_tours(samples, toy_refs[::-1], target, W_TRUE)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=400),
+    k=st.integers(min_value=1, max_value=3),
+    density=st.sampled_from([0.05, 0.3, 1.0]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_tour_sums_equal_prefix_differences_bitwise(seed, n, k, density):
+    """The shared tour-sum routine equals, under ==, differences of the
+    zero-padded prefix sums at the tour starts, per 1-d series and per
+    column of an (n, k) view; density 1.0 gives per-draw tours."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, n)) * rng.uniform(0.1, 1e3)
+    marks = rng.random(n) < density
+    marks[0] = True
+    bounds = np.flatnonzero(marks)
+    if density == 1.0 and rng.random() < 0.5:
+        bounds = np.arange(n + 1)  # an iid chain: every draw is a complete tour
+    if bounds.size < 2:
+        bounds = np.array([0, n])
+    sums = _tour_sums(rows.T, bounds)
+    for j in range(k):
+        csum = np.concatenate(([0.0], np.cumsum(rows[j])))
+        expected = csum[bounds[1:]] - csum[bounds[:-1]]
+        assert np.array_equal(_tour_sums(rows[j], bounds), expected)
+        assert np.array_equal(sums[:, j], expected)
 
 
 def test_chain_tours_validation():
@@ -122,11 +167,11 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
     w = np.array([0.6, 0.55])
     chains = (
         sample_t_iid(5, 1.0, 3000, seed=21),
-        sample_t_imh(5, 0.0, 5, 1.0, 3000, seed=22, with_regen=True),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 3000, seed=22, with_regen=True),
     )
     samples = SampleSet(chains=chains, stage=2)
     target = t_density(5, 0.5)
-    tours = collect_tours(samples, toy_refs, target, w, f=IDENTITY)
+    tours = split_tours(samples, toy_refs, target, w, f=IDENTITY)
     a_equiv = w * np.concatenate(([1.0], d_hat))
     gis = stage2_row(
         covered_prefix(samples), target, toy_refs, a_equiv, d_hat, f=IDENTITY
@@ -139,7 +184,7 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
 def test_rs_constant_integrand_returns_constant(table_refs):
     samples = table_mh_samples(500, master_seed=41, stage=2)
     target = discrete_table_density((2.0, 2.0), id="even")
-    tours = collect_tours(samples, table_refs, target, W_TRUE, f=constant(2.5))
+    tours = split_tours(samples, table_refs, target, W_TRUE, f=constant(2.5))
     for t in tours:
         np.testing.assert_allclose(t.v_sums, 2.5 * t.u_sums, rtol=1e-13)
     assert rs_point_estimates(tours, W_TRUE, TRUE_D)[1] == pytest.approx(
@@ -149,11 +194,11 @@ def test_rs_constant_integrand_returns_constant(table_refs):
 
 def _rs_standard_errors(samples, refs, target, w, d_hat):
     """Tour estimates of u and eta (f = IDENTITY) with their regenerative
-    standard errors.  Per chain, rs_long_run_cov of the per-draw series
+    standard errors.  Per chain, rs_long_run_cov of the per-draw rows
     (f u, u) over its tours, divided by the covered length, is the
     covariance of the chain's tour ratios (sum V / sum T, sum U / sum T);
     the delta method combines the chains."""
-    tours = collect_tours(samples, refs, target, w, f=IDENTITY)
+    tours = split_tours(samples, refs, target, w, f=IDENTITY)
     u_hat, eta_hat = rs_point_estimates(tours, w, d_hat)
     coef = np.asarray(w, dtype=float) * np.concatenate(([1.0], d_hat))
     mix = mixture(refs, w)
@@ -161,7 +206,7 @@ def _rs_standard_errors(samples, refs, target, w, d_hat):
     for l, (chain, t) in enumerate(zip(samples.chains, tours)):
         x = chain.states
         u = np.exp(target.log_density(x) - mix.log_density(x))
-        gamma = rs_long_run_cov(np.column_stack((x * u, u)), chain.regen_marks)
+        gamma = rs_long_run_cov([x * u, u], chain.regen_marks)
         gamma /= t.lengths.sum()
         grad = np.array([1.0, -eta_hat])
         var_u += coef[l] ** 2 * gamma[1, 1]
@@ -182,7 +227,7 @@ def test_rs_discrete_three_se_oracle(table_refs):
 def test_rs_toy_mean_three_se(toy_refs):
     chains = (
         sample_t_iid(5, 1.0, 10_000, seed=51),
-        sample_t_imh(5, 0.0, 5, 1.0, 10_000, seed=52, with_regen=True),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 10_000, seed=52, with_regen=True),
     )
     samples = SampleSet(chains=chains, stage=2)
     target = t_density(5, 0.5)
@@ -206,7 +251,7 @@ def test_tour_permutation_invariance(table_refs):
     for chain in samples.chains:
         x = chain.states
         u = np.exp(target.log_density(x) - mix.log_density(x))
-        series = np.column_stack((x * u, u))
+        rows = np.vstack((x * u, u))
         bounds = tour_boundaries(chain)
         perm = rng.permutation(bounds.size - 1)
         # the incomplete last tour stays at the end, where it is dropped
@@ -218,8 +263,8 @@ def test_tour_permutation_invariance(table_refs):
         marks[np.cumsum(np.diff(bounds)[perm])] = True
         marks[0] = True
         np.testing.assert_allclose(
-            rs_long_run_cov(series[order], marks),
-            rs_long_run_cov(series, chain.regen_marks),
+            rs_long_run_cov(rows[:, order], marks),
+            rs_long_run_cov(rows, chain.regen_marks),
             rtol=1e-12,
         )
 
@@ -230,7 +275,7 @@ def test_tour_permutation_invariance(table_refs):
 def test_rs_long_run_cov_iid_is_sample_covariance():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((400, 2))
-    got = rs_long_run_cov(x, None)
+    got = rs_long_run_cov(x.T, None)
     centered = x - x.mean(axis=0)
     np.testing.assert_allclose(got, centered.T @ centered / 400, rtol=1e-12)
 
@@ -242,7 +287,7 @@ def test_rs_long_run_cov_per_draw_marks_matches_iid():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(300)
     marks = np.ones(300, dtype=bool)
-    got = rs_long_run_cov(x, marks)
+    got = rs_long_run_cov([x], marks)
     head = x[:-1]
     centered = head - head.mean()
     expected = np.dot(centered, centered) / head.size
@@ -250,7 +295,7 @@ def test_rs_long_run_cov_per_draw_marks_matches_iid():
 
 
 def test_rs_long_run_cov_validation():
-    x = np.arange(10.0)
+    x = [np.arange(10.0)]
     with pytest.raises(ValueError):
         rs_long_run_cov(x, np.ones(9, dtype=bool))
     bad = np.ones(10, dtype=bool)
@@ -261,17 +306,19 @@ def test_rs_long_run_cov_validation():
     lonely[0] = True
     with pytest.raises(InsufficientRegenerationError):
         rs_long_run_cov(x, lonely)
+    with pytest.raises(ValueError):
+        rs_long_run_cov(np.arange(10.0), None)  # a 1-d array is not a row list
 
 
 def test_rs_long_run_cov_agrees_with_batch_means():
     """On a genuinely regenerating chain the tour-based and batch-means
     long-run variance estimates describe the same limit; they come from
     disjoint code paths, so agreement is a real cross-check."""
-    from genis.batch_means import block_size, bm_variance
+    from genis.batch_means import block_size, bm_cov
 
-    chain = sample_t_imh(5, 0.0, 5, 1.0, 50_000, seed=61, with_regen=True)
+    chain = independence_mh(t_density(5, 0.0), 5, 1.0, 50_000, seed=61, with_regen=True)
     series = 1.0 / (1.0 + chain.states**2)
-    rs = rs_long_run_cov(series, chain.regen_marks)[0, 0]
-    bm = bm_variance(series, block_size(series.size))
+    rs = rs_long_run_cov([series], chain.regen_marks)[0, 0]
+    bm = bm_cov([series], block_size(series.size))[0, 0]
     assert rs == pytest.approx(bm, rel=0.30)
     assert rs > 0.0

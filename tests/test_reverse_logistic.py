@@ -37,8 +37,8 @@ from genis.samplers import (
     SampleSet,
     derive_seed,
     discrete_mh,
+    independence_mh,
     sample_t_iid,
-    sample_t_imh,
 )
 
 from conftest import (
@@ -568,7 +568,7 @@ def test_stage1_memory_peak(toy_refs):
     def pair(n):
         return SampleSet(chains=(
             sample_t_iid(5, 1.0, n, seed=11),
-            sample_t_imh(5, 0.0, 5, 1.0, n, seed=12, with_regen=True),
+            independence_mh(t_density(5, 0.0), 5, 1.0, n, seed=12, with_regen=True),
         ))
 
     n = 100_000
@@ -583,7 +583,7 @@ def test_estimate_ratios_toy_pair(toy_refs):
     n = 20_000
     chains = (
         sample_t_iid(5, 1.0, n, seed=11),
-        sample_t_imh(5, 0.0, 5, 1.0, n, seed=12),
+        independence_mh(t_density(5, 0.0), 5, 1.0, n, seed=12),
     )
     samples = SampleSet(chains=chains)
     est = estimate_ratios(samples, toy_refs)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genis.densities import UnnormalizedDensity, discrete_table_density, t_density
+from genis.densities import (
+    UnnormalizedDensity,
+    discrete_table_density,
+    t_density,
+    t_log_density,
+)
 from genis.errors import InvalidModelError
 from genis.samplers import (
     ChainSample,
@@ -19,9 +24,7 @@ from genis.samplers import (
     independence_mh,
     load_chain,
     sample_t_iid,
-    sample_t_imh,
     save_chain,
-    t_proposal,
     tune_splitting_constant,
 )
 
@@ -85,22 +88,21 @@ def test_imh_target_equals_proposal_accepts_everything():
     """When the importance ratio is constant every proposal is accepted and,
     with splitting constant 1, every accepted move regenerates: the chain is
     iid with one-draw tours."""
-    sampler, logq = t_proposal(5, 0.0)
     chain = independence_mh(
-        t_density(5, 0.0), sampler, logq, 500, seed=9,
+        t_density(5, 0.0), 5, 0.0, 500, seed=9,
         with_regen=True, splitting_const=1.0,
     )
     rng = np.random.default_rng(9)
-    proposals = sampler(rng, 500)
+    proposals = 0.0 + rng.standard_t(5.0, size=500)
     assert np.array_equal(chain.states, proposals)
     assert chain.regen_marks.all()
 
 
 def test_imh_trajectory_unchanged_by_regen_marking():
     """Turning regeneration marking on must not perturb the visited states."""
-    plain = sample_t_imh(5, 0.0, 5, 1.0, 4000, seed=31)
-    marked = sample_t_imh(
-        5, 0.0, 5, 1.0, 4000, seed=31, with_regen=True, splitting_const=0.8
+    plain = independence_mh(t_density(5, 0.0), 5, 1.0, 4000, seed=31)
+    marked = independence_mh(
+        t_density(5, 0.0), 5, 1.0, 4000, seed=31, with_regen=True, splitting_const=0.8
     )
     assert np.array_equal(plain.states, marked.states)
     assert plain.regen_marks is None
@@ -110,7 +112,7 @@ def test_imh_trajectory_unchanged_by_regen_marking():
 
 def test_imh_empirical_law():
     n = 200_000
-    chain = sample_t_imh(5, 0.0, 5, 1.0, n, seed=117)
+    chain = independence_mh(t_density(5, 0.0), 5, 1.0, n, seed=117)
     x = chain.states
     assert chain.kind == "markov"
     assert abs(x.mean()) < 0.05
@@ -122,30 +124,22 @@ def test_imh_mean_tour_length_is_moderate():
     """The shifted-t proposal pair regenerates every couple of steps when the
     splitting constant is tuned from a pilot median."""
     n = 20_000
-    chain = sample_t_imh(5, 0.0, 5, 1.0, n, seed=55, with_regen=True)
+    chain = independence_mh(t_density(5, 0.0), 5, 1.0, n, seed=55, with_regen=True)
     tours = int(chain.regen_marks.sum())
     assert 2.0 <= n / tours <= 4.0
 
 
 def test_imh_rejects_vanishing_proposal_density():
-    sampler = lambda rng, size: np.full(size, 2.0)
-    logq = lambda x: np.where(np.asarray(x) < 1.0, 0.0, -np.inf)
+    """With a tiny proposal df standard_t overflows to +-inf, where the
+    proposal density vanishes at its own draw."""
     with pytest.raises(InvalidModelError):
-        independence_mh(t_density(5, 0.0), sampler, logq, 50, seed=3)
-
-
-def test_imh_rejects_wrong_proposal_shape():
-    sampler = lambda rng, size: np.zeros(size + 1)
-    _, logq = t_proposal(5, 0.0)
-    with pytest.raises(InvalidModelError):
-        independence_mh(t_density(5, 0.0), sampler, logq, 50, seed=3)
+        independence_mh(t_density(5, 0.0), 1e-3, 0.0, 50, seed=3)
 
 
 def test_imh_rejects_nonpositive_splitting_constant():
-    sampler, logq = t_proposal(5, 1.0)
     with pytest.raises(ValueError):
         independence_mh(
-            t_density(5, 0.0), sampler, logq, 50, seed=3,
+            t_density(5, 0.0), 5, 1.0, 50, seed=3,
             with_regen=True, splitting_const=0.0,
         )
 
@@ -153,11 +147,10 @@ def test_imh_rejects_nonpositive_splitting_constant():
 def test_tuned_splitting_constant_is_near_median_omega():
     """For this pair omega(x) = nu_target(x)/q(x); the tuned constant should
     sit inside the central range of omega over target draws."""
-    sampler, logq = t_proposal(5, 1.0)
     target = t_density(5, 0.0)
-    c = tune_splitting_constant(target, sampler, logq, pilot_n=4000, seed=12)
+    c = tune_splitting_constant(target, 5, 1.0, pilot_n=4000, seed=12)
     draws = sample_t_iid(5, 0.0, 4000, seed=99).states
-    omega = np.exp(target.log_density(draws) - logq(draws))
+    omega = np.exp(target.log_density(draws) - t_log_density(5, 1.0, draws))
     lo, hi = np.quantile(omega, [0.2, 0.8])
     assert lo <= c <= hi
 
@@ -204,7 +197,7 @@ def test_chain_with_mass_at_first_proposal_is_unchanged():
     assert chain.regen_marks.tolist() == [
         bool(m) for m in (1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1)
     ]
-    chain = sample_t_imh(5, 0.0, 5, 1.0, 8, seed=3, with_regen=True)
+    chain = independence_mh(t_density(5, 0.0), 5, 1.0, 8, seed=3, with_regen=True)
     assert chain.states.tolist() == [
         3.6949725713300245, 0.4205159706211773, 0.5994047256050916,
         0.5819088280756706, -0.30242479418593016, 0.8091100117027787,
@@ -222,9 +215,8 @@ def test_no_proposal_with_mass_is_an_invalid_model():
     far = UnnormalizedDensity(
         "far", lambda x: np.where(np.asarray(x) > 1e6, 0.0, -np.inf)
     )
-    sampler, log_q = t_proposal(5, 0.0)
     with pytest.raises(InvalidModelError):
-        independence_mh(far, sampler, log_q, 50, seed=2)
+        independence_mh(far, 5, 0.0, 50, seed=2)
 
 
 # ------------------------------------------------ the IMH recursion itself
@@ -366,7 +358,7 @@ FROZEN_T_CHAINS = {
 
 @pytest.mark.parametrize("seed", sorted(FROZEN_T_CHAINS))
 def test_t_chain_matches_frozen_digest(seed):
-    chain = sample_t_imh(5, 0, 5, 1, 100_000, seed, with_regen=True)
+    chain = independence_mh(t_density(5, 0), 5, 1, 100_000, seed, with_regen=True)
     assert (_sha(chain.states.astype("<f8")), _sha(chain.regen_marks)) == (
         FROZEN_T_CHAINS[seed]
     )
@@ -378,8 +370,11 @@ def test_marked_imh_chain_memory_peak():
     bound leaves 26% headroom; the recursion over Python list copies of
     log omega and log u peaked at 18.2 (14.6 MB)."""
     n = 100_000
-    sample_t_imh(5, 0, 5, 1, 1000, 1, with_regen=True)  # first-call imports
-    chain, peak = traced_peak(lambda: sample_t_imh(5, 0, 5, 1, n, 1, with_regen=True))
+    target = t_density(5, 0)
+    independence_mh(target, 5, 1, 1000, 1, with_regen=True)  # first-call imports
+    chain, peak = traced_peak(
+        lambda: independence_mh(target, 5, 1, n, 1, with_regen=True)
+    )
     assert chain.n == n
     assert peak < 9 * 8 * n
 
@@ -441,8 +436,8 @@ def test_sample_set_rejects_duplicate_ids_and_bad_stage():
 
 
 def test_save_load_roundtrip_bitwise(tmp_path):
-    chain = sample_t_imh(
-        5, 0.0, 5, 1.0, 300, seed=8, with_regen=True, splitting_const=0.9
+    chain = independence_mh(
+        t_density(5, 0.0), 5, 1.0, 300, seed=8, with_regen=True, splitting_const=0.9
     )
     path = tmp_path / "chain.txt"
     save_chain(chain, path)

@@ -9,7 +9,7 @@ from genis import reverse_logistic, weights
 from genis.densities import discrete_table_density, t_density
 from genis.errors import ConvergenceError
 from genis.reverse_logistic import StageWeights, estimate_ratios
-from genis.samplers import ChainSample, SampleSet, sample_t_iid, sample_t_imh
+from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
 from genis.weights import (
     effective_sample_size,
     ess_inv_dist_weights,
@@ -149,7 +149,7 @@ def test_simplex_grid_covers_and_validates():
 def test_pilot_single_point_grid(toy_refs):
     chains = (
         sample_t_iid(5, 1.0, 400, seed=1),
-        sample_t_imh(5, 0.0, 5, 1.0, 400, seed=2),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 400, seed=2),
     )
     pilot = SampleSet(chains=chains)
     point = np.array([0.6, 0.4])
@@ -179,7 +179,7 @@ def test_pilot_tie_break_prefers_naive():
 def test_pilot_selected_trace_is_minimal(toy_refs):
     chains = (
         sample_t_iid(5, 1.0, 600, seed=3),
-        sample_t_imh(5, 0.0, 5, 1.0, 600, seed=4),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 600, seed=4),
     )
     pilot = SampleSet(chains=chains)
     best, diag = pilot_optimal_weights(pilot, toy_refs, step=0.2)
@@ -197,7 +197,7 @@ def test_pilot_prefers_tilted_weights_on_the_asymmetric_pair(toy_refs):
     for s in seeds:
         chains = (
             sample_t_iid(5, 1.0, 1000, seed=100 + s),
-            sample_t_imh(5, 0.0, 5, 1.0, 1000, seed=200 + s),
+            independence_mh(t_density(5, 0.0), 5, 1.0, 1000, seed=200 + s),
         )
         pilot = SampleSet(chains=chains)
         best, _ = pilot_optimal_weights(pilot, toy_refs, grid=grid)
@@ -246,7 +246,7 @@ def _three_t_pilot():
 def _toy_pilot():
     chains = (
         sample_t_iid(5, 1.0, 1000, seed=31),
-        sample_t_imh(5, 0.0, 5, 1.0, 1000, seed=32),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 1000, seed=32),
     )
     return SampleSet(chains=chains), [t_density(5, 1.0), t_density(5, 0.0)]
 
