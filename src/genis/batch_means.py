@@ -37,13 +37,14 @@ class BatchMeansSpec:
 
 
 DEFAULT_BM_SPEC = BatchMeansSpec()
+MIN_DRAWS = 4  # the fewest draws that give two blocks of two
 
 
 def block_size(n: int, spec: BatchMeansSpec = DEFAULT_BM_SPEC) -> int:
     """Block length for a series of length n, clamped so floor(n/b) >= 2."""
     n = int(n)
-    if n < 4:
-        raise InsufficientDataError(f"batch means needs n >= 4, got {n}")
+    if n < MIN_DRAWS:
+        raise InsufficientDataError(f"batch means needs n >= {MIN_DRAWS}, got {n}")
     if spec.explicit_b is not None:
         b = int(spec.explicit_b)
     else:

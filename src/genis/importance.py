@@ -71,13 +71,7 @@ class _Context:
         d_hat,
         f: Integrand | None,
     ):
-        if len(samples.chains) != len(references):
-            raise ValueError("one chain per reference density required")
-        for chain, ref in zip(samples.chains, references):
-            if chain.density_id != ref.id:
-                raise ValueError(
-                    f"chain order mismatch: {chain.density_id!r} vs {ref.id!r}"
-                )
+        samples.check_aligned(references)
         d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
         if d_hat.shape != (len(references) - 1,):
             raise ValueError("d_hat must have one ratio per non-first reference")
@@ -221,15 +215,16 @@ def estimate_family(
 
     a is a fixed weight vector shared by all targets; a_per_target
     overrides it with one vector per target (for distance- or ESS-based
-    strategies).  A weight may be zero, as distance-based weights are for
-    a target at a reference's location; that chain then does not enter
-    the target's estimate.  A target whose evaluation fails is reported
+    strategies); one of the two must be given.  A weight may be zero, as
+    distance-based weights are for a target at a reference's location;
+    that chain then does not enter the target's estimate.  A target whose evaluation fails is reported
     with NaN estimates and an error flag instead of aborting the run.
     """
     k = len(references)
     if a_per_target is None:
-        base = np.full(k, 1.0 / k) if a is None else np.asarray(a, dtype=float)
-        a_list = [base] * len(family)
+        if a is None:
+            raise ValueError("estimate_family needs a or a_per_target")
+        a_list = [np.asarray(a, dtype=float)] * len(family)
     else:
         if len(a_per_target) != len(family):
             raise ValueError("a_per_target must have one weight vector per target")

@@ -24,7 +24,7 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec
+from .batch_means import DEFAULT_BM_SPEC, MIN_DRAWS, BatchMeansSpec
 from .densities import (
     Integrand,
     TargetFamily,
@@ -33,6 +33,7 @@ from .densities import (
     identity_integrand,
     t_density,
     t_family,
+    t_label,
 )
 from .errors import ConfigError, EstimationError
 from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
@@ -62,6 +63,7 @@ from .weights import (
 )
 
 Z_95 = 1.959963984540054  # standard normal 0.975 quantile
+ORACLE_Z = 3.0  # the oracle check fails when some |z| exceeds this
 
 STAGE1_TAG = 1
 STAGE2_TAG = 2
@@ -282,8 +284,8 @@ def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses)
         _require(len(w.pilot_sizes) == k and all(x > 0 for x in w.pilot_sizes),
                  f"{where}.weights: pilot_sizes must list one positive size per reference")
     if w.kind == "ess":
-        _require(all(x >= 4 for x in stage.sizes),
-                 f"{where}.weights: ess weights need at least 4 draws per chain")
+        _require(all(x >= MIN_DRAWS for x in stage.sizes),
+                 f"{where}.weights: ess weights need at least {MIN_DRAWS} draws per chain")
     if w.kind in ("inv_dist", "ess"):
         _require(all(r.family == "t" for r in cfg.references),
                  "inv_dist/ess weights need t references with locations")
@@ -386,7 +388,7 @@ def _ref_label(ref: ReferenceConfig, index: int) -> str:
     if ref.label is not None:
         return ref.label
     if ref.family == "t":
-        return f"t{ref.df:g}_mu{ref.mu:g}"
+        return t_label(ref.df, ref.mu)
     return f"table{index}"
 
 
@@ -405,15 +407,10 @@ def build_family(cfg: ExperimentConfig) -> TargetFamily:
     _require(cfg.targets is not None, "config has no targets")
     t = cfg.targets
     if t.family == "t":
-        targets = tuple(
-            t_density(t.df, mu, id=f"t{t.df:g}_mu{mu:g}") for mu in t.mu_grid
-        )
-    else:
-        targets = tuple(
-            discrete_table_density(tab, id=f"target{i}")
-            for i, tab in enumerate(t.tables)
-        )
-    return TargetFamily(targets)
+        return t_family(t.df, t.mu_grid)
+    return TargetFamily(tuple(
+        discrete_table_density(tab, id=f"target{i}") for i, tab in enumerate(t.tables)
+    ))
 
 
 def build_integrand(cfg: ExperimentConfig) -> Integrand | None:
@@ -496,8 +493,8 @@ def split_sizes(cfg: ExperimentConfig) -> tuple[tuple[int, ...], tuple[int, ...]
     n2 = []
     for total in cfg.stage1.sizes:
         # rounding the stage-1 share keeps 0.8 * 1000 at exactly 800
-        second = max(4, total - int(round(DEFAULT_SPLIT_FRACTION * total)))
-        _require(total - second >= 4, f"stage budget {total} too small to split")
+        second = max(MIN_DRAWS, total - int(round(DEFAULT_SPLIT_FRACTION * total)))
+        _require(total - second >= MIN_DRAWS, f"stage budget {total} too small to split")
         n1.append(total - second)
         n2.append(second)
     return tuple(n1), tuple(n2)
@@ -788,7 +785,6 @@ class OracleReport:
     u_true: np.ndarray
     eta_true: np.ndarray | None
     targets: tuple[TargetResult, ...]
-    z_threshold: float
 
     @property
     def z_d(self) -> np.ndarray:
@@ -816,11 +812,11 @@ class OracleReport:
 
     @property
     def passed(self) -> bool:
-        ok = np.all(np.abs(self.z_d) <= self.z_threshold) and np.all(
-            np.abs(self.z_u) <= self.z_threshold
+        ok = np.all(np.abs(self.z_d) <= ORACLE_Z) and np.all(
+            np.abs(self.z_u) <= ORACLE_Z
         )
         if self.eta_true is not None:
-            ok = ok and np.all(np.abs(self.z_eta) <= self.z_threshold)
+            ok = ok and np.all(np.abs(self.z_eta) <= ORACLE_Z)
         return bool(ok)
 
 
@@ -848,7 +844,7 @@ def exact_table_quantities(cfg: ExperimentConfig):
     return d_true, u_true, eta_true
 
 
-def oracle_check(cfg: ExperimentConfig, z_threshold: float = 3.0) -> OracleReport:
+def oracle_check(cfg: ExperimentConfig) -> OracleReport:
     """Run the pipeline on exhaustively summable tables and compare."""
     d_true, u_true, eta_true = exact_table_quantities(cfg)
     result = run_two_stage(cfg)
@@ -860,7 +856,6 @@ def oracle_check(cfg: ExperimentConfig, z_threshold: float = 3.0) -> OracleRepor
         u_true=u_true,
         eta_true=eta_true,
         targets=result.target_results,
-        z_threshold=z_threshold,
     )
 
 

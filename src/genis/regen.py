@@ -96,17 +96,12 @@ def split_tours(
     f: Integrand | None = None,
 ) -> list[ChainTours]:
     """Tour sums of u (and v = f*u when f is given) for every chain."""
-    if len(samples.chains) != len(references):
-        raise ValueError("one chain per reference required")
+    samples.check_aligned(references)
     w = np.asarray(w, dtype=float)
     if w.shape != (len(references),) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise ValueError("w must be a positive weight per reference")
     out = []
-    for chain, ref in zip(samples.chains, references):
-        if chain.density_id != ref.id:
-            raise ValueError(
-                f"chain order mismatch: {chain.density_id!r} vs {ref.id!r}"
-            )
+    for chain in samples.chains:
         bounds = tour_boundaries(chain)
         ref_log = np.column_stack([r.log_density(chain.states) for r in references])
         log_mix = log_sum_exp_rows(ref_log + np.log(w))

@@ -50,8 +50,10 @@ from .errors import ConvergenceError, UndefinedPointError
 from .regen import rs_long_run_cov
 from .samplers import SampleSet
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+# Newton stopping rule, read when a fit runs: a per-sample gradient norm of
+# at most TOL, else ConvergenceError after MAX_ITER iterations
+TOL = 1e-10
+MAX_ITER = 200
 SE_METHODS = ("bm", "rs", "both")
 
 
@@ -68,18 +70,6 @@ class StageWeights:
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise ValueError("chain weights must be positive and finite")
         object.__setattr__(self, "a", a / a.sum())
-
-    def w(self, n_per_chain) -> np.ndarray:
-        """Per-sample weights w_l = a_l * n / n_l."""
-        n_per = np.asarray(n_per_chain, dtype=float)
-        if n_per.shape != self.a.shape:
-            raise ValueError("n_per_chain must have one entry per chain")
-        return self.a * n_per.sum() / n_per
-
-
-def naive_stage_weights(n_per_chain) -> StageWeights:
-    """Weights proportional to chain lengths, so w_l = 1 for every chain."""
-    return StageWeights(np.asarray(n_per_chain, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -121,21 +111,11 @@ class RatioEstimate:
         return np.sqrt(np.clip(np.diag(self.cov_rs), 0.0, None) / self.n_total)
 
 
-def _check_alignment(samples: SampleSet, references: Sequence[UnnormalizedDensity]):
-    if len(samples.chains) != len(references):
-        raise ValueError("one chain per reference density required")
-    for chain, ref in zip(samples.chains, references):
-        if chain.density_id != ref.id:
-            raise ValueError(
-                f"chain order mismatch: {chain.density_id!r} vs {ref.id!r}"
-            )
-
-
 def log_density_matrices(
     samples: SampleSet, references: Sequence[UnnormalizedDensity]
 ) -> list[np.ndarray]:
     """Per chain, the (k, n_l) matrix of log nu_s at that chain's states."""
-    _check_alignment(samples, references)
+    samples.check_aligned(references)
     return [
         np.stack([ref.log_density(chain.states) for ref in references])
         for chain in samples.chains
@@ -190,26 +170,10 @@ def _combine(
     return ll, score, 0.5 * (info + info.T), [part[3] for part in parts]
 
 
-def _evaluate(
-    mats: list[np.ndarray], zeta: np.ndarray, w: np.ndarray, a: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Objective, score, curvature B and (k, n_l) membership probabilities."""
-    return _combine(_parts(mats, zeta), w, a)
-
-
-def _prepared(samples, references, weights):
-    mats = log_density_matrices(samples, references)
-    n_per = samples.n_per_chain.astype(float)
-    weights = naive_stage_weights(n_per) if weights is None else weights
-    return mats, weights.w(n_per), weights.a
-
-
 def _fit(
     mats: list[np.ndarray],
     a: np.ndarray,
     n_per: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     start: list | None = None,
 ):
     """Damped Newton from zeta = 0 under sum(zeta) = 0.
@@ -235,19 +199,19 @@ def _fit(
     w = a * n / n_per
     zeta = np.zeros(k)
     ev = _combine(_parts(mats, zeta) if start is None else start, w, a)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         ll, g, info, probs = ev
         # per-sample scale: the raw score is O(n), so an absolute cutoff
         # would sit below the float64 rounding floor for large chains
         grad_norm = float(np.max(np.abs(g - g.mean()))) / n
-        if grad_norm <= tol:
+        if grad_norm <= TOL:
             return zeta, it, grad_norm, info, probs
-        if it == max_iter:
+        if it == MAX_ITER:
             raise ConvergenceError(
-                f"no convergence in {max_iter} iterations (grad norm {grad_norm:.3e})",
+                f"no convergence in {MAX_ITER} iterations (grad norm {grad_norm:.3e})",
                 zeta=zeta,
                 grad_norm=grad_norm,
-                iterations=max_iter,
+                iterations=MAX_ITER,
             )
         # Newton in the reduced parameterization zeta_k = -sum_{j<k} zeta_j
         neg_h = n * (info[:-1, :-1] - info[:-1, -1:] - info[-1:, :-1] + info[-1, -1])
@@ -296,12 +260,12 @@ def fit_reverse_logistic(
     samples: SampleSet,
     references: Sequence[UnnormalizedDensity],
     weights: StageWeights | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """Maximize the objective under sum(zeta) = 0 by damped Newton."""
-    mats, _, a = _prepared(samples, references, weights)
-    return _fit(mats, a, samples.n_per_chain.astype(float), tol, max_iter)[0]
+    mats = log_density_matrices(samples, references)
+    n_per = samples.n_per_chain
+    a = (StageWeights(n_per) if weights is None else weights).a
+    return _fit(mats, a, n_per.astype(float))[0]
 
 
 def zeta_to_ratios(zeta, a) -> np.ndarray:
@@ -340,7 +304,7 @@ def info_matrix(
     """
     a = np.asarray(a, dtype=float)
     mats = log_density_matrices(samples, references)
-    return _evaluate(mats, np.asarray(zeta, dtype=float), a, a)[2]
+    return _combine(_parts(mats, np.asarray(zeta, dtype=float)), a, a)[2]
 
 
 def _omega(
@@ -384,15 +348,15 @@ def score_long_run_cov(
     """
     a = np.asarray(a, dtype=float)
     mats = log_density_matrices(samples, references)
-    probs = _evaluate(mats, np.asarray(zeta, dtype=float), a, a)[3]
+    probs = _combine(_parts(mats, np.asarray(zeta, dtype=float)), a, a)[3]
     return _omega(probs, samples.chains, a, bm_spec, method)
 
 
-def sym_pseudo_inverse(mat, rank_tol: float | None = None) -> np.ndarray:
+def sym_pseudo_inverse(mat) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
 
-    Eigenvalues with magnitude at most rank_tol times the largest are
-    treated as zero; rank_tol defaults to k * machine epsilon.
+    Eigenvalues with magnitude at most k * machine epsilon times the
+    largest are treated as zero.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -400,10 +364,8 @@ def sym_pseudo_inverse(mat, rank_tol: float | None = None) -> np.ndarray:
     k = mat.shape[0]
     if k == 0:
         return np.zeros((0, 0))
-    if rank_tol is None:
-        rank_tol = k * np.finfo(float).eps
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    cutoff = rank_tol * np.max(np.abs(vals), initial=0.0)
+    cutoff = k * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
     inv_vals = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
     out = (vecs * inv_vals) @ vecs.T
     return 0.5 * (out + out.T)
@@ -483,15 +445,13 @@ def estimate_ratios(
     weights: StageWeights | None = None,
     bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC,
     se_method: str = "bm",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RatioEstimate:
     """Full stage 1: fit, map to ratios, and attach asymptotic covariance."""
     if se_method not in SE_METHODS:
         raise ValueError(f"se_method must be one of {SE_METHODS}")
     mats = log_density_matrices(samples, references)
     n_per = samples.n_per_chain
-    a = (naive_stage_weights(n_per) if weights is None else weights).a
-    fit = _fit(mats, a, n_per.astype(float), tol, max_iter)
+    a = (StageWeights(n_per) if weights is None else weights).a
+    fit = _fit(mats, a, n_per.astype(float))
     del mats  # the Omega routes need only the fit's membership probabilities
     return _estimate_from_fit(fit, samples.chains, a, n_per, bm_spec, se_method)

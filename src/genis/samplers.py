@@ -1,4 +1,4 @@
-"""Chain containers, samplers, and chain persistence.
+"""Chain containers, samplers, and chain export.
 
 Chains are iid draws (`sample_t_iid`) or Markov chains from an
 independence Metropolis-Hastings kernel: `independence_mh` targets any
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -105,6 +106,16 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.chains)
+
+    def check_aligned(self, references: Sequence[UnnormalizedDensity]) -> None:
+        """Raise ValueError unless chain l targets references[l] for every l."""
+        if len(self.chains) != len(references):
+            raise ValueError("one chain per reference density required")
+        for chain, ref in zip(self.chains, references):
+            if chain.density_id != ref.id:
+                raise ValueError(
+                    f"chain order mismatch: {chain.density_id!r} vs {ref.id!r}"
+                )
 
 
 def sample_t_iid(
@@ -257,8 +268,8 @@ def tune_splitting_constant(
     target: UnnormalizedDensity,
     proposal_df: float,
     proposal_mu: float,
-    pilot_n: int = 2000,
-    seed: int = 0,
+    pilot_n: int,
+    seed: int,
 ) -> float:
     """Splitting constant: median of omega over a pilot chain's states."""
     pilot = independence_mh(target, proposal_df, proposal_mu, pilot_n, seed)
@@ -280,12 +291,12 @@ def discrete_mh(
     proportional to the table value, which is all the splitting recipe
     needs since constants cancel.
     """
-    if target.space.kind != "discrete":
+    if target.size is None:
         raise InvalidModelError("discrete_mh needs a discrete table density")
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    size = int(target.space.size)
+    size = int(target.size)
     log_tab = target.log_density(np.arange(size, dtype=float))
 
     rng = np.random.default_rng(seed)
@@ -308,14 +319,12 @@ def discrete_mh(
     )
 
 
-_HEADER_PREFIX = "#"
-
-
 def save_chain(chain: ChainSample, path) -> None:
     """Write a chain as columnar text with a metadata header.
 
     States are printed with 17 significant digits so the round trip is
-    exact for IEEE doubles.
+    exact for IEEE doubles: ``np.loadtxt(path, skiprows=2)`` reads the
+    states (and the 0/1 regeneration marks) back bit for bit.
     """
     meta = {
         "density_id": chain.density_id,
@@ -325,7 +334,7 @@ def save_chain(chain: ChainSample, path) -> None:
     }
     has_marks = chain.regen_marks is not None
     with open(path, "w") as fh:
-        fh.write(_HEADER_PREFIX + " " + json.dumps(meta) + "\n")
+        fh.write("# " + json.dumps(meta) + "\n")
         fh.write("state regen\n" if has_marks else "state\n")
         if has_marks:
             for x, m in zip(chain.states, chain.regen_marks):
@@ -333,40 +342,3 @@ def save_chain(chain: ChainSample, path) -> None:
         else:
             for x in chain.states:
                 fh.write(f"{x:.17g}\n")
-
-
-def load_chain(path) -> ChainSample:
-    """Read a chain written by save_chain.
-
-    The read side of ``genis export-chains``: no code path of the package
-    calls it, it is kept so exported files can be loaded back.
-    """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith(_HEADER_PREFIX):
-            raise ValueError(f"{path}: missing chain header")
-        meta = json.loads(header[len(_HEADER_PREFIX) :])
-        columns = fh.readline().split()
-        if columns not in (["state"], ["state", "regen"]):
-            raise ValueError(f"{path}: unexpected column header {columns}")
-        states = []
-        marks = [] if len(columns) == 2 else None
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != len(columns):
-                raise ValueError(f"{path}: ragged row {line!r}")
-            states.append(float(parts[0]))
-            if marks is not None:
-                marks.append(bool(int(parts[1])))
-    states = np.asarray(states, dtype=float)
-    if states.size != int(meta["n"]):
-        raise ValueError(f"{path}: header n={meta['n']} but {states.size} rows")
-    return ChainSample(
-        density_id=str(meta["density_id"]),
-        states=states,
-        kind=str(meta["kind"]),
-        seed=int(meta["seed"]),
-        regen_marks=None if marks is None else np.asarray(marks, dtype=bool),
-    )

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_cov
+from .batch_means import DEFAULT_BM_SPEC, MIN_DRAWS, BatchMeansSpec, block_size, bm_cov
 from .errors import ConvergenceError, EstimationError
 from .reverse_logistic import (
     StageWeights,
@@ -38,14 +38,7 @@ def naive_weights(n_per_chain) -> np.ndarray:
     return n_per / n_per.sum()
 
 
-def _floored(a: np.ndarray, floor: float) -> np.ndarray:
-    a = np.maximum(a, floor)
-    return a / a.sum()
-
-
-def inv_dist_weights(
-    mu: float, ref_locations, n_per_chain, floor: float = WEIGHT_FLOOR
-) -> np.ndarray:
+def inv_dist_weights(mu: float, ref_locations, n_per_chain) -> np.ndarray:
     """Weights proportional to n_l / |mu - mu_l|, floored; one-hot on an
     exact match, so a target at a reference's location takes its estimate
     from that reference's chain alone."""
@@ -59,17 +52,16 @@ def inv_dist_weights(
         out = np.zeros(locs.size)
         out[np.argmax(hit)] = 1.0
         return out
-    return _floored(n_per / dist / np.sum(n_per / dist), floor)
+    a = np.maximum(n_per / dist / np.sum(n_per / dist), WEIGHT_FLOOR)
+    return a / a.sum()
 
 
-def ess_inv_dist_weights(
-    mu: float, ref_locations, ess_per_chain, floor: float = WEIGHT_FLOOR
-) -> np.ndarray:
+def ess_inv_dist_weights(mu: float, ref_locations, ess_per_chain) -> np.ndarray:
     """Inverse-distance weights with lengths replaced by effective sizes."""
     ess = np.asarray(ess_per_chain, dtype=float)
     if np.any(ess <= 0):
         raise ValueError("effective sample sizes must be positive")
-    return inv_dist_weights(mu, ref_locations, ess, floor=floor)
+    return inv_dist_weights(mu, ref_locations, ess)
 
 
 def effective_sample_size(
@@ -81,8 +73,8 @@ def effective_sample_size(
     return n.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size < 4:
-        raise ValueError("series must be 1-d with at least 4 entries")
+    if x.ndim != 1 or x.size < MIN_DRAWS:
+        raise ValueError(f"series must be 1-d with at least {MIN_DRAWS} entries")
     n = x.size
     s2 = float(np.var(x, ddof=1))
     if s2 == 0.0:
@@ -93,7 +85,7 @@ def effective_sample_size(
     return float(min(n * s2 / lrv, n))
 
 
-def simplex_grid(k: int, step: float = DEFAULT_STEP, floor: float = WEIGHT_FLOOR):
+def simplex_grid(k: int, step: float = DEFAULT_STEP):
     """Positive weight vectors on the k-simplex with the given step."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -106,7 +98,7 @@ def simplex_grid(k: int, step: float = DEFAULT_STEP, floor: float = WEIGHT_FLOOR
     for parts in product(range(1, m), repeat=k - 1):
         if sum(parts) < m:
             vec = np.array(parts + (m - sum(parts),), dtype=float) / m
-            if np.all(vec >= floor):
+            if np.all(vec >= WEIGHT_FLOOR):
                 grid.append(vec)
     return grid
 

@@ -6,6 +6,7 @@ unnormalized masses (1, 1) and (3, 1), so the normalizing constants are
 two states gives exact truth for every estimand.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,10 @@ from genis.densities import (
 from genis.importance import estimate_family
 from genis.regen import tour_boundaries
 from genis.reverse_logistic import (
-    _evaluate,
+    StageWeights,
+    _combine,
+    _parts,
     log_density_matrices,
-    naive_stage_weights,
 )
 from genis.samplers import ChainSample, SampleSet, derive_seed, discrete_mh
 
@@ -112,7 +114,7 @@ def mixture(references, coef, id="mixture"):
         mat = np.column_stack([ref.log_density(x) for ref in references])
         return log_sum_exp_rows(mat + log_coef)
 
-    return UnnormalizedDensity(id, log_eval, references[0].space)
+    return UnnormalizedDensity(id, log_eval, references[0].size)
 
 
 def constant(c):
@@ -126,9 +128,18 @@ def rl_evaluate(samples, references, zeta, weights=None):
     B and the per-chain (k, n_l) membership probabilities, under naive
     chain weights unless `weights` is given."""
     n_per = samples.n_per_chain.astype(float)
-    weights = naive_stage_weights(n_per) if weights is None else weights
+    a = (StageWeights(n_per) if weights is None else weights).a
     mats = log_density_matrices(samples, references)
-    return _evaluate(mats, np.asarray(zeta, dtype=float), weights.w(n_per), weights.a)
+    w = a * n_per.sum() / n_per  # the per-sample weights w_l = a_l n / n_l
+    return _combine(_parts(mats, np.asarray(zeta, dtype=float)), w, a)
+
+
+def read_chain_file(path):
+    """The header metadata and the (n, 1) or (n, 2) columns (state, then
+    the 0/1 regeneration mark) of a file written by `genis export-chains`."""
+    with open(path) as fh:
+        meta = json.loads(fh.readline().removeprefix("#"))
+    return meta, np.loadtxt(path, skiprows=2, ndmin=2)
 
 
 def covered_prefix(samples):

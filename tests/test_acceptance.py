@@ -23,10 +23,10 @@ from genis.pipeline import (
 )
 from genis.regen import split_tours
 from genis.reverse_logistic import (
+    StageWeights,
     _deflated_info_pinv,
     fit_reverse_logistic,
     info_matrix,
-    naive_stage_weights,
 )
 from genis.samplers import SampleSet, independence_mh, sample_t_iid
 
@@ -253,8 +253,7 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
     )
     samples = SampleSet(chains=chains)
     zeta = fit_reverse_logistic(samples, toy_refs)
-    weights = naive_stage_weights(samples.n_per_chain.astype(float))
-    a = weights.a
+    a = StageWeights(samples.n_per_chain.astype(float)).a
     n_per = samples.n_per_chain.astype(float)
     n = float(n_per.sum())
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genis.densities import (
-    StateSpace,
     TargetFamily,
     UnnormalizedDensity,
     discrete_table_density,
@@ -42,6 +41,19 @@ def test_t_log_density_shift():
     )
 
 
+@pytest.mark.parametrize("df", [1e3, 1e4, 1e8, 1e12, 1e16, 1e100, 1e300])
+def test_t_log_density_large_df_matches_mpmath(df):
+    """The constant stays within one ulp of exact where the lgamma
+    difference cancels (it read -18 too low at df = 1e16)."""
+    import mpmath
+
+    with mpmath.workdps(40 + int(math.log10(df))):  # loggamma(df/2) ~ df log df
+        d = mpmath.mpf(df)
+        exact = mpmath.loggamma((d + 1) / 2) - mpmath.loggamma(d / 2)
+        exact = float(exact - mpmath.log(d * mpmath.pi) / 2)
+    assert float(t_log_density(df, 0.0, 0.0)) == pytest.approx(exact, abs=1.2e-16)
+
+
 def test_t_density_integrates_to_one():
     from scipy import integrate
 
@@ -61,14 +73,10 @@ def test_t_density_vectorized():
 
 
 def test_log_density_rejects_bad_values():
-    bad = UnnormalizedDensity(
-        "bad", lambda x: np.full_like(x, np.nan), StateSpace("continuous")
-    )
+    bad = UnnormalizedDensity("bad", lambda x: np.full_like(x, np.nan))
     with pytest.raises(ValueError):
         bad.log_density(np.zeros(3))
-    worse = UnnormalizedDensity(
-        "worse", lambda x: np.full_like(x, np.inf), StateSpace("continuous")
-    )
+    worse = UnnormalizedDensity("worse", lambda x: np.full_like(x, np.inf))
     with pytest.raises(ValueError):
         worse.log_density(np.zeros(3))
     for bad in (np.nan, np.inf):  # one bad value among finite ones and -inf
@@ -80,7 +88,7 @@ def test_log_density_rejects_bad_values():
 
 def test_log_density_accepts_minus_inf():
     values = np.array([-np.inf, 0.0, -np.inf, 3.5])
-    dens = UnnormalizedDensity("zeros", lambda x: values.copy(), StateSpace("continuous"))
+    dens = UnnormalizedDensity("zeros", lambda x: values.copy())
     np.testing.assert_array_equal(dens.log_density(np.zeros(4)), values)
     nowhere = UnnormalizedDensity("nowhere", lambda x: np.full_like(x, -np.inf))
     np.testing.assert_array_equal(nowhere.log_density(np.zeros(3)), np.full(3, -np.inf))
@@ -99,7 +107,7 @@ def test_discrete_table_density():
     d = discrete_table_density((3.0, 1.0), id="tilted")
     out = d.log_density(np.array([0.0, 1.0, 0.0]))
     np.testing.assert_allclose(out, [math.log(3), 0.0, math.log(3)], atol=1e-15)
-    assert d.space.size == 2
+    assert d.size == 2
 
 
 def test_discrete_table_rejects_bad_input():
@@ -112,6 +120,11 @@ def test_discrete_table_rejects_bad_input():
         d.log_density(np.array([0.5]))
     with pytest.raises(ValueError):
         d.log_density(np.array([2.0]))
+
+
+def test_discrete_size_must_be_positive():
+    with pytest.raises(ValueError, match="size >= 1"):
+        UnnormalizedDensity("empty", lambda x: np.zeros_like(x), size=0)
 
 
 def test_table_zero_mass_state_is_minus_inf():
@@ -136,7 +149,7 @@ def test_log_sum_exp_rows_extreme_scale():
 def test_family_and_integrands():
     fam = t_family(5, [0.0, 0.5, 1.0])
     assert isinstance(fam, TargetFamily)
-    assert [t.id for t in fam] == ["t5_mu0", "t5_mu0.5", "t5_mu1"]
+    assert [t.id for t in fam.targets] == ["t5_mu0", "t5_mu0.5", "t5_mu1"]
     x = np.array([1.0, -2.0])
     np.testing.assert_array_equal(identity_integrand.values(x), x)
 

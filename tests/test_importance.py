@@ -8,7 +8,6 @@ import pytest
 from genis.batch_means import DEFAULT_BM_SPEC
 from genis.densities import (
     Integrand,
-    StateSpace,
     TargetFamily,
     UnnormalizedDensity,
     discrete_table_density,
@@ -376,9 +375,9 @@ def test_family_evaluates_each_target_once_per_chain(toy_refs):
             calls[target.id] = calls.get(target.id, 0) + 1
             return target.log_eval(x)
 
-        return UnnormalizedDensity(target.id, log_eval, target.space)
+        return UnnormalizedDensity(target.id, log_eval, target.size)
 
-    family = TargetFamily(tuple(counted(t) for t in t_family(5, [0.0, 0.5, 1.0])))
+    family = TargetFamily(tuple(counted(t) for t in t_family(5, [0.0, 0.5, 1.0]).targets))
     chains = (
         sample_t_iid(5, 1.0, 400, seed=3),
         sample_t_iid(5, 0.0, 400, seed=4),
@@ -416,6 +415,7 @@ def test_family_toy_grid_hits_truth(toy_refs):
         fit.cov,
         q=stage2.n_total / stage1.n_total,
         f=IDENTITY,
+        a=HALF,
     )
     assert len(results) == 11
     for mu, res in zip([0.1 * i for i in range(11)], results):
@@ -428,7 +428,6 @@ def test_family_isolates_target_failures(toy_refs, table_refs):
     boom = UnnormalizedDensity(
         "boom",
         lambda x: np.full(np.asarray(x, dtype=float).shape, 1e4),
-        StateSpace("continuous"),
     )
     fine = t_density(5, 0.5)
     family = TargetFamily(targets=(fine, boom))
@@ -439,7 +438,7 @@ def test_family_isolates_target_failures(toy_refs, table_refs):
     samples = SampleSet(chains=chains, stage=2)
     results = estimate_family(
         samples, family, toy_refs, TRUE_D * 0 + 1.0, np.array([[0.5]]), q=0.1,
-        f=IDENTITY,
+        f=IDENTITY, a=HALF,
     )
     assert results[0].flags == ()
     assert np.isfinite(results[0].u_hat)
@@ -457,12 +456,12 @@ def test_family_tail_guard_flags(toy_refs):
     family = t_family(5, [0.5])
     strict = estimate_family(
         samples, family, toy_refs, np.array([1.0]), np.array([[0.5]]),
-        q=0.0, tail_guard=1.0,
+        q=0.0, a=HALF, tail_guard=1.0,
     )
     assert "tail_weight" in strict[0].flags
     lax = estimate_family(
         samples, family, toy_refs, np.array([1.0]), np.array([[0.5]]),
-        q=0.0,
+        q=0.0, a=HALF,
     )
     assert "tail_weight" not in lax[0].flags
 
@@ -495,6 +494,8 @@ def test_estimate_validation(table_refs, exact_table_samples):
         )
     with pytest.raises(ValueError):
         stage2_row(exact_table_samples, target, table_refs, [-0.5, 1.5], TRUE_D)
+    with pytest.raises(ValueError, match="needs a or a_per_target"):
+        stage2_row(exact_table_samples, target, table_refs, None, TRUE_D)
     with pytest.raises(ValueError):
         stage2_row(
             exact_table_samples, target, table_refs, HALF, TRUE_D,

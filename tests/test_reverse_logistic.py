@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genis.densities import (
-    StateSpace,
     UnnormalizedDensity,
     discrete_table_density,
     t_density,
     t_log_density,
 )
+from genis import reverse_logistic
 from genis.errors import ConvergenceError, UndefinedPointError
 from genis.reverse_logistic import (
     StageWeights,
@@ -23,7 +23,6 @@ from genis.reverse_logistic import (
     fit_reverse_logistic,
     info_matrix,
     log_density_matrices,
-    naive_stage_weights,
     ratio_covariance,
     ratio_jacobian,
     score_long_run_cov,
@@ -296,14 +295,16 @@ def test_disjoint_supports_carry_no_information():
     np.testing.assert_allclose(est.cov_bm, 0.0, atol=1e-12)
 
 
-def test_fit_exhausting_iterations_raises():
+def test_fit_exhausting_iterations_raises(monkeypatch):
+    monkeypatch.setattr(reverse_logistic, "MAX_ITER", 1)
+    monkeypatch.setattr(reverse_logistic, "TOL", 1e-15)
     samples = table_mh_samples(2000, master_seed=3)
     refs = [
         discrete_table_density(TABLE_1, id=samples.chains[0].density_id),
         discrete_table_density(TABLE_2, id=samples.chains[1].density_id),
     ]
     with pytest.raises(ConvergenceError) as exc:
-        fit_reverse_logistic(samples, refs, max_iter=1, tol=1e-15)
+        fit_reverse_logistic(samples, refs)
     assert exc.value.zeta is not None
     assert exc.value.grad_norm is not None
     assert exc.value.iterations == 1
@@ -614,7 +615,6 @@ def test_estimate_ratios_continuous_scale_covariance(toy_refs):
     scaled = UnnormalizedDensity(
         toy_refs[1].id,
         lambda x: t_log_density(5, 0.0, x) + math.log(c),
-        StateSpace("continuous"),
     )
     chains = (
         sample_t_iid(5, 1.0, 3000, seed=41),
@@ -651,10 +651,7 @@ def test_estimate_ratios_validation(table_refs, exact_table_samples):
 def test_stage_weights_normalize_and_validate():
     w = StageWeights(np.array([2.0, 6.0]))
     np.testing.assert_allclose(w.a, [0.25, 0.75])
-    np.testing.assert_allclose(w.w([100, 300]), [1.0, 1.0])
     with pytest.raises(ValueError):
         StageWeights(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         StageWeights(np.array([1.0, np.inf]))
-    naive = naive_stage_weights([100, 300])
-    np.testing.assert_allclose(naive.w([100, 300]), 1.0)

@@ -22,13 +22,12 @@ from genis.samplers import (
     derive_seed,
     discrete_mh,
     independence_mh,
-    load_chain,
     sample_t_iid,
     save_chain,
     tune_splitting_constant,
 )
 
-from conftest import traced_peak
+from conftest import read_chain_file, traced_peak
 
 
 # ---------------------------------------------------------------- seeding
@@ -441,36 +440,20 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     )
     path = tmp_path / "chain.txt"
     save_chain(chain, path)
-    back = load_chain(path)
-    assert back.density_id == chain.density_id
-    assert back.kind == chain.kind
-    assert back.seed == chain.seed
-    assert np.array_equal(back.states, chain.states)
-    assert np.array_equal(back.regen_marks, chain.regen_marks)
+    meta, table = read_chain_file(path)
+    assert meta == {"density_id": chain.density_id, "kind": chain.kind,
+                    "seed": chain.seed, "n": chain.n}
+    assert np.array_equal(table[:, 0], chain.states)
+    assert np.array_equal(table[:, 1].astype(bool), chain.regen_marks)
 
 
 def test_save_load_roundtrip_without_marks(tmp_path):
     chain = sample_t_iid(5, 1.0, 64, seed=4)
     path = tmp_path / "plain.txt"
     save_chain(chain, path)
-    back = load_chain(path)
-    assert back.regen_marks is None
-    assert np.array_equal(back.states, chain.states)
-
-
-def test_load_rejects_corrupt_files(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("state\n1.0\n")
-    with pytest.raises(ValueError):
-        load_chain(p)
-    p.write_text('# {"density_id": "a", "kind": "iid", "seed": 0, "n": 2}\n'
-                 "state\n1.0\n")
-    with pytest.raises(ValueError):
-        load_chain(p)
-    p.write_text('# {"density_id": "a", "kind": "iid", "seed": 0, "n": 1}\n'
-                 "state regen\n1.0\n")
-    with pytest.raises(ValueError):
-        load_chain(p)
+    meta, table = read_chain_file(path)
+    assert meta["n"] == chain.n and table.shape == (chain.n, 1)
+    assert np.array_equal(table[:, 0], chain.states)
 
 
 @given(
@@ -495,7 +478,7 @@ def test_roundtrip_property(tmp_path_factory, vals, with_marks):
     chain = ChainSample("x", states, "markov", 17, regen_marks=marks)
     path = tmp_path_factory.mktemp("rt") / "c.txt"
     save_chain(chain, path)
-    back = load_chain(path)
-    assert np.array_equal(back.states, chain.states)
+    _, table = read_chain_file(path)
+    assert np.array_equal(table[:, 0], chain.states)
     if with_marks:
-        assert np.array_equal(back.regen_marks, marks)
+        assert np.array_equal(table[:, 1].astype(bool), marks)
