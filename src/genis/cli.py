@@ -36,6 +36,7 @@ from .pipeline import (
     STAGE1_TAG,
     STAGE2_TAG,
 )
+from .reverse_logistic import SE_METHODS
 from .samplers import save_chain
 
 
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument(
         "--se-method",
-        choices=("bm", "rs", "both"),
+        choices=SE_METHODS,
         default=None,
         help="override the standard-error route",
     )

@@ -39,6 +39,7 @@ from .errors import ConfigError, EstimationError
 from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
 from .regen import split_tours
 from .reverse_logistic import (
+    SE_METHODS,
     RatioEstimate,
     StageWeights,
     estimate_ratios,
@@ -334,8 +335,16 @@ def _validate(cfg: ExperimentConfig):
         _validate_stage(cfg, cfg.stage2, "stage2", (2,))
     if cfg.targets is not None:
         _validate_targets(cfg.targets)
+    truth = cfg.truth or TruthConfig()
+    _require(truth.d is None or len(truth.d) == len(cfg.references) - 1,
+             "truth.d: needs one value per reference after the first")
+    t = cfg.targets
+    count = None if t is None else len(t.mu_grid if t.family == "t" else t.tables)
+    for key, values in (("u", truth.u), ("eta", truth.eta)):
+        _require(values is None or len(values) == count,
+                 f"truth.{key}: needs a targets block and one value per target")
     _require(cfg.integrand in (None, "x"), "config: integrand must be 'x' or null")
-    _require(cfg.se_method in ("bm", "rs", "both"), "config: bad se_method")
+    _require(cfg.se_method in SE_METHODS, "config: bad se_method")
     _require(cfg.master_seed >= 0, "config: master_seed must be nonnegative")
     _require(cfg.burn_in >= 0, "config: burn_in must be nonnegative")
     _require(cfg.thinning >= 1, "config: thinning must be at least 1")
@@ -476,7 +485,7 @@ def sample_stage(
             zip(cfg.references, references, sizes)
         )
     )
-    return SampleSet(chains=chains, stage=1 if stage_tag != STAGE2_TAG else 2)
+    return SampleSet(chains)
 
 
 def split_sizes(cfg: ExperimentConfig) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
@@ -609,10 +618,8 @@ def run_two_stage(cfg: ExperimentConfig, rep_index: int = 0) -> TwoStageResult:
 class ReplicationRecord:
     replication: int
     n_total: int
-    d_hat: np.ndarray | None
-    var_bm: np.ndarray | None
-    var_rs: np.ndarray | None
-    targets: tuple[TargetResult, ...] | None
+    estimate: RatioEstimate | None = None
+    targets: tuple[TargetResult, ...] | None = None
     error: str | None = None
 
 
@@ -620,33 +627,23 @@ class ReplicationRecord:
 class ReplicationReport:
     records: list[ReplicationRecord]
     truth: TruthConfig | None
-    ref_labels: tuple[str, ...]
 
     def at_size(self, n_total: int) -> list[ReplicationRecord]:
-        return [
-            r for r in self.records if r.n_total == n_total and r.error is None
-        ]
+        return [r for r in self.records if r.n_total == n_total and r.error is None]
 
     def sizes(self) -> list[int]:
-        out = []
-        for r in self.records:
-            if r.n_total not in out:
-                out.append(r.n_total)
-        return out
+        return list(dict.fromkeys(r.n_total for r in self.records))
 
     def d_matrix(self, n_total: int) -> np.ndarray:
-        return np.array([r.d_hat for r in self.at_size(n_total)])
+        return np.array([r.estimate.d_hat for r in self.at_size(n_total)])
 
     def var_matrix(self, n_total: int, method: str | None = None) -> np.ndarray:
-        """Per-replication variances; by default BM where it was recorded
-        and RS otherwise, as RatioEstimate.cov chooses."""
-        recs = self.at_size(n_total)
-        if method is None:
-            method = "bm" if all(r.var_bm is not None for r in recs) else "rs"
-        rows = [r.var_bm if method == "bm" else r.var_rs for r in recs]
-        if any(v is None for v in rows):
+        """Per-replication variances of RatioEstimate.cov, or of cov_<method>."""
+        name = "cov" if method is None else f"cov_{method}"
+        covs = [getattr(r.estimate, name) for r in self.at_size(n_total)]
+        if any(c is None for c in covs):
             raise ValueError(f"no {method} variance recorded at size {n_total}")
-        return np.array(rows)
+        return np.array([np.diag(c) for c in covs])
 
     def empirical_asym_var(self, n_total: int) -> np.ndarray:
         """n times the across-replication variance of the ratio estimates."""
@@ -691,12 +688,13 @@ class ReplicationReport:
             if rec.error is not None:
                 out.append((rec.replication, rec.n_total, "failed", rec.error))
                 continue
-            for j, dj in enumerate(rec.d_hat):
+            est = rec.estimate
+            for j, dj in enumerate(est.d_hat):
                 out.append((rec.replication, rec.n_total, f"d_hat[{j + 2}]", dj))
-            for method, arr in (("bm", rec.var_bm), ("rs", rec.var_rs)):
-                if arr is None:
+            for method, cov in (("bm", est.cov_bm), ("rs", est.cov_rs)):
+                if cov is None:
                     continue
-                for j, vj in enumerate(arr):
+                for j, vj in enumerate(np.diag(cov)):
                     out.append(
                         (rec.replication, rec.n_total, f"var_{method}[{j + 2}]", vj)
                     )
@@ -723,19 +721,13 @@ def _one_replication(args) -> ReplicationRecord:
         return ReplicationRecord(
             replication=rep,
             n_total=n_total,
-            d_hat=None,
-            var_bm=None,
-            var_rs=None,
-            targets=None,
             error=f"{type(exc).__name__}: {exc}",
         )
     est = result.ratio_estimate
     return ReplicationRecord(
         replication=rep,
         n_total=est.n_total,
-        d_hat=est.d_hat.copy(),
-        var_bm=None if est.cov_bm is None else np.diag(est.cov_bm).copy(),
-        var_rs=None if est.cov_rs is None else np.diag(est.cov_rs).copy(),
+        estimate=est,
         targets=result.target_results,
     )
 
@@ -766,13 +758,7 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
             records = list(pool.map(_one_replication, jobs, chunksize=1))
     else:
         records = [_one_replication(j) for j in jobs]
-
-    references = build_references(cfg)
-    return ReplicationReport(
-        records=records,
-        truth=cfg.truth,
-        ref_labels=tuple(r.id for r in references),
-    )
+    return ReplicationReport(records=records, truth=cfg.truth)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Regeneration tours: bookkeeping and the regenerative long-run covariance.
 
-Chains carrying regeneration marks decompose into iid tours.  Both users
-of that decomposition sum their series over tours with `_tour_sums`:
+Chains carrying regeneration marks decompose into iid tours.  Only
+`tour_boundaries` turns a chain into tours: an iid chain without marks
+makes every draw a tour, and any other chain needs at least two marks.
+Both users of that decomposition take a chain, call it, and sum their
+series over the tours with `_tour_sums`:
 
 - `split_tours` gives, per chain and per complete tour, the rows of
   ``tours.csv``: the length T_t and the sums U_t of the importance weights
@@ -11,13 +14,13 @@ of that decomposition sum their series over tours with `_tour_sums`:
 
   which does not involve the stage-1 ratio estimates;
 - `rs_long_run_cov`, stage 1's regenerative route, estimates the long-run
-  covariance of series given as rows, as `bm_cov` takes them.
+  covariance of series given as rows along a chain, as `bm_cov` takes
+  them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +32,7 @@ from .errors import (
 from .samplers import ChainSample, SampleSet
 
 
-@dataclass(frozen=True)
-class ChainTours:
+class ChainTours(NamedTuple):
     """Complete tours of one chain: lengths and per-tour sums."""
 
     density_id: str
@@ -38,39 +40,19 @@ class ChainTours:
     u_sums: np.ndarray
     v_sums: np.ndarray | None = None
 
-    def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=np.int64)
-        u_sums = np.asarray(self.u_sums, dtype=float)
-        if lengths.ndim != 1 or lengths.size < 1:
-            raise ValueError("need at least one complete tour")
-        if u_sums.shape != lengths.shape:
-            raise ValueError("u_sums must align with lengths")
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "u_sums", u_sums)
-        if self.v_sums is not None:
-            v_sums = np.asarray(self.v_sums, dtype=float)
-            if v_sums.shape != lengths.shape:
-                raise ValueError("v_sums must align with lengths")
-            object.__setattr__(self, "v_sums", v_sums)
-
 
 def tour_boundaries(chain: ChainSample) -> np.ndarray:
     """Start indices of complete tours plus one past-the-end sentinel.
 
-    iid chains regenerate at every step, so each draw is its own tour.
-    Markov chains need recorded marks; the segment after the last mark is
-    an incomplete tour and is dropped.
+    An iid chain without marks regenerates at every step, so each draw is
+    its own tour.  Any other chain needs recorded marks; the segment after
+    the last mark is an incomplete tour and is dropped.
     """
-    n = chain.n
     if chain.kind == "iid" and chain.regen_marks is None:
-        return np.arange(n + 1, dtype=np.int64)
+        return np.arange(chain.n + 1, dtype=np.int64)
     if chain.regen_marks is None:
         raise ValueError(f"chain {chain.density_id!r} has no regeneration marks")
     starts = np.flatnonzero(chain.regen_marks)
-    if chain.kind == "iid":
-        # explicit all-True marks mean per-draw tours, all complete
-        if starts.size == n:
-            return np.arange(n + 1, dtype=np.int64)
     if starts.size < 2:
         raise InsufficientRegenerationError(
             f"chain {chain.density_id!r}: fewer than two regeneration marks"
@@ -117,30 +99,24 @@ def split_tours(
     return out
 
 
-def rs_long_run_cov(rows, marks) -> np.ndarray:
+def rs_long_run_cov(rows, chain: ChainSample) -> np.ndarray:
     """Regenerative estimate of the long-run covariance of a vector series.
 
     `rows` is a (k, n) array or a sequence of k 1-d arrays, as for
-    `bm_cov`.  Tour sums G_t over complete tours give the per-sample scale
-    estimate sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T / sum_t T_t, with
-    gbar the ratio estimate of the series mean.  marks=None means iid
-    (per-draw tours), in which case this reduces to the plain sample
-    covariance.
+    `bm_cov`, evaluated along `chain`.  Tour sums G_t over the chain's
+    complete tours give the per-sample scale estimate
+    sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T / sum_t T_t, with gbar the
+    ratio estimate of the series mean.  For an iid chain without marks
+    every draw is a tour, and this is the plain sample covariance.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must be a (k, n) array or a list of 1-d arrays")
+    if rows.ndim != 2 or rows.shape[1] != chain.n:
+        raise ValueError("rows must be a (k, n) array or k 1-d arrays along the chain")
     x = rows.T  # (n, k): C-ordered (m, k) tour sums add up tour by tour
-    n = x.shape[0]
-    if marks is None:
+    if chain.kind == "iid" and chain.regen_marks is None:
         centered = x - x.mean(axis=0)
-        return centered.T @ centered / n
-    marks = np.asarray(marks, dtype=bool)
-    if marks.shape != (n,) or not marks[0]:
-        raise ValueError("marks must align with the series and start a tour at 0")
-    bounds = np.flatnonzero(marks)
-    if bounds.size < 2:
-        raise InsufficientRegenerationError("fewer than two regeneration marks")
+        return centered.T @ centered / chain.n
+    bounds = tour_boundaries(chain)
     lengths = np.diff(bounds).astype(float)
     sums = _tour_sums(x, bounds)
     total_t = lengths.sum()

@@ -322,12 +322,7 @@ def _omega(
         if method == "bm":
             sigma_l = bm_cov(p, block_size(p.shape[1], bm_spec))
         else:
-            chain = chains[l]
-            if chain.kind != "iid" and chain.regen_marks is None:
-                raise ValueError(
-                    f"chain {chain.density_id!r} has no regeneration marks"
-                )
-            sigma_l = rs_long_run_cov(p, chain.regen_marks)
+            sigma_l = rs_long_run_cov(p, chains[l])
         omega += (n / p.shape[1]) * a[l] ** 2 * sigma_l
     return omega
 

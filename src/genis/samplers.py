@@ -12,13 +12,15 @@ c, an accepted move x -> y is a regeneration with probability
 
 evaluated here in log space.  A True entry in regen_marks at index i
 means a new tour starts at state i; index 0 always starts a tour.  The
-MH loop reads log omega and log u straight from their float64 buffers and
-flags the accepted indices in an n-byte mask; states and the splitting
-coin are computed vectorized from those indices, bitwise equal to a
-per-step loop.  A marked chain of length n peaks at about seven n-length
-float64 arrays: the proposals, log omega, the two uniform logs and the
-states, plus four arrays over the accepted indices for the splitting
-coin (about 0.54 n each for the shipped t chains).
+samplers draw the proposals, and `_run_imh` draws and frees the rest: the
+accept uniforms, read straight from their float64 buffer by the MH loop,
+which flags the accepted indices in an n-byte mask, and then the coin
+uniforms, kept only at those indices.  States and the splitting coin are
+computed vectorized from the accepted indices, bitwise equal to a
+per-step loop.  A marked chain of length n peaks at about 5.7 n-length
+float64 arrays: the proposals, log omega and the states, plus five arrays
+over the accepted indices for the splitting coin (about 0.54 n each for
+the shipped t chains).
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class SampleSet:
     """Chains from the k reference densities, in reference order."""
 
     chains: tuple[ChainSample, ...]
-    stage: int = 1
 
     def __post_init__(self):
         if len(self.chains) < 1:
@@ -93,8 +94,6 @@ class SampleSet:
         ids = [c.density_id for c in self.chains]
         if len(set(ids)) != len(ids):
             raise ValueError("chains must target distinct densities")
-        if self.stage not in (1, 2):
-            raise ValueError("stage must be 1 or 2")
 
     @property
     def n_per_chain(self) -> np.ndarray:
@@ -146,17 +145,16 @@ def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
 def _run_imh(
     log_omega_prop: np.ndarray,
     proposals: np.ndarray,
-    log_u: np.ndarray,
-    log_coin: np.ndarray | None,
+    rng: np.random.Generator,
     log_c: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Accept/reject recursion shared by the continuous and discrete kernels.
 
-    The loop indexes memoryviews of the float64 inputs, so it makes no
-    Python copy of them, and flags each accepted index in a bytearray.
-    States and the splitting coin are computed vectorized from the accepted
-    indices, bitwise equal to a per-step loop; the temporaries are updated
-    in place.  The trajectory depends only on (proposals, log_u), so
+    `rng` then gives n accept uniforms and, when log_c is not None, n coin
+    uniforms.  The loop indexes memoryviews of the float64 inputs, so it
+    makes no Python copy of them, and flags each accepted index in a
+    bytearray; the temporaries after it are updated in place.  The
+    trajectory depends only on the proposals and the accept uniforms, so
     marking regenerations does not perturb it.  log omega is finite or
     -inf.  The chain starts at the first proposal with mass, and the
     recursion rejects every zero-mass proposal after it, so no zero-mass
@@ -168,6 +166,7 @@ def _run_imh(
     if not finite[start]:
         raise InvalidModelError("no proposal has positive target mass")
     del finite
+    log_u = _log_uniform(rng, n)
     lw = memoryview(log_omega_prop)
     lu = memoryview(log_u)
     accepted = bytearray(n)
@@ -177,14 +176,16 @@ def _run_imh(
         if lu[i] < lw_y - cur_lw:
             accepted[i] = 1
             cur_lw = lw_y
+    del lu, log_u
     acc = np.flatnonzero(np.frombuffer(accepted, dtype=bool))
     del accepted
     pick = np.full(n, start, dtype=np.intp)
     pick[acc] = acc
     states = proposals[np.maximum.accumulate(pick, out=pick)]
     del pick
-    if log_coin is None:
+    if log_c is None:
         return states, None
+    log_coin = _log_uniform(rng, n)[acc]  # only the accepted moves can regenerate
     # accept x -> y: (min(0, c - x) + min(0, y - c)) - min(0, y - x), with
     # fmin ignoring NaN as min does; a zero's sign cannot flip the coin
     ly = log_omega_prop[acc]
@@ -202,7 +203,7 @@ def _run_imh(
         log_r -= lx
     del lx, ly
     marks = np.zeros(n, dtype=bool)
-    marks[acc[log_coin[acc] < log_r]] = True
+    marks[acc[log_coin < log_r]] = True
     marks[0] = True
     return states, marks
 
@@ -245,9 +246,7 @@ def independence_mh(
         raise InvalidModelError("proposal density vanished at its own draw")
     log_omega = target.log_density(proposals) - log_q
     del log_q
-    log_u = _log_uniform(rng, n)
-    log_coin = _log_uniform(rng, n) if with_regen else None
-    states, marks = _run_imh(log_omega, proposals, log_u, log_coin, log_c)
+    states, marks = _run_imh(log_omega, proposals, rng, log_c if with_regen else None)
     return ChainSample(
         density_id=target.id,
         states=states,
@@ -302,14 +301,12 @@ def discrete_mh(
     rng = np.random.default_rng(seed)
     proposals = rng.integers(0, size, size=n).astype(float)
     log_omega = log_tab[proposals.astype(np.int64)]
-    log_u = _log_uniform(rng, n)
-    log_coin = _log_uniform(rng, n) if with_regen else None
     if with_regen and splitting_const is None:
         # pilot-free: the table is the whole state space, use its positive median
         pos = np.exp(log_tab[np.isfinite(log_tab)])
         splitting_const = float(np.median(pos))
     log_c = log_splitting_const(splitting_const) if with_regen else None
-    states, marks = _run_imh(log_omega, proposals, log_u, log_coin, log_c)
+    states, marks = _run_imh(log_omega, proposals, rng, log_c)
     return ChainSample(
         density_id=target.id,
         states=states,

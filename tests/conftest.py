@@ -67,11 +67,12 @@ def exact_table_samples():
         exact_proportion_chain(TABLE_1, 120, "flat"),
         exact_proportion_chain(TABLE_2, 60, "tilted"),
     )
-    return SampleSet(chains=chains, stage=1)
+    return SampleSet(chains=chains)
 
 
 def table_mh_samples(n_per, master_seed, rep=0, stage=1, with_regen=True):
-    """MH chains targeting the two fixture tables; n_per broadcasts."""
+    """MH chains targeting the two fixture tables; n_per broadcasts, and
+    stage enters the chain seeds as the pipeline's stage tag does."""
     if np.isscalar(n_per):
         n_per = (n_per, n_per)
     refs = [
@@ -87,7 +88,7 @@ def table_mh_samples(n_per, master_seed, rep=0, stage=1, with_regen=True):
         )
         for i, (ref, n) in enumerate(zip(refs, n_per))
     )
-    return SampleSet(chains=chains, stage=stage)
+    return SampleSet(chains=chains)
 
 
 def stage2_row(samples, target, refs, a, d_hat, f=None, cov=None, q=0.0):
@@ -149,7 +150,7 @@ def covered_prefix(samples):
         end = int(tour_boundaries(c)[-1])
         marks = None if c.regen_marks is None else c.regen_marks[:end]
         chains.append(ChainSample(c.density_id, c.states[:end], c.kind, c.seed, marks))
-    return SampleSet(chains=tuple(chains), stage=samples.stage)
+    return SampleSet(chains=tuple(chains))
 
 
 def rs_point_estimates(tours, w, d_hat):

@@ -303,7 +303,6 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
             sample_t_iid(5, 1.0, 500, seed=31),
             sample_t_iid(5, 0.0, 500, seed=32),
         ),
-        stage=2,
     )
     mix = mixture(toy_refs, [0.5, 0.25], id="mix")
     mix_row = stage2_row(st2, mix, toy_refs, half, d_plug)
@@ -339,7 +338,7 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
         sample_t_iid(5, 1.0, 3000, seed=41),
         independence_mh(t_density(5, 0.0), 5, 1.0, 3000, seed=42, with_regen=True),
     )
-    s2 = SampleSet(chains=chains2, stage=2)
+    s2 = SampleSet(chains=chains2)
     tgt = t_density(5, 0.5)
     tours = split_tours(s2, toy_refs, tgt, w2, f=IDENTITY)
     a_eq = w2 * np.concatenate(([1.0], d_hat))

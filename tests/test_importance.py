@@ -81,7 +81,7 @@ def _chains_at(x, refs):
     chains = tuple(
         ChainSample(ref.id, np.asarray(x, dtype=float), "iid", 0) for ref in refs
     )
-    return SampleSet(chains=chains, stage=2)
+    return SampleSet(chains=chains)
 
 
 # ------------------------------------------------------------- weights u(x)
@@ -131,7 +131,7 @@ def test_mixture_target_estimates_one_exactly(toy_refs):
         sample_t_iid(5, 1.0, 500, seed=1),
         sample_t_iid(5, 0.0, 500, seed=2),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     target = mixture(toy_refs, [0.5, 0.25], id="mix")
     row = stage2_row(samples, target, toy_refs, HALF, TRUE_D)
     assert row.u_hat == pytest.approx(1.0, abs=1e-12)
@@ -176,7 +176,7 @@ def test_zero_weight_sum_raises(table_refs):
         ChainSample(c.density_id, np.zeros_like(c.states), "iid", 0)
         for c in chains
     )
-    samples = SampleSet(chains=only_zero, stage=2)
+    samples = SampleSet(chains=only_zero)
     target = discrete_table_density((0.0, 1.0), id="right")
     with pytest.raises(DegenerateDenominatorError):
         _pass(samples, target, table_refs, HALF, TRUE_D, f=IDENTITY)
@@ -217,7 +217,7 @@ def test_weight_variance_iid_analytic_oracle(table_refs):
         _iid_table_chain(TABLE_1, n, 11, "flat"),
         _iid_table_chain(TABLE_2, n, 12, "tilted"),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     row = stage2_row(samples, _table_target(), table_refs, HALF, TRUE_D)
     assert row.var_stage2_u == pytest.approx(ORACLE_TAU2, rel=0.15)
 
@@ -306,7 +306,7 @@ def test_discrete_three_se_oracle(table_refs):
 def test_single_reference_family_collapses_to_snis(toy_refs):
     ref = toy_refs[0]
     chain = sample_t_iid(5, 1.0, 5000, seed=77)
-    samples = SampleSet(chains=(chain,), stage=2)
+    samples = SampleSet(chains=(chain,))
     target = t_density(5, 0.0)
     row = stage2_row(
         samples, target, [ref], [1.0], np.empty(0),
@@ -382,7 +382,7 @@ def test_family_evaluates_each_target_once_per_chain(toy_refs):
         sample_t_iid(5, 1.0, 400, seed=3),
         sample_t_iid(5, 0.0, 400, seed=4),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     results = estimate_family(
         samples, family, toy_refs, TRUE_D, np.array([[0.5]]), q=0.1,
         f=IDENTITY, a_per_target=[HALF, [0.3, 0.7], HALF],
@@ -399,13 +399,13 @@ def test_family_toy_grid_hits_truth(toy_refs):
         sample_t_iid(5, 1.0, n, seed=301),
         independence_mh(t_density(5, 0.0), 5, 1.0, n, seed=302),
     )
-    stage1 = SampleSet(chains=chains, stage=1)
+    stage1 = SampleSet(chains=chains)
     fit = estimate_ratios(stage1, toy_refs)
     chains2 = (
         sample_t_iid(5, 1.0, 2000, seed=303),
         independence_mh(t_density(5, 0.0), 5, 1.0, 2000, seed=304),
     )
-    stage2 = SampleSet(chains=chains2, stage=2)
+    stage2 = SampleSet(chains=chains2)
     family = t_family(5, [round(0.1 * i, 1) for i in range(11)])
     results = estimate_family(
         stage2,
@@ -435,7 +435,7 @@ def test_family_isolates_target_failures(toy_refs, table_refs):
         sample_t_iid(5, 1.0, 400, seed=1),
         sample_t_iid(5, 0.0, 400, seed=2),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     results = estimate_family(
         samples, family, toy_refs, TRUE_D * 0 + 1.0, np.array([[0.5]]), q=0.1,
         f=IDENTITY, a=HALF,
@@ -452,7 +452,7 @@ def test_family_tail_guard_flags(toy_refs):
         sample_t_iid(5, 1.0, 400, seed=5),
         sample_t_iid(5, 0.0, 400, seed=6),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     family = t_family(5, [0.5])
     strict = estimate_family(
         samples, family, toy_refs, np.array([1.0]), np.array([[0.5]]),
@@ -471,7 +471,7 @@ def test_family_per_target_weights(toy_refs):
         sample_t_iid(5, 1.0, 600, seed=8),
         sample_t_iid(5, 0.0, 600, seed=9),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     family = t_family(5, [0.0, 1.0])
     per_target = [np.array([0.9, 0.1]), np.array([0.2, 0.8])]
     results = estimate_family(

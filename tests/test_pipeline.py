@@ -302,7 +302,6 @@ def test_sample_stage_seed_separation():
     s1 = sample_stage(cfg, refs, (50, 50), STAGE1_TAG)
     s2 = sample_stage(cfg, refs, (50, 50), STAGE2_TAG)
     r1 = sample_stage(cfg, refs, (50, 50), STAGE1_TAG, rep_index=1)
-    assert s1.stage == 1 and s2.stage == 2
     assert not np.array_equal(s1.chains[0].states, s2.chains[0].states)
     assert not np.array_equal(s1.chains[0].states, r1.chains[0].states)
 
@@ -413,8 +412,8 @@ def test_run_replications_workers_agree():
     serial = run_replications(config_from_dict(raw))
     parallel = run_replications(config_from_dict(dict(raw, workers=2)))
     for a, b in zip(serial.records, parallel.records):
-        assert np.array_equal(a.d_hat, b.d_hat)
-        assert np.array_equal(a.var_bm, b.var_bm)
+        assert np.array_equal(a.estimate.d_hat, b.estimate.d_hat)
+        assert np.array_equal(a.estimate.cov_bm, b.estimate.cov_bm)
 
 
 def test_run_replications_size_grid():
@@ -908,11 +907,48 @@ def test_cli_pilot_weights_exits_3_when_every_grid_point_fails(tmp_path, capsys)
 
 
 def test_cli_exit_code_insufficient_data(tmp_path, capsys):
+    """Too few draws for batch means exit 4; so does a splitting constant of
+    1e-300 on the regenerative route, which leaves the imh chain with only
+    its first mark, and the message names that chain."""
     raw = toy_config(targets=None)
     raw["stage1"]["sizes"] = [3, 3]
     path = write_config(tmp_path, raw)
     assert cli_main(["estimate-d", "--config", path]) == 4
     assert "insufficient data" in capsys.readouterr().err
+    raw = toy_config(targets=None, se_method="rs")
+    raw["stage1"]["sizes"] = [500, 500]
+    raw["references"][1]["splitting_const"] = 1e-300
+    path = write_config(tmp_path, raw)
+    assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        "insufficient data: chain 't5_mu0': fewer than two regeneration marks\n"
+    )
+
+
+THIRD_REF = {"family": "t", "sampler": "iid", "df": 5.0, "mu": 2.0}
+TRUTH_MISMATCHES = {
+    # once a numpy broadcasting traceback with exit 1
+    "d-per-reference": (3, {"d": [1.0, 1.0, 1.0]}, "truth.d"),
+    # once exit 0 with a coverage of 0.000 for a ratio that does not exist
+    "d-extra-value": (2, {"d": [1.0, 2.0]}, "truth.d"),
+    "u-without-targets": (2, {"u": [1.0]}, "truth.u"),
+    "eta-per-target": (2, {"eta": [0.0, 0.5]}, "truth.eta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUTH_MISMATCHES))
+def test_cli_truth_lengths_are_checked_when_read(tmp_path, capsys, case):
+    """truth.d has one value per reference after the first; truth.u and
+    truth.eta need a targets block and one value per target."""
+    k, truth, where = TRUTH_MISMATCHES[case]
+    raw = toy_config(replications=2, truth=truth)
+    raw["references"] = (raw["references"] + [THIRD_REF])[:k]
+    raw["stage1"]["sizes"] = [300] * k
+    if case == "u-without-targets":
+        del raw["targets"]
+    path = write_config(tmp_path, raw)
+    assert cli_main(["replicate", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
 
 def test_cli_exit_code_estimation_failure(tmp_path, capsys, monkeypatch):
@@ -1164,6 +1200,62 @@ def test_every_module_definition_has_a_non_test_caller():
             if not used:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"no caller outside the tests: {unused}"
+
+
+# class members that only tests read
+READ_ONLY_BY_TESTS = {
+    # kept for the per-target coverage output that `genis replicate` lacks;
+    # test_target_grid_truth_and_coverage reads it today
+    "ReplicationReport.target_arrays",
+}
+
+
+def _class_members(tree):
+    """(class, member) for each method, property and annotated field of a
+    top-level class; dunder methods serve protocols and are left out."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        for item in stmt.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                yield stmt.name, item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield stmt.name, item.target.id
+
+
+def _attribute_reads(tree):
+    """(owner, name) of each attribute read; owner is the top-level class
+    whose __init__ or __post_init__ holds the read, else None."""
+    owner = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if getattr(item, "name", None) in ("__init__", "__post_init__"):
+                    owner.update((id(n), stmt.name) for n in ast.walk(item))
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield owner.get(id(n)), n.attr
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    """Each method, property and annotated field of a top-level class in
+    src/genis is read as an attribute somewhere in src/genis, scripts/ or
+    bench/; a read in the class's own __init__ or __post_init__, which
+    only checks or converts the value, does not count."""
+    root = Path(__file__).parents[1]
+    package = sorted((root / "src" / "genis").glob("*.py"))
+    callers = package + sorted((root / "scripts").glob("*.py"))
+    callers += sorted((root / "bench").glob("*.py"))
+    reads = set()
+    for path in callers:
+        reads.update(_attribute_reads(ast.parse(path.read_text())))
+    unread = []
+    for path in package:
+        for cls, member in _class_members(ast.parse(path.read_text())):
+            is_read = any(name == member and by != cls for by, name in reads)
+            if not is_read and f"{cls}.{member}" not in READ_ONLY_BY_TESTS:
+                unread.append(f"{path.stem}.{cls}.{member}")
+    assert not unread, f"class members read only by tests: {unread}"
 
 
 # defaulted parameters that only tests set

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from genis.densities import Integrand, discrete_table_density, t_density
 from genis.errors import InsufficientRegenerationError
 from genis.regen import (
-    ChainTours,
     _tour_sums,
     rs_long_run_cov,
     split_tours,
@@ -148,15 +147,6 @@ def test_tour_sums_equal_prefix_differences_bitwise(seed, n, k, density):
         assert np.array_equal(sums[:, j], expected)
 
 
-def test_chain_tours_validation():
-    with pytest.raises(ValueError):
-        ChainTours("c", np.empty(0, dtype=np.int64), np.empty(0))
-    with pytest.raises(ValueError):
-        ChainTours("c", np.array([2, 3]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        ChainTours("c", np.array([2]), np.array([1.0]), v_sums=np.array([1.0, 2.0]))
-
-
 # ---------------------------------------------------------- point estimates
 
 
@@ -169,7 +159,7 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
         sample_t_iid(5, 1.0, 3000, seed=21),
         independence_mh(t_density(5, 0.0), 5, 1.0, 3000, seed=22, with_regen=True),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     target = t_density(5, 0.5)
     tours = split_tours(samples, toy_refs, target, w, f=IDENTITY)
     a_equiv = w * np.concatenate(([1.0], d_hat))
@@ -206,7 +196,7 @@ def _rs_standard_errors(samples, refs, target, w, d_hat):
     for l, (chain, t) in enumerate(zip(samples.chains, tours)):
         x = chain.states
         u = np.exp(target.log_density(x) - mix.log_density(x))
-        gamma = rs_long_run_cov([x * u, u], chain.regen_marks)
+        gamma = rs_long_run_cov([x * u, u], chain)
         gamma /= t.lengths.sum()
         grad = np.array([1.0, -eta_hat])
         var_u += coef[l] ** 2 * gamma[1, 1]
@@ -229,7 +219,7 @@ def test_rs_toy_mean_three_se(toy_refs):
         sample_t_iid(5, 1.0, 10_000, seed=51),
         independence_mh(t_density(5, 0.0), 5, 1.0, 10_000, seed=52, with_regen=True),
     )
-    samples = SampleSet(chains=chains, stage=2)
+    samples = SampleSet(chains=chains)
     target = t_density(5, 0.5)
     w = np.array([0.5, 0.5])
     _, eta_hat, _, se = _rs_standard_errors(
@@ -263,8 +253,8 @@ def test_tour_permutation_invariance(table_refs):
         marks[np.cumsum(np.diff(bounds)[perm])] = True
         marks[0] = True
         np.testing.assert_allclose(
-            rs_long_run_cov(rows[:, order], marks),
-            rs_long_run_cov(rows, chain.regen_marks),
+            rs_long_run_cov(rows[:, order], _marked_chain(x[order], marks)),
+            rs_long_run_cov(rows, chain),
             rtol=1e-12,
         )
 
@@ -275,7 +265,7 @@ def test_tour_permutation_invariance(table_refs):
 def test_rs_long_run_cov_iid_is_sample_covariance():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((400, 2))
-    got = rs_long_run_cov(x.T, None)
+    got = rs_long_run_cov(x.T, sample_t_iid(5, 0.0, 400, seed=9))
     centered = x - x.mean(axis=0)
     np.testing.assert_allclose(got, centered.T @ centered / 400, rtol=1e-12)
 
@@ -287,7 +277,7 @@ def test_rs_long_run_cov_per_draw_marks_matches_iid():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(300)
     marks = np.ones(300, dtype=bool)
-    got = rs_long_run_cov([x], marks)
+    got = rs_long_run_cov([x], _marked_chain(x, marks))
     head = x[:-1]
     centered = head - head.mean()
     expected = np.dot(centered, centered) / head.size
@@ -297,17 +287,17 @@ def test_rs_long_run_cov_per_draw_marks_matches_iid():
 def test_rs_long_run_cov_validation():
     x = [np.arange(10.0)]
     with pytest.raises(ValueError):
-        rs_long_run_cov(x, np.ones(9, dtype=bool))
-    bad = np.ones(10, dtype=bool)
-    bad[0] = False
-    with pytest.raises(ValueError):
-        rs_long_run_cov(x, bad)
+        rs_long_run_cov(x, _marked_chain(np.arange(9.0), np.ones(9)))
+    bare = ChainSample("c", np.arange(10.0), "markov", 0)
+    with pytest.raises(ValueError, match="no regeneration marks"):
+        rs_long_run_cov(x, bare)
     lonely = np.zeros(10, dtype=bool)
     lonely[0] = True
-    with pytest.raises(InsufficientRegenerationError):
-        rs_long_run_cov(x, lonely)
+    with pytest.raises(InsufficientRegenerationError, match="chain 'c'"):
+        rs_long_run_cov(x, _marked_chain(np.arange(10.0), lonely))
+    iid = sample_t_iid(5, 0.0, 10, seed=1)
     with pytest.raises(ValueError):
-        rs_long_run_cov(np.arange(10.0), None)  # a 1-d array is not a row list
+        rs_long_run_cov(np.arange(10.0), iid)  # a 1-d array is not a row list
 
 
 def test_rs_long_run_cov_agrees_with_batch_means():
@@ -318,7 +308,7 @@ def test_rs_long_run_cov_agrees_with_batch_means():
 
     chain = independence_mh(t_density(5, 0.0), 5, 1.0, 50_000, seed=61, with_regen=True)
     series = 1.0 / (1.0 + chain.states**2)
-    rs = rs_long_run_cov([series], chain.regen_marks)[0, 0]
+    rs = rs_long_run_cov([series], chain)[0, 0]
     bm = bm_cov([series], block_size(series.size))[0, 0]
     assert rs == pytest.approx(bm, rel=0.30)
     assert rs > 0.0

@@ -221,8 +221,22 @@ def test_no_proposal_with_mass_is_an_invalid_model():
 # ------------------------------------------------ the IMH recursion itself
 
 
-def _loop_imh(log_omega_prop, proposals, log_u, log_coin, log_c):
-    """Reference for _run_imh: the per-step loop it replaced, verbatim."""
+class _FixedUniforms:
+    """Stand-in for the generator: random(n) returns the given uniform
+    arrays in turn, a fresh copy each time."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def random(self, n):
+        u = next(self._draws)
+        assert u.shape == (n,)
+        return u.copy()
+
+
+def _loop_imh(log_omega_prop, proposals, rng, log_c):
+    """Reference for _run_imh: the per-step loop it replaced, reading log u
+    and then, with log_c, the coin logs from `rng`."""
     n = proposals.shape[0]
     marks = None
     lw = log_omega_prop.tolist()
@@ -230,15 +244,17 @@ def _loop_imh(log_omega_prop, proposals, log_u, log_coin, log_c):
     if start is None:
         raise InvalidModelError("no proposal has positive target mass")
     props = proposals.tolist()
-    lu = log_u.tolist()
+    with np.errstate(divide="ignore"):
+        lu = np.log(rng.random(n)).tolist()
     states_out = [0.0] * n
     cur = props[start]
     cur_lw = lw[start]
     states_out[0] = cur
-    if log_coin is not None:
+    if log_c is not None:
         marks_out = [False] * n
         marks_out[0] = True
-        lc = log_coin.tolist()
+        with np.errstate(divide="ignore"):
+            lc = np.log(rng.random(n)).tolist()
         for i in range(1, n):
             lw_y = lw[i]
             if lu[i] < lw_y - cur_lw:
@@ -266,8 +282,9 @@ def _loop_imh(log_omega_prop, proposals, log_u, log_coin, log_c):
 @st.composite
 def imh_inputs(draw):
     """Random recursion inputs: n in 1..300; log omega with ties, moderate
-    or overflowing spread and -inf entries (also at proposal 0); -inf in
-    log_u and log_coin; any finite log c; with and without the coin."""
+    or overflowing spread and -inf entries (also at proposal 0); zero
+    accept and coin uniforms, whose logs are -inf; any finite log c; with
+    and without the coin.  The uniforms are what the generator returns."""
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = draw(st.sampled_from(["ties", "moderate", "overflowing"]))
@@ -280,31 +297,33 @@ def imh_inputs(draw):
     if draw(st.booleans()):
         log_omega[0] = -math.inf
 
-    def log_uniforms():
-        out = np.log(rng.random(n))
-        out[rng.random(n) < draw(st.floats(0.0, 0.5))] = -math.inf
+    def uniforms():
+        out = rng.random(n)
+        out[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
         return out
 
     proposals = 0.5 * np.arange(n) - 3.0
-    log_u = log_uniforms()
+    accept = uniforms()
     if not draw(st.booleans()):
-        return log_omega, proposals, log_u, None, None
+        return log_omega, proposals, (accept,), None
     any_finite = st.floats(allow_nan=False, allow_infinity=False)
     log_c = draw(st.one_of(st.floats(-3.0, 3.0), any_finite))
-    return log_omega, proposals, log_u, log_uniforms(), log_c
+    return log_omega, proposals, (accept, uniforms()), log_c
 
 
 @given(args=imh_inputs())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_run_imh_matches_the_per_step_loop(args):
-    """States and marks are bitwise equal to the per-step loop."""
+    """States and marks are bitwise equal to the per-step loop; the coin
+    is drawn only with a splitting constant (the stub has no third draw)."""
+    log_omega, proposals, draws, log_c = args
     try:
-        expected = _loop_imh(*args)
+        expected = _loop_imh(log_omega, proposals, _FixedUniforms(*draws), log_c)
     except InvalidModelError:
         with pytest.raises(InvalidModelError):
-            _run_imh(*args)
+            _run_imh(log_omega, proposals, _FixedUniforms(*draws), log_c)
         return
-    states, marks = _run_imh(*args)
+    states, marks = _run_imh(log_omega, proposals, _FixedUniforms(*draws), log_c)
     assert states.dtype == expected[0].dtype
     assert np.array_equal(states, expected[0])
     if expected[1] is None:
@@ -315,25 +334,25 @@ def test_run_imh_matches_the_per_step_loop(args):
 
 def test_run_imh_single_step():
     props = np.array([2.5])
-    minus_one = np.array([-1.0])
-    states, marks = _run_imh(np.array([0.3]), props, minus_one, minus_one, 0.0)
+    e = np.exp([-1.0])
+    states, marks = _run_imh(np.array([0.3]), props, _FixedUniforms(e, e), 0.0)
     assert states.tolist() == [2.5] and marks.tolist() == [True]
     with pytest.raises(InvalidModelError):
-        _run_imh(np.array([-np.inf]), props, np.array([-1.0]), None, None)
+        _run_imh(np.array([-np.inf]), props, _FixedUniforms(e), None)
 
 
 def test_run_imh_late_start_without_accepts():
     """The chain starts at proposal 1, the first with mass, and never moves."""
     log_omega = np.array([-np.inf, 0.5, -np.inf, -np.inf])
     props = np.array([10.0, 11.0, 12.0, 13.0])
-    log_u = np.array([-1.0, 0.0, -1.0, -1.0])
-    log_coin = np.full(4, -1.0)
-    for coin, c in ((None, None), (log_coin, 0.2)):
-        states, marks = _run_imh(log_omega, props, log_u, coin, c)
+    accept = np.exp([-1.0, 0.0, -1.0, -1.0])
+    coin = np.full(4, np.exp(-1.0))
+    for draws, c in (((accept,), None), ((accept, coin), 0.2)):
+        states, marks = _run_imh(log_omega, props, _FixedUniforms(*draws), c)
         assert states.tolist() == [11.0] * 4
-        expected = _loop_imh(log_omega, props, log_u, coin, c)
+        expected = _loop_imh(log_omega, props, _FixedUniforms(*draws), c)
         assert np.array_equal(states, expected[0])
-        if coin is not None:
+        if c is not None:
             assert marks.tolist() == [True, False, False, False]
 
 
@@ -364,10 +383,12 @@ def test_t_chain_matches_frozen_digest(seed):
 
 
 def test_marked_imh_chain_memory_peak():
-    """A marked IMH chain at n = 100k peaks below nine n-length float64
-    arrays of traced memory (7.2 MB).  It measures 7.15 (5.7 MB), so the
-    bound leaves 26% headroom; the recursion over Python list copies of
-    log omega and log u peaked at 18.2 (14.6 MB)."""
+    """A marked IMH chain at n = 100k peaks below seven n-length float64
+    arrays of traced memory (5.6 MB).  It measures 5.68 (4.5 MB), so the
+    bound leaves 19% headroom; with log u and the coin logs drawn by the
+    sampler and held through the recursion it peaked at 7.14 (5.7 MB), and
+    the recursion over Python list copies of log omega and log u at 18.2
+    (14.6 MB)."""
     n = 100_000
     target = t_density(5, 0)
     independence_mh(target, 5, 1, 1000, 1, with_regen=True)  # first-call imports
@@ -375,7 +396,7 @@ def test_marked_imh_chain_memory_peak():
         lambda: independence_mh(target, 5, 1, n, 1, with_regen=True)
     )
     assert chain.n == n
-    assert peak < 9 * 8 * n
+    assert peak < 7 * 8 * n
 
 
 def test_discrete_chain_matches_frozen_digest():
@@ -418,17 +439,15 @@ def test_chain_sample_rejects_bad_inputs():
         )
 
 
-def test_sample_set_rejects_duplicate_ids_and_bad_stage():
+def test_sample_set_rejects_duplicate_ids():
     a = sample_t_iid(5, 0.0, 10, seed=1)
     b = sample_t_iid(5, 0.0, 10, seed=2)
     with pytest.raises(ValueError):
         SampleSet(chains=(a, b))
     c = sample_t_iid(5, 1.0, 10, seed=2)
-    s = SampleSet(chains=(a, c), stage=1)
+    s = SampleSet(chains=(a, c))
     assert s.n_total == 20
     assert list(s.n_per_chain) == [10, 10]
-    with pytest.raises(ValueError):
-        SampleSet(chains=(a, c), stage=3)
 
 
 # ------------------------------------------------------------- persistence
