@@ -49,7 +49,7 @@ def build_config(seed: int, size: int, reps: int, weights) -> dict:
 def summarize(name, report, n_total):
     v_bm = report.var_matrix(n_total, "bm")[:, 0]
     emp = report.empirical_asym_var(n_total)[0]
-    cov = report.coverage_d(n_total)[0]
+    cov = report.coverage(n_total)["d[2]"]
     print(
         f"{name:<8} median asym var {np.median(v_bm):.4f}  "
         f"empirical {emp:.4f}  coverage {cov:.3f}"

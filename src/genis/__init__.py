@@ -20,12 +20,10 @@ from .errors import (
 from .importance import estimate_family
 from .pipeline import (
     ExperimentConfig,
-    OracleReport,
     ReplicationReport,
     TwoStageResult,
     config_from_dict,
     config_from_json,
-    oracle_check,
     run_replications,
     run_two_stage,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "InsufficientDataError",
     "InsufficientRegenerationError",
     "InvalidModelError",
-    "OracleReport",
     "ReplicationReport",
     "TwoStageResult",
     "UndefinedPointError",
@@ -50,7 +47,6 @@ __all__ = [
     "config_from_json",
     "estimate_family",
     "estimate_ratios",
-    "oracle_check",
     "run_replications",
     "run_two_stage",
 ]

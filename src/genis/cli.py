@@ -22,7 +22,7 @@ from .pipeline import (
     ExperimentConfig,
     build_references,
     config_from_json,
-    oracle_check,
+    exact_truth,
     pilot_weights,
     run_replications,
     run_two_stage,
@@ -35,6 +35,8 @@ from .pipeline import (
     write_tours_csv,
     STAGE1_TAG,
     STAGE2_TAG,
+    truth_rows,
+    z_score,
 )
 from .reverse_logistic import SE_METHODS
 from .samplers import save_chain
@@ -96,6 +98,21 @@ def _print_ratios(est, ref_labels):
     print(f"converged in {est.iterations} iterations, n = {est.n_total}")
 
 
+def _print_truth(truth, est, targets) -> bool:
+    """Each value `truth` holds against its estimate, a target's u and mean
+    on one line; True when every |z| is at most ORACLE_Z (NaN is not)."""
+    rows = truth_rows(truth, est, targets) if truth is not None else []
+    zs = [z_score(e, t, se) for _, t, e, se in rows]
+    lines: dict[str, list[str]] = {}
+    for (label, t, e, _), z in zip(rows, zs):
+        name, _, key = label.rpartition(":")  # "u:<target>" or "d[j]"
+        text = f"{name} true {t:.6g}, estimate {e:.6g}, z {z:+.3f}"
+        lines.setdefault(key, []).append(text.lstrip())
+    for key, parts in lines.items():
+        print(f"{key}: " + "; ".join(parts))
+    return all(abs(z) <= ORACLE_Z for z in zs)
+
+
 def _cmd_estimate_d(args) -> int:
     cfg = _load_config(args)
     cfg = replace(cfg, targets=None, stage2=None)
@@ -104,6 +121,7 @@ def _cmd_estimate_d(args) -> int:
     labels = tuple(r.id for r in build_references(cfg))
     write_d_estimate_csv(out / "d_estimate.csv", result.ratio_estimate, labels)
     _print_ratios(result.ratio_estimate, labels)
+    _print_truth(cfg.truth, result.ratio_estimate, None)
     print(f"wrote {out / 'd_estimate.csv'}")
     return 0
 
@@ -114,6 +132,7 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("estimate needs a targets block; use estimate-d otherwise")
     out = _out_dir(args)
     result = run_two_stage(cfg)
+    tours = stage2_tours(cfg, result)  # it can fail, so before any output
     labels = tuple(r.id for r in build_references(cfg))
     write_d_estimate_csv(out / "d_estimate.csv", result.ratio_estimate, labels)
     write_targets_csv(out / "targets.csv", result.target_results)
@@ -125,8 +144,8 @@ def _cmd_estimate(args) -> int:
         if row.flags:
             line += f"  [{';'.join(row.flags)}]"
         print(line)
+    _print_truth(cfg.truth, result.ratio_estimate, result.target_results)
     wrote = ["d_estimate.csv", "targets.csv"]
-    tours = stage2_tours(cfg, result)
     if tours is not None:
         write_tours_csv(out / "tours.csv", tours)
         wrote.append("tours.csv")
@@ -150,9 +169,12 @@ def _cmd_replicate(args) -> int:
                     f"  d[{j + 2}]: empirical asymptotic var {emp[j]:.4g}, "
                     f"median estimated {med[j]:.4g}"
                 )
-            if report.truth is not None and report.truth.d is not None:
-                cov = report.coverage_d(size)
-                print("  coverage: " + ", ".join(f"{c:.3f}" for c in cov))
+            shares = report.coverage(size) if report.truth is not None else {}
+            for name in ("d", "u", "mean"):  # labels d[j], u:<target>, mean:<target>
+                values = [f"{c:.3f}" for label, c in shares.items() if label.startswith(name)]
+                if values:
+                    head = "coverage" if name == "d" else f"coverage of {name}"
+                    print(f"  {head}: " + ", ".join(values))
     failures = report.failures()
     if failures:
         print(f"{len(failures)} replications failed; see replications.csv")
@@ -173,22 +195,9 @@ def _cmd_pilot_weights(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    report = oracle_check(cfg)
-    for j, (t, h, z) in enumerate(zip(report.d_true, report.d_hat, report.z_d)):
-        print(f"d[{j + 2}]: true {t:.6g}, estimate {h:.6g}, z {z:+.3f}")
-    z_eta = report.z_eta
-    for i, row in enumerate(report.targets):
-        line = (
-            f"{row.target_label}: u true {report.u_true[i]:.6g}, "
-            f"estimate {row.u_hat:.6g}, z {report.z_u[i]:+.3f}"
-        )
-        if z_eta is not None:
-            line += (
-                f"; mean true {report.eta_true[i]:.6g}, "
-                f"estimate {row.eta_hat:.6g}, z {z_eta[i]:+.3f}"
-            )
-        print(line)
-    if report.passed:
+    cfg = replace(cfg, truth=exact_truth(cfg))
+    result = run_two_stage(cfg)
+    if _print_truth(cfg.truth, result.ratio_estimate, result.target_results):
         print(f"oracle check passed (all |z| <= {ORACLE_Z:g})")
         return 0
     print(f"oracle check FAILED (some |z| > {ORACLE_Z:g})")
@@ -221,7 +230,7 @@ _COMMANDS = {
     "pilot-weights": (_cmd_pilot_weights, "grid-search chain weights on a pilot run"),
     "oracle-check": (
         _cmd_oracle_check,
-        "validate against exhaustively summable table densities",
+        "check estimates against exact values (table sums, t densities)",
     ),
     "export-chains": (_cmd_export_chains, "write the sampled chains as plain text"),
 }

@@ -115,7 +115,8 @@ def t_log_density(df: float, mu: float, x) -> np.ndarray:
         )
     else:
         const = -0.5 * math.log(2.0 * math.pi) - 0.25 / df + 1.0 / (24.0 * df) / df / df
-    return const - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / df)
+    with np.errstate(over="ignore"):  # an infinite square gives log density -inf
+        return const - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / df)
 
 
 def t_label(df: float, mu: float) -> str:

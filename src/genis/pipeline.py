@@ -119,7 +119,7 @@ class TargetConfig:
 
 @dataclass(frozen=True)
 class TruthConfig:
-    """Known true values, used for coverage bookkeeping in replications."""
+    """Known true values; runs report z-scores and coverage against them."""
 
     d: tuple[float, ...] | None = None
     u: tuple[float, ...] | None = None
@@ -614,6 +614,48 @@ def run_two_stage(cfg: ExperimentConfig, rep_index: int = 0) -> TwoStageResult:
     return TwoStageResult(ratio_est, tuple(results), samples1, samples2, q)
 
 
+def exact_truth(cfg: ExperimentConfig) -> TruthConfig:
+    """The exact d, u and eta of a config: tables by summation, and t
+    densities, which are normalized, with every d and u 1 and eta = mu
+    where the mean exists (df > 1)."""
+    t, is_t = cfg.targets, cfg.references[0].family == "t"
+    _require(t is None or (t.family == "t") == is_t,
+             "exact truth of t targets over table references is not defined")
+    m = [1.0 if is_t else sum(r.table) for r in cfg.references]
+    d = tuple(x / m[0] for x in m[1:])
+    if t is None:
+        return TruthConfig(d=d)
+    if is_t:
+        masses = [1.0] * len(t.mu_grid)
+        means = t.mu_grid if t.df > 1 else None
+    else:
+        masses = [sum(tab) for tab in t.tables]
+        means = [sum(i * v for i, v in enumerate(tab)) / sum(tab) for tab in t.tables]
+    eta = tuple(means) if cfg.integrand == "x" and means is not None else None
+    return TruthConfig(d=d, u=tuple(x / m[0] for x in masses), eta=eta)
+
+
+def truth_rows(truth: TruthConfig, est: RatioEstimate, targets) -> list[tuple]:
+    """(label, truth, estimate, se) for every value `truth` holds: d[j] per
+    ratio, then u:<target> and mean:<target> per row of `targets` (None
+    when only stage 1 ran)."""
+    rows = [(f"d[{j + 2}]", *row) for j, row in enumerate(zip(truth.d or (), est.d_hat, est.se))]
+    for r, value in zip(targets or (), truth.u or ()):
+        rows.append((f"u:{r.target_label}", value, r.u_hat, r.se_u))
+    for r, value in zip(targets or (), truth.eta or ()):
+        if r.eta_hat is not None:
+            rows.append((f"mean:{r.target_label}", value, r.eta_hat, r.se_eta))
+    return rows
+
+
+def z_score(estimate: float, truth: float, se: float) -> float:
+    """(estimate - truth) / se; at se = 0, 0 if exact and +-inf if not; NaN if any is."""
+    diff = estimate - truth
+    if se == 0 and not math.isnan(diff):
+        return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+    return diff / se if se > 0 else math.nan
+
+
 @dataclass
 class ReplicationRecord:
     replication: int
@@ -652,31 +694,16 @@ class ReplicationReport:
             raise ValueError("need at least two successful replications")
         return n_total * np.var(d, axis=0, ddof=1)
 
-    def coverage_d(self, n_total: int) -> np.ndarray:
-        if self.truth is None or self.truth.d is None:
-            raise ValueError("no true ratios recorded in the config")
-        d = self.d_matrix(n_total)
-        v = self.var_matrix(n_total)
-        se = np.sqrt(np.clip(v, 0.0, None) / n_total)
-        truth = np.asarray(self.truth.d)
-        return np.mean(np.abs(d - truth) <= Z_95 * se, axis=0)
-
-    def target_arrays(self, label: str) -> dict[str, np.ndarray]:
-        rows = [
-            next(t for t in r.targets if t.target_label == label)
-            for r in self.records
-            if r.error is None and r.targets is not None
-        ]
-        if not rows:
-            raise ValueError(f"no replication carries target {label!r}")
-        out = {
-            "u_hat": np.array([t.u_hat for t in rows]),
-            "se_u": np.array([t.se_u for t in rows]),
-        }
-        if rows[0].eta_hat is not None:
-            out["eta_hat"] = np.array([t.eta_hat for t in rows])
-            out["se_eta"] = np.array([t.se_eta for t in rows])
-        return out
+    def coverage(self, n_total: int) -> dict[str, float]:
+        """Per label of `truth_rows`, the share of the replications at this
+        size whose interval of Z_95 standard errors covers the truth."""
+        if self.truth is None:
+            raise ValueError("no true values recorded in the config")
+        hits: dict[str, list[bool]] = {}
+        for rec in self.at_size(n_total):
+            for label, truth, est, se in truth_rows(self.truth, rec.estimate, rec.targets):
+                hits.setdefault(label, []).append(abs(est - truth) <= Z_95 * se)
+        return {label: float(np.mean(h)) for label, h in hits.items()}
 
     def failures(self) -> list[ReplicationRecord]:
         return [r for r in self.records if r.error is not None]
@@ -759,90 +786,6 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
     else:
         records = [_one_replication(j) for j in jobs]
     return ReplicationReport(records=records, truth=cfg.truth)
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Exact discrete-table values against one pipeline run."""
-
-    d_true: np.ndarray
-    d_hat: np.ndarray
-    d_se: np.ndarray
-    u_true: np.ndarray
-    eta_true: np.ndarray | None
-    targets: tuple[TargetResult, ...]
-
-    @property
-    def z_d(self) -> np.ndarray:
-        return (self.d_hat - self.d_true) / self.d_se
-
-    @property
-    def z_u(self) -> np.ndarray:
-        return np.array(
-            [
-                (t.u_hat - u0) / (t.se_u if t.se_u > 0 else np.inf)
-                for t, u0 in zip(self.targets, self.u_true)
-            ]
-        )
-
-    @property
-    def z_eta(self) -> np.ndarray | None:
-        if self.eta_true is None:
-            return None
-        return np.array(
-            [
-                (t.eta_hat - e0) / (t.se_eta if t.se_eta and t.se_eta > 0 else np.inf)
-                for t, e0 in zip(self.targets, self.eta_true)
-            ]
-        )
-
-    @property
-    def passed(self) -> bool:
-        ok = np.all(np.abs(self.z_d) <= ORACLE_Z) and np.all(
-            np.abs(self.z_u) <= ORACLE_Z
-        )
-        if self.eta_true is not None:
-            ok = ok and np.all(np.abs(self.z_eta) <= ORACLE_Z)
-        return bool(ok)
-
-
-def exact_table_quantities(cfg: ExperimentConfig):
-    """Exhaustive-summation truth for an all-table config."""
-    _require(
-        all(r.family == "table" for r in cfg.references),
-        "oracle check needs table references",
-    )
-    _require(
-        cfg.targets is not None and cfg.targets.family == "table",
-        "oracle check needs table targets",
-    )
-    m_refs = np.array([sum(r.table) for r in cfg.references])
-    d_true = m_refs[1:] / m_refs[0]
-    u_true = np.array([sum(tab) for tab in cfg.targets.tables]) / m_refs[0]
-    eta_true = None
-    if cfg.integrand == "x":
-        eta_true = np.array(
-            [
-                sum(i * v for i, v in enumerate(tab)) / sum(tab)
-                for tab in cfg.targets.tables
-            ]
-        )
-    return d_true, u_true, eta_true
-
-
-def oracle_check(cfg: ExperimentConfig) -> OracleReport:
-    """Run the pipeline on exhaustively summable tables and compare."""
-    d_true, u_true, eta_true = exact_table_quantities(cfg)
-    result = run_two_stage(cfg)
-    est = result.ratio_estimate
-    return OracleReport(
-        d_true=d_true,
-        d_hat=est.d_hat,
-        d_se=est.se,
-        u_true=u_true,
-        eta_true=eta_true,
-        targets=result.target_results,
-    )
 
 
 def _fmt(value) -> str:

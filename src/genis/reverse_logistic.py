@@ -46,7 +46,7 @@ import numpy as np
 
 from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, bm_cov, block_size
 from .densities import UnnormalizedDensity
-from .errors import ConvergenceError, UndefinedPointError
+from .errors import ConvergenceError, InsufficientDataError, UndefinedPointError
 from .regen import rs_long_run_cov
 from .samplers import SampleSet
 
@@ -386,6 +386,22 @@ def _deflated_info_pinv(info: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _check_overlap(info: np.ndarray, labels: Sequence[str]):
+    """Raise InsufficientDataError unless the graph with an edge wherever
+    B_rs < 0 (some draw has mass under both r and s) is connected, which
+    the ratios need to be identified (Vardi 1985; Geyer 1994)."""
+    linked = np.eye(len(labels), dtype=bool) | (info < 0)
+    group = linked[0]
+    for _ in labels:  # grow the first reference's group to a fixpoint
+        group = linked[group].any(axis=0)
+    if not group.all():
+        split = [[x for x, g in zip(labels, group) if g == side] for side in (True, False)]
+        raise InsufficientDataError(
+            "no draw has mass under a reference of {} and one of {}, so the ratios "
+            "between the two groups are not identified".format(*split)
+        )
+
+
 def ratio_covariance(d_jacobian, info_pinv, omega) -> np.ndarray:
     """Sandwich covariance D^T B^+ Omega B^+ D of the scaled ratio errors."""
     d_jacobian = np.asarray(d_jacobian, dtype=float)
@@ -416,6 +432,7 @@ def _estimate_from_fit(
     if a.size == 1:
         covs = {m: np.zeros((0, 0)) for m in methods}
     else:
+        _check_overlap(info, [c.density_id for c in chains])
         jac = ratio_jacobian(d_hat)
         info_pinv = _deflated_info_pinv(info)
         covs = {

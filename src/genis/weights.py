@@ -19,6 +19,7 @@ from .batch_means import DEFAULT_BM_SPEC, MIN_DRAWS, BatchMeansSpec, block_size,
 from .errors import ConvergenceError, EstimationError
 from .reverse_logistic import (
     StageWeights,
+    _check_overlap,
     _estimate_from_fit,
     _fit,
     _parts,
@@ -119,10 +120,12 @@ def pilot_optimal_weights(
     bit for bit.  Each grid point is fitted from zeta = 0, since a warm
     start moves the converged zeta by rounding and can flip near-tied
     choices.  If the shared parts raise, each point evaluates zeta = 0
-    itself and fails as it would alone.  Grid points where the fit or
-    the covariance fails are skipped; ties are broken toward the pooled
-    naive weights, then lexicographically.  Returns the winning weights
-    and a diagnostics map from grid points to traces (NaN where skipped).
+    itself and fails as it would alone; if no draw links the references
+    into one group, the search raises InsufficientDataError.  Grid points
+    where the fit or the covariance fails are skipped; ties are broken
+    toward the pooled naive weights, then lexicographically.  Returns the
+    winning weights and a diagnostics map from grid points to traces (NaN
+    where skipped).
     """
     k = len(references)
     if grid is None:
@@ -137,6 +140,8 @@ def pilot_optimal_weights(
         start = _parts(mats, np.zeros(k))
     except EstimationError:
         start = None
+    else:  # under any weights, B at zeta = 0 has the signs of this sum
+        _check_overlap(sum(p[2] for p in start), [c.density_id for c in pilot_samples.chains])
     diagnostics: dict[tuple, float] = {}
     best: tuple | None = None
     for a_vec in grid:

@@ -16,10 +16,13 @@ import pytest
 from genis.cli import main as cli_main
 from genis.densities import Integrand, discrete_table_density, t_density
 from genis.pipeline import (
+    ORACLE_Z,
     config_from_dict,
-    oracle_check,
+    exact_truth,
     run_replications,
     run_two_stage,
+    truth_rows,
+    z_score,
 )
 from genis.regen import split_tours
 from genis.reverse_logistic import (
@@ -40,7 +43,6 @@ from conftest import (
 )
 
 MASTER = 20240819
-Z95 = 1.959963984540054
 IDENTITY = Integrand("x", lambda x: np.asarray(x, dtype=float))
 
 TOY_N_TOTAL = 200_000
@@ -142,7 +144,7 @@ def test_toy_ratio_recovery_and_coverage(toy_both_100):
     d = report.d_matrix(TOY_N_TOTAL)
     se0 = float(np.sqrt(report.var_matrix(TOY_N_TOTAL)[0, 0] / TOY_N_TOTAL))
     z0 = (float(d[0, 0]) - 1.0) / se0
-    cov = float(report.coverage_d(TOY_N_TOTAL)[0])
+    cov = report.coverage(TOY_N_TOTAL)["d[2]"]
     ok = abs(z0) <= 3.0 and 0.90 <= cov <= 0.99 and elapsed < 120.0
     detail = f"first-run z={z0:+.3f}, coverage={cov:.2f}, batch={elapsed:.0f}s"
     assert _line("toy ratio recovery", ok, detail)
@@ -201,13 +203,12 @@ def test_target_grid_truth_and_coverage(stage2_cov_500):
 
     report = stage2_cov_500
     assert not report.failures()
-    covs = []
-    for label, mu in (("t5_mu0", 0.0), ("t5_mu0.5", 0.5), ("t5_mu1", 1.0)):
-        arr = report.target_arrays(label)
-        covs.append(float(np.mean(np.abs(arr["u_hat"] - 1.0) <= Z95 * arr["se_u"])))
-        covs.append(
-            float(np.mean(np.abs(arr["eta_hat"] - mu) <= Z95 * arr["se_eta"]))
-        )
+    shares = report.coverage(20_000)
+    covs = [
+        shares[f"{name}:{label}"]
+        for label in ("t5_mu0", "t5_mu0.5", "t5_mu1")
+        for name in ("u", "mean")
+    ]
     ok = max_z <= 3.0 and all(0.90 <= c <= 0.99 for c in covs)
     detail = (
         f"max |z| over the grid {max_z:.2f}, "
@@ -222,7 +223,10 @@ def test_discrete_oracle_and_se_calibration(table_batch_500):
     oracle_raw["stage1"] = {"sizes": [8000, 8000]}
     oracle_raw["stage2"] = {"sizes": [2000, 2000]}
     oracle_raw["targets"] = {"family": "table", "tables": [TABLE_TARGET]}
-    oracle = oracle_check(config_from_dict(oracle_raw))
+    cfg = config_from_dict(oracle_raw)
+    result = run_two_stage(cfg)
+    rows = truth_rows(exact_truth(cfg), result.ratio_estimate, result.target_results)
+    z = {label: z_score(est, truth, se) for label, truth, est, se in rows}
     oracle_s = time.perf_counter() - t0
 
     report, batch_s = table_batch_500
@@ -232,13 +236,13 @@ def test_discrete_oracle_and_se_calibration(table_batch_500):
     emp = float(report.empirical_asym_var(n)[0])
     ratio = mean_bm / emp
     ok = (
-        oracle.passed
+        all(abs(v) <= ORACLE_Z for v in z.values())
         and 0.75 <= ratio <= 1.25
         and oracle_s + batch_s < 60.0
     )
     detail = (
-        f"oracle z (d, u, mean)=({oracle.z_d[0]:+.2f}, {oracle.z_u[0]:+.2f}, "
-        f"{oracle.z_eta[0]:+.2f}), mean/empirical variance={ratio:.3f}, "
+        f"oracle z (d, u, mean)=({z['d[2]']:+.2f}, {z['u:target0']:+.2f}, "
+        f"{z['mean:target0']:+.2f}), mean/empirical variance={ratio:.3f}, "
         f"runtime={oracle_s + batch_s:.0f}s"
     )
     assert _line("discrete oracle", ok, detail)

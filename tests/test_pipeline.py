@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from genis.importance import DEFAULT_TAIL_GUARD
 from genis.pipeline import (
     STAGE1_TAG,
     STAGE2_TAG,
+    Z_95,
     ExperimentConfig,
     ReferenceConfig,
     StageConfig,
@@ -28,14 +30,15 @@ from genis.pipeline import (
     build_references,
     config_from_dict,
     config_from_json,
-    exact_table_quantities,
-    oracle_check,
+    exact_truth,
     run_replications,
     run_two_stage,
     sample_stage,
     split_sizes,
     stage2_tours,
+    truth_rows,
     write_replications_csv,
+    z_score,
 )
 from genis.weights import DEFAULT_STEP
 
@@ -439,12 +442,25 @@ def test_replication_report_coverage_requires_truth():
     raw["stage1"]["sizes"] = [400, 400]
     report = run_replications(config_from_dict(raw))
     with pytest.raises(ValueError):
-        report.coverage_d(800)
+        report.coverage(800)
 
     raw["truth"] = {"d": [1.0]}
     report = run_replications(config_from_dict(raw))
-    cov = report.coverage_d(800)
-    assert cov.shape == (1,) and 0.0 <= cov[0] <= 1.0
+    cov = report.coverage(800)
+    assert list(cov) == ["d[2]"] and 0.0 <= cov["d[2]"] <= 1.0
+
+
+def test_replication_report_coverage_of_target_values():
+    """Coverage is reported for every value the truth lists, u and the
+    mean per target, by the same interval rule as the ratios."""
+    raw = toy_config(replications=2, truth={"u": [1.0], "eta": [0.5]})
+    raw["stage1"]["sizes"] = [600, 600]
+    report = run_replications(config_from_dict(raw))
+    cov = report.coverage(960)
+    assert list(cov) == ["u:t5_mu0.5", "mean:t5_mu0.5"]
+    rows = [r.targets[0] for r in report.at_size(960)]
+    expect = np.mean([abs(r.eta_hat - 0.5) <= Z_95 * r.se_eta for r in rows])
+    assert cov["mean:t5_mu0.5"] == expect
 
 
 def test_replications_csv_long_format(tmp_path):
@@ -471,32 +487,69 @@ def test_replications_csv_long_format(tmp_path):
 # ------------------------------------------------------------ table oracles
 
 
-def test_exact_table_quantities_match_hand_sums():
+def _oracle_z(raw) -> dict:
+    """z per label of a run against the config's exact truth."""
+    cfg = config_from_dict(raw)
+    result = run_two_stage(cfg)
+    rows = truth_rows(exact_truth(cfg), result.ratio_estimate, result.target_results)
+    return {label: z_score(est, truth, se) for label, truth, est, se in rows}
+
+
+def test_exact_truth_matches_hand_sums():
     cfg = config_from_dict(table_config())
-    d_true, u_true, eta_true = exact_table_quantities(cfg)
-    np.testing.assert_allclose(d_true, [2.0])
-    np.testing.assert_allclose(u_true, [2.0])
-    np.testing.assert_allclose(eta_true, [0.5])
+    assert exact_truth(cfg) == TruthConfig(d=(2.0,), u=(2.0,), eta=(0.5,))
 
 
-def test_exact_table_quantities_identical_tables():
+def test_exact_truth_identical_tables():
     raw = table_config()
     raw["references"][1]["table"] = [1.0, 1.0]
-    d_true, _, _ = exact_table_quantities(config_from_dict(raw))
-    np.testing.assert_allclose(d_true, [1.0])
+    assert exact_truth(config_from_dict(raw)).d == (1.0,)
 
 
-def test_exact_table_quantities_reject_t_family():
-    with pytest.raises(ConfigError):
-        exact_table_quantities(config_from_dict(toy_config()))
+def test_exact_truth_of_t_configs():
+    """t densities are normalized: every d and u is 1 and eta is mu, which
+    exists only for df > 1; the truth of t targets over tables is refused."""
+    assert exact_truth(config_from_dict(toy_config())) == TruthConfig(
+        d=(1.0,), u=(1.0,), eta=(0.5,)
+    )
+    raw = toy_config(targets={"family": "t", "df": 1.0, "mu_grid": [0.5, 2.0]})
+    assert exact_truth(config_from_dict(raw)) == TruthConfig(d=(1.0,), u=(1.0, 1.0))
+    assert exact_truth(config_from_dict(toy_config(targets=None))) == TruthConfig(d=(1.0,))
+    raw = table_config(targets={"family": "t", "df": 5.0, "mu_grid": [0.5]})
+    with pytest.raises(ConfigError, match="t targets over table references"):
+        exact_truth(config_from_dict(raw))
+
+
+def test_z_score_rule():
+    """se > 0 divides; at se = 0 an exact estimate is 0 and any other is
+    +-inf (a wrong estimate once read z = 0 there); NaN stays NaN."""
+    assert z_score(1.5, 1.0, 0.25) == 2.0
+    assert z_score(1.0, 1.0, 0.0) == 0.0
+    assert z_score(0.5, 1.0, 0.0) == -math.inf
+    assert z_score(2.0, 1.0, 0.0) == math.inf
+    assert math.isnan(z_score(math.nan, 1.0, 0.0))
+    assert math.isnan(z_score(math.nan, 1.0, 0.1))
+    assert math.isnan(z_score(1.0, 1.0, math.nan))
+
+
+def test_truth_gate_fails_on_zero_se_and_nan(capsys):
+    """The oracle gate takes each |z|: an exact estimate with se 0 passes,
+    a wrong one fails, and so does a NaN (max() over |z| would skip it)."""
+    truth = TruthConfig(d=(1.0,), u=(1.0,))
+    row = SimpleNamespace(target_label="t", u_hat=math.nan, se_u=0.1, eta_hat=None)
+    assert cli._print_truth(truth, SimpleNamespace(d_hat=[1.0], se=[0.0]), None)
+    assert not cli._print_truth(truth, SimpleNamespace(d_hat=[2.0], se=[0.0]), None)
+    assert not cli._print_truth(truth, SimpleNamespace(d_hat=[1.0], se=[0.1]), [row])
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "d[2]: true 1, estimate 1, z +0.000",
+        "t: u true 1, estimate nan, z +nan",
+    ]
 
 
 def test_oracle_check_passes_on_tables():
-    report = oracle_check(config_from_dict(table_config()))
-    assert report.passed
-    assert np.all(np.abs(report.z_d) <= 3.0)
-    assert np.all(np.abs(report.z_u) <= 3.0)
-    assert np.all(np.abs(report.z_eta) <= 3.0)
+    z = _oracle_z(table_config())
+    assert sorted(z) == ["d[2]", "mean:target0", "u:target0"]
+    assert all(abs(v) <= 3.0 for v in z.values())
 
 
 def test_oracle_check_random_tables():
@@ -525,8 +578,8 @@ def test_oracle_check_random_tables():
         "targets": {"family": "table", "tables": [tables[2]]},
         "master_seed": 5,
     }
-    report = oracle_check(config_from_dict(raw))
-    assert report.passed
+    z = _oracle_z(raw)
+    assert len(z) == 3 and all(abs(v) <= 3.0 for v in z.values())
 
 
 # -------------------------------------------------------------------- CLI
@@ -678,6 +731,33 @@ def test_cli_oracle_check(tmp_path, capsys):
     path = write_config(tmp_path, table_config())
     assert cli_main(["oracle-check", "--config", path]) == 0
     assert "oracle check passed" in capsys.readouterr().out
+
+
+def test_cli_oracle_check_runs_on_t_configs(capsys):
+    """t densities are normalized, so a t config has exact truth too (it
+    exited 2 as tables-only); configs/toy.json checks 11 values."""
+    assert cli_main(["oracle-check", "--config", str(TOY_JSON)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.count(" z ") for line in lines) == 11
+    assert lines[-1] == "oracle check passed (all |z| <= 3)"
+
+
+def test_cli_estimate_prints_z_against_the_truth_block(tmp_path, capsys):
+    """With a truth block, estimate and estimate-d print each value against
+    it in the oracle's format; the CSVs are the same as without it."""
+    outputs = []
+    for truth in (None, {"d": [1.0], "u": [1.0], "eta": [0.5]}):
+        path = write_config(tmp_path, toy_config(truth=truth))
+        out = tmp_path / f"o{truth is None}"
+        assert cli_main(["estimate", "--config", path, "--out", str(out)]) == 0
+        outputs.append([(out / n).read_bytes() for n in ("d_estimate.csv", "targets.csv")])
+    assert outputs[0] == outputs[1]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("d[2]: true 1, estimate ")
+    assert lines[-2].startswith("t5_mu0.5: u true 1, estimate ")
+    assert "; mean true 0.5, estimate " in lines[-2]
+    assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path / "d")]) == 0
+    assert capsys.readouterr().out.splitlines()[-2].startswith("d[2]: true 1, estimate ")
 
 
 def test_cli_export_chains(tmp_path):
@@ -923,6 +1003,63 @@ def test_cli_exit_code_insufficient_data(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "insufficient data: chain 't5_mu0': fewer than two regeneration marks\n"
     )
+
+
+DISJOINT_TABLES = {
+    "references": [
+        {"family": "table", "sampler": "mh", "table": [1.0, 2.0, 0.0, 0.0]},
+        {"family": "table", "sampler": "mh", "table": [0.0, 0.0, 3.0, 4.0]},
+    ],
+    "stage1": {"sizes": [2000, 2000]},
+}
+PILOT_WEIGHTS = {"kind": "pilot", "step": 0.25, "pilot_sizes": [300, 300]}
+
+
+@pytest.mark.parametrize("weights", [None, PILOT_WEIGHTS], ids=["naive", "pilot"])
+def test_cli_references_without_overlap_exit_4(tmp_path, capsys, weights):
+    """No draw has mass under both tables, so the ratio (7/3) is not
+    identified: the fit once stopped at zeta = 0 and exited 0 with d 1 and
+    se 0, and the pilot search exited 3 after every grid point failed."""
+    raw = json.loads(json.dumps(DISJOINT_TABLES))
+    if weights is not None:
+        raw["stage1"]["weights"] = weights
+    path = write_config(tmp_path, raw)
+    assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path / "o")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "o" / "d_estimate.csv").exists()
+    assert captured.err == (
+        "insufficient data: no draw has mass under a reference of ['table0'] and "
+        "one of ['table1'], so the ratios between the two groups are not identified\n"
+    )
+
+
+def test_cli_far_apart_t_references_exit_4(tmp_path, capsys):
+    """iid t5 references at mu = +-1e308: each one's density underflows at
+    the other's draws.  The run once exited 0 with d 1 and se 0 after an
+    overflow RuntimeWarning, which this suite raises as an error."""
+    ref = {"family": "t", "sampler": "iid", "df": 5.0}
+    raw = {"references": [dict(ref, mu=1e308), dict(ref, mu=-1e308)],
+           "stage1": {"sizes": [2000, 2000]}}
+    path = write_config(tmp_path, raw)
+    assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path / "o")]) == 4
+    assert "are not identified" in capsys.readouterr().err
+
+
+def test_cli_stage2_tours_failure_writes_nothing(tmp_path, capsys):
+    """A stage-2 imh chain with fewer than two regeneration marks exits 4
+    before any row is printed or CSV written; both once came first."""
+    raw = _toy_json(stage1={"sizes": [2000, 2000]}, stage2={"sizes": [1000, 1000]},
+                    se_method="bm")
+    raw["references"][1]["splitting_const"] = 1e-300
+    out = tmp_path / "o"
+    assert cli_main(["estimate", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "insufficient data: chain 't5_mu0': fewer than two regeneration marks\n"
+    )
+    assert list(out.glob("*.csv")) == []
 
 
 THIRD_REF = {"family": "t", "sampler": "iid", "df": 5.0, "mu": 2.0}
@@ -1202,14 +1339,6 @@ def test_every_module_definition_has_a_non_test_caller():
     assert not unused, f"no caller outside the tests: {unused}"
 
 
-# class members that only tests read
-READ_ONLY_BY_TESTS = {
-    # kept for the per-target coverage output that `genis replicate` lacks;
-    # test_target_grid_truth_and_coverage reads it today
-    "ReplicationReport.target_arrays",
-}
-
-
 def _class_members(tree):
     """(class, member) for each method, property and annotated field of a
     top-level class; dunder methods serve protocols and are left out."""
@@ -1253,7 +1382,7 @@ def test_every_class_member_is_read_outside_the_tests():
     for path in package:
         for cls, member in _class_members(ast.parse(path.read_text())):
             is_read = any(name == member and by != cls for by, name in reads)
-            if not is_read and f"{cls}.{member}" not in READ_ONLY_BY_TESTS:
+            if not is_read:
                 unread.append(f"{path.stem}.{cls}.{member}")
     assert not unread, f"class members read only by tests: {unread}"
 

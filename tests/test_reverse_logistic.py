@@ -16,7 +16,7 @@ from genis.densities import (
     t_log_density,
 )
 from genis import reverse_logistic
-from genis.errors import ConvergenceError, UndefinedPointError
+from genis.errors import ConvergenceError, InsufficientDataError, UndefinedPointError
 from genis.reverse_logistic import (
     StageWeights,
     estimate_ratios,
@@ -279,8 +279,9 @@ def test_first_order_conditions_at_fit():
 
 def test_disjoint_supports_carry_no_information():
     """Chains whose references never overlap pin every membership
-    probability at 0 or 1: the objective is flat, the fit sits at zero,
-    and the curvature matrix vanishes so the ratios are unidentified."""
+    probability at 0 or 1: the objective is flat, the curvature matrix
+    vanishes and the ratios are unidentified, which is an error rather
+    than an estimate with standard error 0."""
     refs = [
         discrete_table_density((1, 0), id="left"),
         discrete_table_density((0, 1), id="right"),
@@ -290,9 +291,24 @@ def test_disjoint_supports_carry_no_information():
         exact_proportion_chain((0, 1), 40, density_id="right"),
     )
     samples = SampleSet(chains=chains)
-    est = estimate_ratios(samples, refs)
-    np.testing.assert_allclose(est.zeta_hat, 0.0, atol=1e-12)
-    np.testing.assert_allclose(est.cov_bm, 0.0, atol=1e-12)
+    with pytest.raises(InsufficientDataError, match=r"\['left'\] and one of \['right'\]"):
+        estimate_ratios(samples, refs)
+
+
+@pytest.mark.parametrize("last", [(0, 0, 1, 1), (0, 0, 0, 1)], ids=["linked", "cut"])
+def test_overlap_is_connectivity_not_pairwise(last):
+    """A and C share no state, but B overlaps both, which links all three;
+    with C moved off B's support it forms a group of its own."""
+    tables = {"A": (1, 1, 0, 0), "B": (0, 1, 1, 0), "C": last}
+    refs = [discrete_table_density(t, id=name) for name, t in tables.items()]
+    samples = SampleSet(chains=tuple(
+        exact_proportion_chain(t, 30, density_id=name) for name, t in tables.items()
+    ))
+    if last == (0, 0, 1, 1):
+        np.testing.assert_allclose(estimate_ratios(samples, refs).d_hat, 1.0, rtol=1e-9)
+    else:
+        with pytest.raises(InsufficientDataError, match=r"\['A', 'B'\] and one of \['C'\]"):
+            estimate_ratios(samples, refs)
 
 
 def test_fit_exhausting_iterations_raises(monkeypatch):
