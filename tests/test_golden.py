@@ -71,6 +71,21 @@ def _tables(refs=TABLES, **top):
     return copy.deepcopy(raw)
 
 
+def _unlabeled_tables(**top):
+    """`_tables` whose references take their default labels, table0 and table1."""
+    raw = _tables(**top)
+    for ref in raw["references"]:
+        del ref["label"]
+    return raw
+
+
+def _t_targets_over_tables():
+    """configs/oracle.json with t targets, which have no ratio to the tables."""
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "oracle.json").read_text())
+    raw["targets"] = {"family": "t", "df": 5.0, "mu_grid": [2.0]}
+    return raw
+
+
 def _far_apart_t():
     return {"references": [dict(T_IID, mu=1e308), dict(T_IID, mu=-1e308)],
             "stage1": {"sizes": [2000, 2000]}, "master_seed": 3}
@@ -86,6 +101,23 @@ def _tiny_df():
     raw = _t()
     raw["references"][0]["df"] = 1e-3
     return raw
+
+
+def _underflowing_splitting_const():
+    """An imh chain whose tuned splitting constant is exp(-1071)."""
+    raw = _t()
+    raw["references"][1] = {"family": "t", "sampler": "imh", "df": 1e6, "mu": 0.0,
+                            "proposal_mu": 50.0, "with_regen": True}
+    return raw
+
+
+def _overflowing_ratio_variance():
+    """One draw-starved chain whose u_hat squared overflows."""
+    return {"references": [{"family": "t", "sampler": "imh", "df": 1e300, "mu": 30.0,
+                            "proposal_mu": 1.0}],
+            "stage1": {"sizes": [4]}, "stage2": {"sizes": [5]},
+            "targets": {"family": "t", "df": 0.5, "mu_grid": [0.5]},
+            "bm_explicit_b": 2, "master_seed": 81}
 
 
 # name: (config, argv without --config and --out)
@@ -108,6 +140,7 @@ CASES = {
     "estimate-null-integrand": (_t(stage2={}, integrand=None), ["estimate"]),
     "estimate-truth": (_t(stage2={}, se_method="both", truth=T_TRUTH), ["estimate"]),
     "estimate-table": (_tables(), ["estimate"]),
+    "estimate-table-unlabeled": (_unlabeled_tables(), ["estimate"]),
     "replicate-size-grid": (
         _t(replications=3, size_grid=[3, 300, 1000], se_method="both",
            truth={"d": [1.0]}),
@@ -124,6 +157,9 @@ CASES = {
     "oracle-check-table": (_tables(), ["oracle-check"]),
     "oracle-check-t": (_t(stage2={}, se_method="both"), ["oracle-check"]),
     "export-chains": (_t(sizes=(200, 200), stage2={"sizes": [50, 50]}), ["export-chains"]),
+    "export-chains-table": (
+        _unlabeled_tables(stage1={"sizes": [200, 200]}, stage2={"sizes": [50, 50]}),
+        ["export-chains"]),
     "exit-2-config-error": (_t(bogus=1), ["estimate-d"]),
     "exit-3-pilot-fails": (
         _t(weights={"kind": "pilot", "pilot_sizes": [3, 3]}), ["estimate-d"]),
@@ -135,6 +171,9 @@ CASES = {
         ["estimate-d"]),
     "repro-far-apart-t": (_far_apart_t(), ["estimate-d"]),
     "repro-few-stage2-marks": (_few_stage2_marks(), ["estimate"]),
+    "repro-t-targets-over-tables": (_t_targets_over_tables(), ["estimate"]),
+    "repro-underflowing-splitting-const": (_underflowing_splitting_const(), ["estimate-d"]),
+    "repro-overflowing-ratio-variance": (_overflowing_ratio_variance(), ["estimate"]),
 }
 
 
