@@ -91,10 +91,8 @@ def _out_dir(args) -> Path:
 
 def _print_ratios(est, ref_labels):
     for j in range(est.d_hat.size):
-        line = f"d[{j + 2}] ({ref_labels[j + 1]} / {ref_labels[0]}): {est.d_hat[j]:.6g}"
-        if est.cov_bm is not None or est.cov_rs is not None:
-            line += f"  se {est.se[j]:.3g}"
-        print(line)
+        print(f"d[{j + 2}] ({ref_labels[j + 1]} / {ref_labels[0]}): {est.d_hat[j]:.6g}"
+              f"  se {est.se[j]:.3g}")
     print(f"converged in {est.iterations} iterations, n = {est.n_total}")
 
 
@@ -118,7 +116,7 @@ def _cmd_estimate_d(args) -> int:
     cfg = replace(cfg, targets=None, stage2=None)
     out = _out_dir(args)
     result = run_two_stage(cfg)
-    labels = tuple(r.id for r in build_references(cfg))
+    labels = tuple(c.density_id for c in result.stage1_samples.chains)
     write_d_estimate_csv(out / "d_estimate.csv", result.ratio_estimate, labels)
     _print_ratios(result.ratio_estimate, labels)
     _print_truth(cfg.truth, result.ratio_estimate, None)
@@ -133,7 +131,7 @@ def _cmd_estimate(args) -> int:
     out = _out_dir(args)
     result = run_two_stage(cfg)
     tours = stage2_tours(cfg, result)  # it can fail, so before any output
-    labels = tuple(r.id for r in build_references(cfg))
+    labels = tuple(c.density_id for c in result.stage1_samples.chains)
     write_d_estimate_csv(out / "d_estimate.csv", result.ratio_estimate, labels)
     write_targets_csv(out / "targets.csv", result.target_results)
     _print_ratios(result.ratio_estimate, labels)

@@ -24,7 +24,7 @@ class UndefinedPointError(EstimationError):
 
 
 class DegenerateDenominatorError(EstimationError):
-    """A ratio estimate has a zero or non-finite denominator."""
+    """A ratio estimate has a zero or non-finite denominator, or leaves float range."""
 
 
 class InsufficientDataError(EstimationError):

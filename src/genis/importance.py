@@ -26,6 +26,7 @@ of u alone without f, gives both stage-2 variances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -194,7 +195,10 @@ def ratio_delta_variance(v_hat: float, u_hat: float, joint_cov) -> float:
     if u_hat == 0 or not np.isfinite(u_hat):
         raise DegenerateDenominatorError("ratio denominator is zero or non-finite")
     joint_cov = np.asarray(joint_cov, dtype=float)
-    grad = np.array([1.0 / u_hat, -v_hat / u_hat**2])
+    try:  # a float's square raises where it leaves float range
+        grad = np.array([1.0 / u_hat, -v_hat / u_hat**2])
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DegenerateDenominatorError("ratio denominator squared is out of range") from exc
     return float(grad @ joint_cov @ grad)
 
 
@@ -270,22 +274,28 @@ def _one_target(
     bm_spec: BatchMeansSpec,
     tail_guard: float,
 ) -> TargetResult:
-    p = _target_pass(ctx, target, a_vec, bm_spec)
-    all_u = np.concatenate(p.u)
-    mean_u = np.add.reduce(all_u) / all_u.size  # np.mean's arithmetic
-    tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
-    var1_u = float(q) * float(p.c_vec @ cov @ p.c_vec) if p.c_vec.size else 0.0
-    var2_u = float(p.bm[-1, -1])  # bitwise the univariate BM of u
-    var1_eta = var2_eta = se_eta = None
-    if p.eta_hat is not None:
-        var1_eta = float(q) * float(p.e_vec @ cov @ p.e_vec) if p.e_vec.size else 0.0
-        var2_eta = ratio_delta_variance(p.eta_hat * p.u_hat, p.u_hat, p.bm)
-        se_eta = float(np.sqrt(max(var1_eta + var2_eta, 0.0) / ctx.n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        p = _target_pass(ctx, target, a_vec, bm_spec)
+        all_u = np.concatenate(p.u)
+        mean_u = np.add.reduce(all_u) / all_u.size  # np.mean's arithmetic
+        tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
+        var1_u = float(q) * float(p.c_vec @ cov @ p.c_vec) if p.c_vec.size else 0.0
+        var2_u = float(p.bm[-1, -1])  # bitwise the univariate BM of u
+        se_u = float(np.sqrt(max(var1_u + var2_u, 0.0) / ctx.n))
+        var1_eta = var2_eta = se_eta = None
+        if p.eta_hat is not None:
+            var1_eta = float(q) * float(p.e_vec @ cov @ p.e_vec) if p.e_vec.size else 0.0
+            var2_eta = ratio_delta_variance(p.eta_hat * p.u_hat, p.u_hat, p.bm)
+            se_eta = float(np.sqrt(max(var1_eta + var2_eta, 0.0) / ctx.n))
+    if not all(math.isfinite(x) for x in (p.u_hat, se_u, p.eta_hat, se_eta) if x is not None):
+        raise DegenerateDenominatorError(
+            f"estimates or standard errors leave float range for target {target.id!r}"
+        )
     return TargetResult(
         target_label=target.id,
         u_hat=p.u_hat,
         eta_hat=p.eta_hat,
-        se_u=float(np.sqrt(max(var1_u + var2_u, 0.0) / ctx.n)),
+        se_u=se_u,
         se_eta=se_eta,
         var_stage1_u=var1_u,
         var_stage2_u=var2_u,

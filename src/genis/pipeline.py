@@ -33,7 +33,6 @@ from .densities import (
     identity_integrand,
     t_density,
     t_family,
-    t_label,
 )
 from .errors import ConfigError, EstimationError
 from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
@@ -56,7 +55,6 @@ from .samplers import (
 from .weights import (
     DEFAULT_STEP,
     effective_sample_size,
-    ess_inv_dist_weights,
     inv_dist_weights,
     naive_weights,
     pilot_optimal_weights,
@@ -262,6 +260,13 @@ def _validate_reference(ref: ReferenceConfig, where: str):
         _checked(where, log_splitting_const, ref.splitting_const)
 
 
+def _pilot_grid(k: int, step: float, where: str) -> list:
+    grid = _checked(where, simplex_grid, k, step)
+    _require(len(grid) > 0, f"{where}: step {step:g} leaves an empty weight grid "
+                            f"for {k} references")
+    return grid
+
+
 def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses):
     """Sizes and weights of one stage block; `uses` lists the stages its
     weights serve (stage 1, 2, or both when targets share the stage1 block)."""
@@ -277,10 +282,7 @@ def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses)
                  f"{where}.weights: fixed kind needs one value per reference")
         _checked(f"{where}.weights", StageWeights, w.values)
     if w.kind == "pilot":
-        grid = _checked(f"{where}.weights", simplex_grid, k, w.step)
-        _require(len(grid) > 0,
-                 f"{where}.weights: step {w.step:g} leaves an empty weight grid "
-                 f"for {k} references")
+        _pilot_grid(k, w.step, f"{where}.weights")
     if w.kind == "pilot" and w.pilot_sizes is not None:
         _require(len(w.pilot_sizes) == k and all(x > 0 for x in w.pilot_sizes),
                  f"{where}.weights: pilot_sizes must list one positive size per reference")
@@ -368,13 +370,12 @@ def _validate(cfg: ExperimentConfig):
                 raise ConfigError(
                     f"references[{i}]: regenerative SEs need with_regen on MH chains"
                 )
-    labels = [_ref_label(r, i) for i, r in enumerate(cfg.references)]
+    labels = [r.id for r in build_references(cfg)]
     _require(len(set(labels)) == len(labels), "config: reference labels collide")
-    if cfg.targets is not None and cfg.targets.family == "table":
-        _require(
-            all(r.family == "table" for r in cfg.references),
-            "config: table targets need table references",
-        )
+    if cfg.targets is not None:
+        family = cfg.targets.family
+        _require(family == cfg.references[0].family,
+                 f"config: {family} targets need {family} references")
     _validate_tables(cfg)
 
 
@@ -393,27 +394,19 @@ def config_from_json(path, overrides: dict | None = None) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _ref_label(ref: ReferenceConfig, index: int) -> str:
-    if ref.label is not None:
-        return ref.label
-    if ref.family == "t":
-        return t_label(ref.df, ref.mu)
-    return f"table{index}"
-
-
 def build_references(cfg: ExperimentConfig) -> list[UnnormalizedDensity]:
+    """The reference densities, named by label, else t<df>_mu<mu> or table<i>."""
     out = []
     for i, ref in enumerate(cfg.references):
-        label = _ref_label(ref, i)
         if ref.family == "t":
-            out.append(t_density(ref.df, ref.mu, id=label))
+            out.append(t_density(ref.df, ref.mu, id=ref.label))
         else:
+            label = f"table{i}" if ref.label is None else ref.label
             out.append(discrete_table_density(ref.table, id=label))
     return out
 
 
 def build_family(cfg: ExperimentConfig) -> TargetFamily:
-    _require(cfg.targets is not None, "config has no targets")
     t = cfg.targets
     if t.family == "t":
         return t_family(t.df, t.mu_grid)
@@ -524,10 +517,9 @@ def pilot_weights(
     sizes = wc.pilot_sizes
     if sizes is None:
         sizes = tuple(max(200, s // 10) for s in cfg.stage1.sizes)
+    grid = _pilot_grid(len(references), wc.step, "stage1.weights")  # whatever the kind
     pilot = sample_stage(cfg, references, sizes, PILOT_TAG, rep_index)
-    best, diagnostics = pilot_optimal_weights(
-        pilot, references, step=wc.step, bm_spec=cfg.bm_spec
-    )
+    best, diagnostics = pilot_optimal_weights(pilot, references, grid, cfg.bm_spec)
     return sizes, best, diagnostics
 
 
@@ -557,14 +549,9 @@ def _resolve_stage2_weights(
     if wc.kind == "fixed":
         return np.asarray(wc.values, dtype=float), None
     locs = np.array([r.mu for r in cfg.references])
-    if wc.kind == "inv_dist":
-        per = [inv_dist_weights(mu, locs, n_per) for mu in cfg.targets.mu_grid]
-    else:
-        ess = np.array(
-            [effective_sample_size(c.states, cfg.bm_spec) for c in samples2.chains]
-        )
-        per = [ess_inv_dist_weights(mu, locs, ess) for mu in cfg.targets.mu_grid]
-    return None, per
+    if wc.kind == "ess":  # effective sizes in (0, n_l] in place of the lengths
+        n_per = [effective_sample_size(c.states, cfg.bm_spec) for c in samples2.chains]
+    return None, [inv_dist_weights(mu, locs, n_per) for mu in cfg.targets.mu_grid]
 
 
 @dataclass(frozen=True)
@@ -619,8 +606,6 @@ def exact_truth(cfg: ExperimentConfig) -> TruthConfig:
     densities, which are normalized, with every d and u 1 and eta = mu
     where the mean exists (df > 1)."""
     t, is_t = cfg.targets, cfg.references[0].family == "t"
-    _require(t is None or (t.family == "t") == is_t,
-             "exact truth of t targets over table references is not defined")
     m = [1.0 if is_t else sum(r.table) for r in cfg.references]
     d = tuple(x / m[0] for x in m[1:])
     if t is None:
@@ -735,19 +720,13 @@ class ReplicationReport:
         return out
 
 
-def _one_replication(args) -> ReplicationRecord:
-    cfg, sizes1, rep, stage1_only = args
-    if sizes1 is not None:
-        cfg = replace(cfg, stage1=replace(cfg.stage1, sizes=sizes1))
-    if stage1_only:
-        cfg = replace(cfg, targets=None, stage2=None)
-    n_total = int(sum(split_sizes(cfg)[0]))
+def _one_replication(cfg: ExperimentConfig, rep: int) -> ReplicationRecord:
     try:
         result = run_two_stage(cfg, rep_index=rep)
     except EstimationError as exc:
         return ReplicationRecord(
             replication=rep,
-            n_total=n_total,
+            n_total=int(sum(split_sizes(cfg)[0])),
             error=f"{type(exc).__name__}: {exc}",
         )
     est = result.ratio_estimate
@@ -767,24 +746,20 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
     experiment is replicated.  Failed replications are recorded and do
     not stop the run.
     """
-    jobs: list[tuple] = []
-    if cfg.size_grid:
-        k = len(cfg.references)
-        for size in cfg.size_grid:
-            for rep in range(cfg.replications):
-                jobs.append((cfg, (size,) * k, rep, True))
-    else:
-        for rep in range(cfg.replications):
-            jobs.append((cfg, None, rep, False))
-
+    configs = [
+        replace(cfg, stage1=replace(cfg.stage1, sizes=(size,) * len(cfg.references)),
+                targets=None, stage2=None)
+        for size in cfg.size_grid
+    ] or [cfg]
+    jobs = [(c, rep) for c in configs for rep in range(cfg.replications)]
     if cfg.workers > 1:
         # imported here: a serial run need not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_one_replication, jobs, chunksize=1))
+            records = list(pool.map(_one_replication, *zip(*jobs), chunksize=1))
     else:
-        records = [_one_replication(j) for j in jobs]
+        records = list(itertools.starmap(_one_replication, jobs))
     return ReplicationReport(records=records, truth=cfg.truth)
 
 

@@ -87,14 +87,14 @@ def split_tours(
         bounds = tour_boundaries(chain)
         ref_log = np.column_stack([r.log_density(chain.states) for r in references])
         log_mix = log_sum_exp_rows(ref_log + np.log(w))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
             u = np.exp(target.log_density(chain.states) - log_mix)
-        if not np.all(np.isfinite(u)):
+            u_sums = _tour_sums(u, bounds)
+            v_sums = None if f is None else _tour_sums(f.values(chain.states) * u, bounds)
+        if not all(np.isfinite(x).all() for x in (u, u_sums, v_sums) if x is not None):
             raise DegenerateDenominatorError(
-                f"importance weights overflow for target {target.id!r}"
+                f"importance weights or their tour sums overflow for target {target.id!r}"
             )
-        u_sums = _tour_sums(u, bounds)
-        v_sums = None if f is None else _tour_sums(f.values(chain.states) * u, bounds)
         out.append(ChainTours(chain.density_id, np.diff(bounds), u_sums, v_sums))
     return out
 

@@ -46,7 +46,8 @@ import numpy as np
 
 from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, bm_cov, block_size
 from .densities import UnnormalizedDensity
-from .errors import ConvergenceError, InsufficientDataError, UndefinedPointError
+from .errors import ConvergenceError, DegenerateDenominatorError
+from .errors import InsufficientDataError, UndefinedPointError
 from .regen import rs_long_run_cov
 from .samplers import SampleSet
 
@@ -231,6 +232,9 @@ def _fit(
                 iterations=it,
             )
         step_red = np.linalg.solve(chol.T, np.linalg.solve(chol, g_red))
+        if not np.isfinite(step_red).all():  # the reduced Hessian is numerically singular
+            raise ConvergenceError("Newton step overflows", zeta=zeta,
+                                   grad_norm=grad_norm, iterations=it)
         step = np.append(step_red, -step_red.sum())
         slope = float(g_red @ step_red)
         ev = probs = None  # one set of membership probabilities at a time
@@ -427,18 +431,20 @@ def _estimate_from_fit(
     not needed, so a caller that is done with them can free them first.
     """
     zeta, iterations, grad_norm, info, probs = fit
-    d_hat = zeta_to_ratios(zeta, a)
     methods = [m for m in ("bm", "rs") if se_method in (m, "both")]
-    if a.size == 1:
-        covs = {m: np.zeros((0, 0)) for m in methods}
-    else:
-        _check_overlap(info, [c.density_id for c in chains])
-        jac = ratio_jacobian(d_hat)
-        info_pinv = _deflated_info_pinv(info)
-        covs = {
-            m: ratio_covariance(jac, info_pinv, _omega(probs, chains, a, bm_spec, m))
-            for m in methods
-        }
+    covs = {m: np.zeros((0, 0)) for m in methods}
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range is checked below
+        d_hat = zeta_to_ratios(zeta, a)
+        if a.size > 1:
+            _check_overlap(info, [c.density_id for c in chains])
+            jac = ratio_jacobian(d_hat)
+            info_pinv = _deflated_info_pinv(info)
+            covs = {
+                m: ratio_covariance(jac, info_pinv, _omega(probs, chains, a, bm_spec, m))
+                for m in methods
+            }
+    if not all(np.isfinite(x).all() for x in (d_hat, *covs.values())):
+        raise DegenerateDenominatorError("ratio estimates or their covariance leave float range")
     return RatioEstimate(
         d_hat=d_hat,
         zeta_hat=zeta,

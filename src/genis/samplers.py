@@ -224,18 +224,18 @@ def independence_mh(
     mass.  With with_regen=True, regeneration times from retrospective
     splitting are recorded; the splitting constant defaults to the
     empirical median of omega over a pilot chain driven by a seed derived
-    from `seed`.
+    from `seed`, taken in log space, so it cannot underflow to zero.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     df = float(proposal_df)
     mu = float(proposal_mu)
-    if with_regen and splitting_const is None:
-        splitting_const = tune_splitting_constant(
+    log_c = None if splitting_const is None else log_splitting_const(splitting_const)
+    if with_regen and log_c is None:
+        log_c = tune_splitting_constant(
             target, df, mu, min(2000, max(100, n)), derive_seed(seed, 0x5147)
         )
-    log_c = None if splitting_const is None else log_splitting_const(splitting_const)
 
     rng = np.random.default_rng(seed)
     proposals = mu + rng.standard_t(df, size=n)
@@ -270,11 +270,12 @@ def tune_splitting_constant(
     pilot_n: int,
     seed: int,
 ) -> float:
-    """Splitting constant: median of omega over a pilot chain's states."""
+    """Log of the splitting constant: the median of log omega over a pilot
+    chain's states."""
     pilot = independence_mh(target, proposal_df, proposal_mu, pilot_n, seed)
     log_q = t_log_density(proposal_df, proposal_mu, pilot.states)
     log_omega = target.log_density(pilot.states) - log_q
-    return float(np.exp(np.median(log_omega)))
+    return float(np.median(log_omega))
 
 
 def discrete_mh(
@@ -329,13 +330,7 @@ def save_chain(chain: ChainSample, path) -> None:
         "seed": chain.seed,
         "n": chain.n,
     }
-    has_marks = chain.regen_marks is not None
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(meta) + "\n")
-        fh.write("state regen\n" if has_marks else "state\n")
-        if has_marks:
-            for x, m in zip(chain.states, chain.regen_marks):
-                fh.write(f"{x:.17g} {int(m)}\n")
-        else:
-            for x in chain.states:
-                fh.write(f"{x:.17g}\n")
+    marks = chain.regen_marks is not None
+    rows = np.column_stack([chain.states, chain.regen_marks]) if marks else chain.states
+    header = "# " + json.dumps(meta) + ("\nstate regen" if marks else "\nstate")
+    np.savetxt(path, rows, fmt="%.17g %d" if marks else "%.17g", header=header, comments="")

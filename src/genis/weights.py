@@ -2,14 +2,15 @@
 
 Stage-1 weights a enter the reverse-logistic objective; stage-2 weights
 enter the importance-weight mixture.  Strategies here cover the pooled
-default (proportional to chain lengths), inverse-distance and
-ESS-discounted inverse-distance rules for location families, and a pilot
+default (proportional to chain lengths), inverse-distance rules for
+location families (lengths or effective sizes per chain), and a pilot
 grid search that minimizes the trace of the stage-1 asymptotic
 covariance.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Sequence
 
@@ -57,31 +58,22 @@ def inv_dist_weights(mu: float, ref_locations, n_per_chain) -> np.ndarray:
     return a / a.sum()
 
 
-def ess_inv_dist_weights(mu: float, ref_locations, ess_per_chain) -> np.ndarray:
-    """Inverse-distance weights with lengths replaced by effective sizes."""
-    ess = np.asarray(ess_per_chain, dtype=float)
-    if np.any(ess <= 0):
-        raise ValueError("effective sample sizes must be positive")
-    return inv_dist_weights(mu, ref_locations, ess)
-
-
 def effective_sample_size(
     series, bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC
 ) -> float:
     """n * sample variance / batch-means long-run variance, clamped to (0, n].
 
-    Degenerate cases (zero sample variance or zero long-run variance)
-    return n.
+    Degenerate cases (a sample or long-run variance that is zero, or that
+    leaves float range on states near it) return n.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < MIN_DRAWS:
         raise ValueError(f"series must be 1-d with at least {MIN_DRAWS} entries")
     n = x.size
-    s2 = float(np.var(x, ddof=1))
-    if s2 == 0.0:
-        return float(n)
-    lrv = float(bm_cov([x], block_size(n, bm_spec))[0, 0])
-    if lrv <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = float(np.var(x, ddof=1))
+        lrv = float(bm_cov([x], block_size(n, bm_spec))[0, 0]) if 0.0 < s2 < math.inf else 0.0
+    if not 0.0 < lrv < math.inf:
         return float(n)
     return float(min(n * s2 / lrv, n))
 
@@ -143,7 +135,6 @@ def pilot_optimal_weights(
     else:  # under any weights, B at zeta = 0 has the signs of this sum
         _check_overlap(sum(p[2] for p in start), [c.density_id for c in pilot_samples.chains])
     diagnostics: dict[tuple, float] = {}
-    best: tuple | None = None
     for a_vec in grid:
         a_vec = np.asarray(a_vec, dtype=float)
         key = tuple(a_vec)
@@ -153,19 +144,12 @@ def pilot_optimal_weights(
                 _fit(mats, a, n_per_f, start=start),
                 pilot_samples.chains, a, n_per, bm_spec, "bm",
             )
-            score = float(np.trace(est.cov)) if est.cov.size else 0.0
         except EstimationError:
-            diagnostics[key] = float("nan")
+            diagnostics[key] = math.nan
             continue
-        diagnostics[key] = score
-        if best is None or score < best[0]:
-            best = (score, key)
-        elif score == best[0]:
-            # tie: prefer naive, then the lexicographically smaller point
-            if np.allclose(key, naive) and not np.allclose(best[1], naive):
-                best = (score, key)
-            elif key < best[1] and not np.allclose(best[1], naive):
-                best = (score, key)
-    if best is None:
+        diagnostics[key] = float(np.trace(est.cov)) if est.cov.size else 0.0
+    ok = [pt for pt, trace in diagnostics.items() if not math.isnan(trace)]
+    if not ok:
         raise ConvergenceError("every grid point failed in the pilot search")
-    return np.asarray(best[1]), diagnostics
+    best = min(ok, key=lambda pt: (diagnostics[pt], not np.allclose(pt, naive), pt))
+    return np.asarray(best), diagnostics

@@ -245,11 +245,28 @@ def test_joint_cov_constant_integrand_entries(table_refs, exact_table_samples):
     assert gamma_zero[0, 1] == 0.0
 
 
+def test_ratio_whose_square_underflows_flags_the_row(table_refs, exact_table_samples):
+    """At d = 1e-200, d ** 2 underflows to 0 and the sensitivity divides
+    zero by zero, which once warned; the target's row is flagged instead."""
+    row = stage2_row(exact_table_samples, _table_target(), table_refs, HALF, [1e-200],
+                     f=IDENTITY)
+    assert row.flags == ("error:DegenerateDenominatorError",)
+
+
 def test_delta_variance_examples():
     assert ratio_delta_variance(2.0, 1.0, np.eye(2)) == pytest.approx(5.0)
     assert ratio_delta_variance(2.0, 1.0, np.zeros((2, 2))) == 0.0
     with pytest.raises(DegenerateDenominatorError):
         ratio_delta_variance(1.0, 0.0, np.eye(2))
+
+
+@pytest.mark.parametrize("u_hat", [1e200, 1e-200])
+def test_delta_variance_of_a_denominator_whose_square_leaves_float_range(u_hat):
+    """u_hat ** 2 raised OverflowError (a traceback from `genis estimate`),
+    and a square that underflows to 0 divides by zero; both are degenerate
+    denominators, which flag the target's row."""
+    with pytest.raises(DegenerateDenominatorError, match="squared"):
+        ratio_delta_variance(u_hat, u_hat, np.eye(2))
 
 
 # ------------------------------------------------------------ full estimates

@@ -508,7 +508,7 @@ def test_exact_truth_identical_tables():
 
 def test_exact_truth_of_t_configs():
     """t densities are normalized: every d and u is 1 and eta is mu, which
-    exists only for df > 1; the truth of t targets over tables is refused."""
+    exists only for df > 1; t targets over tables are refused when read."""
     assert exact_truth(config_from_dict(toy_config())) == TruthConfig(
         d=(1.0,), u=(1.0,), eta=(0.5,)
     )
@@ -516,8 +516,8 @@ def test_exact_truth_of_t_configs():
     assert exact_truth(config_from_dict(raw)) == TruthConfig(d=(1.0,), u=(1.0, 1.0))
     assert exact_truth(config_from_dict(toy_config(targets=None))) == TruthConfig(d=(1.0,))
     raw = table_config(targets={"family": "t", "df": 5.0, "mu_grid": [0.5]})
-    with pytest.raises(ConfigError, match="t targets over table references"):
-        exact_truth(config_from_dict(raw))
+    with pytest.raises(ConfigError, match="config: t targets need t references"):
+        config_from_dict(raw)
 
 
 def test_z_score_rule():
@@ -725,6 +725,20 @@ def test_cli_bad_pilot_step_is_a_config_error(tmp_path, capsys, command, step):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: stage1.weights: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("step", [0, 0.7])
+def test_cli_pilot_weights_checks_the_step_whatever_the_kind(tmp_path, capsys, step):
+    """pilot-weights searches the stage-1 grid even for weights of another
+    kind, whose step is not checked when the config is read; a bad step
+    once ended there in a ValueError traceback (exit 1)."""
+    raw = toy_config(targets=None)
+    raw["stage1"]["weights"] = {"kind": "naive", "step": step}
+    path = write_config(tmp_path, raw)
+    assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert cli_main(["pilot-weights", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: stage1.weights: ")
 
 
 def test_cli_oracle_check(tmp_path, capsys):
@@ -1169,6 +1183,57 @@ def test_cli_tables_share_one_state_space(tmp_path, capsys, case):
         assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_t_targets_over_tables_exit_2(tmp_path, capsys):
+    """A t density summed over a table's integer states estimates no ratio
+    of normalizing constants: estimate and replicate once exited 0 with one
+    (u 0.168 at mu = 2), while oracle-check refused it.  Every command now
+    refuses it when the config is read."""
+    config = write_config(tmp_path, _oracle_json() | {
+        "targets": {"family": "t", "df": 5.0, "mu_grid": [2.0]}})
+    for command in ("estimate", "replicate", "oracle-check"):
+        assert cli_main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config: t targets need t references\n")
+    assert not (tmp_path / "o").exists()
+
+
+# an imh chain of three draws from a near-normal t whose proposal sits 50
+# away, beside a Cauchy one: the reduced Hessian is numerically singular
+SINGULAR_HESSIAN = {
+    "references": [
+        {"family": "t", "sampler": "imh", "df": 1e300, "mu": 0.0, "proposal_mu": 50.0},
+        {"family": "t", "sampler": "imh", "df": 1.0, "mu": 0.0, "proposal_df": 1.0,
+         "proposal_mu": 50.0, "label": "a"},
+    ],
+    "stage1": {"sizes": [3, 3]},
+    "thinning": 3,
+}
+# a near-normal t at 30 drawn near 1: every weight is finite, but their
+# batch means overflow
+OVERFLOWING_WEIGHTS = {
+    "references": [{"family": "t", "sampler": "imh", "df": 1e300, "mu": 30.0,
+                    "proposal_mu": 1.0}],
+    "stage1": {"sizes": [400]},
+    "targets": {"mu_grid": [0.0]},
+    "master_seed": 81,
+}
+
+
+def test_cli_values_out_of_float_range_end_in_documented_codes(tmp_path, capsys):
+    """Each of these once warned (an error under this suite) and went on
+    with inf or NaN.  A Newton step that overflows is a convergence failure,
+    pilot grid points whose ratios leave float range are skipped, and a
+    target whose variance overflows gets an error row."""
+    out = str(tmp_path / "o")
+    config = write_config(tmp_path, SINGULAR_HESSIAN)
+    assert cli_main(["estimate-d", "--config", config, "--out", out]) == 3
+    assert "Newton step overflows" in capsys.readouterr().err
+    assert cli_main(["pilot-weights", "--config", config, "--out", out]) == 0
+    config = write_config(tmp_path, OVERFLOWING_WEIGHTS)
+    assert cli_main(["estimate", "--config", config, "--out", out]) == 0
+    assert "[error:DegenerateDenominatorError]" in capsys.readouterr().out
+
+
 def test_cli_tables_may_differ_by_trailing_zeros(tmp_path):
     """A target table padded with a zero-mass state reads the same state
     space, so the run writes the bytes of the unpadded one."""
@@ -1388,11 +1453,7 @@ def test_every_class_member_is_read_outside_the_tests():
 
 
 # defaulted parameters that only tests set
-SET_ONLY_BY_TESTS = {
-    # the seam through which tests pass fixed grids (a tie-break, a single
-    # point, every point failing); the pipeline searches the simplex grid
-    "pilot_optimal_weights.grid",
-}
+SET_ONLY_BY_TESTS: set[str] = set()
 
 
 def _defaulted_params(tree):

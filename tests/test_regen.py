@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genis.densities import Integrand, discrete_table_density, t_density
-from genis.errors import InsufficientRegenerationError
+from genis.errors import DegenerateDenominatorError, InsufficientRegenerationError
 from genis.regen import (
     _tour_sums,
     rs_long_run_cov,
@@ -117,6 +117,17 @@ def test_split_tours_validation(toy_refs):
         split_tours(samples, toy_refs[:1], target, [1.0])
     with pytest.raises(ValueError, match="chain order mismatch"):
         split_tours(samples, toy_refs[::-1], target, W_TRUE)
+
+
+def test_split_tours_sums_out_of_float_range():
+    """v = x * u at states near 1e308 overflows the prefix sums behind the
+    tour sums, which once warned and went on with inf and NaN; like an
+    overflowing weight, it is a degenerate denominator."""
+    ref = t_density(5, 1e308)
+    samples = SampleSet(chains=(sample_t_iid(5, 1e308, 4, seed=1),))
+    identity = Integrand("x", lambda x: x)
+    with pytest.raises(DegenerateDenominatorError, match="tour sums overflow"):
+        split_tours(samples, [ref], ref, [1.0], identity)
 
 
 @given(

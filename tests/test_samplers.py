@@ -147,11 +147,22 @@ def test_tuned_splitting_constant_is_near_median_omega():
     """For this pair omega(x) = nu_target(x)/q(x); the tuned constant should
     sit inside the central range of omega over target draws."""
     target = t_density(5, 0.0)
-    c = tune_splitting_constant(target, 5, 1.0, pilot_n=4000, seed=12)
+    log_c = tune_splitting_constant(target, 5, 1.0, pilot_n=4000, seed=12)
     draws = sample_t_iid(5, 0.0, 4000, seed=99).states
-    omega = np.exp(target.log_density(draws) - t_log_density(5, 1.0, draws))
-    lo, hi = np.quantile(omega, [0.2, 0.8])
-    assert lo <= c <= hi
+    log_omega = target.log_density(draws) - t_log_density(5, 1.0, draws)
+    lo, hi = np.quantile(log_omega, [0.2, 0.8])
+    assert lo <= log_c <= hi
+
+
+def test_tuned_splitting_constant_below_float_range_still_marks():
+    """A proposal far from a near-normal target gives a median log omega
+    near -1071, whose exp is 0.0; the constant is tuned in log space, so
+    the chain runs (its exp once raised ValueError)."""
+    target = t_density(1e6, 0.0)
+    log_c = tune_splitting_constant(target, 1e6, 50.0, pilot_n=2000, seed=1)
+    assert math.exp(log_c) == 0.0
+    chain = independence_mh(target, 1e6, 50.0, 2000, seed=2, with_regen=True)
+    assert chain.regen_marks[0] and np.all(np.isfinite(chain.states))
 
 
 # -------------------------------------------------------------- discrete MH

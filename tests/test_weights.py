@@ -1,6 +1,7 @@
 """Weight strategies: pooled, distance-based, effective-size, pilot search."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from genis.reverse_logistic import StageWeights, estimate_ratios
 from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
 from genis.weights import (
     effective_sample_size,
-    ess_inv_dist_weights,
     inv_dist_weights,
     naive_weights,
     pilot_optimal_weights,
@@ -60,17 +60,15 @@ def test_inv_dist_respects_chain_lengths():
 
 
 def test_ess_inv_dist_examples():
-    same = ess_inv_dist_weights(0.3, [0.0, 1.0], [200, 200])
-    np.testing.assert_allclose(
-        same, inv_dist_weights(0.3, [0.0, 1.0], [200, 200])
-    )
-    got = ess_inv_dist_weights(0.5, [0.0, 1.0], [1000, 100])
-    np.testing.assert_allclose(got, [10.0 / 11.0, 1.0 / 11.0])
-    np.testing.assert_allclose(
-        ess_inv_dist_weights(0.5, [0.0], [123.0]), [1.0]
-    )
-    with pytest.raises(ValueError):
-        ess_inv_dist_weights(0.5, [0.0, 1.0], [100, 0])
+    """ess weights are inverse-distance weights with each chain's effective
+    sample size, which lies in (0, n_l], in place of its length."""
+    rng = np.random.default_rng(3)
+    sticky = np.repeat(rng.standard_normal(100), 10)  # 1000 draws, 100 distinct
+    ess = [effective_sample_size(sticky), effective_sample_size(rng.standard_normal(1000))]
+    assert 0 < ess[0] < 500 < ess[1] <= 1000
+    got = inv_dist_weights(0.5, [0.0, 1.0], ess)  # equal distances: weights ~ ess
+    np.testing.assert_allclose(got, np.array(ess) / sum(ess))
+    np.testing.assert_allclose(inv_dist_weights(0.5, [0.0], [ess[0]]), [1.0])
 
 
 def test_weight_vectors_normalized_and_positive():
@@ -115,6 +113,8 @@ def test_ess_degenerate_series_clamp():
     assert effective_sample_size(np.full(1000, 2.5)) == 1000.0
     alternating = np.tile([1.0, -1.0], 500)
     assert effective_sample_size(alternating) == 1000.0
+    # states near 1e308: the variance sums overflow, which once warned
+    assert effective_sample_size(np.tile([1.7e308, 1.5e308], 500)) == 1000.0
     with pytest.raises(ValueError):
         effective_sample_size(np.ones(3))
 
@@ -174,6 +174,11 @@ def test_pilot_tie_break_prefers_naive():
     best, diag = pilot_optimal_weights(pilot, refs, grid=grid)
     np.testing.assert_allclose(best, [0.5, 0.5])
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in diag.values())
+    # the same point on any grid order; without naive, the smaller point
+    for order in itertools.permutations(grid):
+        np.testing.assert_allclose(pilot_optimal_weights(pilot, refs, list(order))[0], [0.5, 0.5])
+    for order in ([grid[0], grid[2]], [grid[2], grid[0]]):
+        np.testing.assert_allclose(pilot_optimal_weights(pilot, refs, order)[0], [0.3, 0.7])
 
 
 def test_pilot_selected_trace_is_minimal(toy_refs):
