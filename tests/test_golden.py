@@ -120,6 +120,26 @@ def _overflowing_ratio_variance():
             "bm_explicit_b": 2, "master_seed": 81}
 
 
+def _pilot_vanishing_state():
+    """A t reference with df 1e-3 whose pilot draw lies where both
+    reference densities underflow to zero."""
+    return {"references": [{"family": "t", "sampler": "iid", "df": 0.001, "mu": 0.0},
+                           {"family": "t", "sampler": "iid", "df": 5.0, "mu": 1.0}],
+            "stage1": {"sizes": [1, 1], "weights": {"kind": "pilot", "step": 0.25,
+                                                    "pilot_sizes": [2, 2]}},
+            "master_seed": 620}
+
+
+def _overflowing_tour_sums():
+    """A stage-2 chain at 1e308 whose importance weights for the target at
+    1e308 overflow in the tour sums."""
+    return {"references": [{"family": "t", "sampler": "iid", "df": 0.05, "mu": 1e308,
+                            "label": "r0"}],
+            "stage1": {"sizes": [50]}, "stage2": {"sizes": [50]},
+            "targets": {"family": "t", "df": 1.0, "mu_grid": [1e308, 0.0]},
+            "master_seed": 214}
+
+
 # name: (config, argv without --config and --out)
 CASES = {
     "estimate-d-bm": (_t(), ["estimate-d"]),
@@ -174,6 +194,8 @@ CASES = {
     "repro-t-targets-over-tables": (_t_targets_over_tables(), ["estimate"]),
     "repro-underflowing-splitting-const": (_underflowing_splitting_const(), ["estimate-d"]),
     "repro-overflowing-ratio-variance": (_overflowing_ratio_variance(), ["estimate"]),
+    "repro-pilot-vanishing-state": (_pilot_vanishing_state(), ["estimate-d"]),
+    "repro-overflowing-tour-sums": (_overflowing_tour_sums(), ["estimate"]),
 }
 
 
