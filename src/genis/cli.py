@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, EstimationError, InsufficientDataError
+from .errors import (ConfigError, ConvergenceError, DegenerateDenominatorError,
+                     EstimationError, InsufficientDataError)
 from .pipeline import (
     ORACLE_Z,
     ExperimentConfig,
@@ -130,7 +131,11 @@ def _cmd_estimate(args) -> int:
         raise ConfigError("estimate needs a targets block; use estimate-d otherwise")
     out = _out_dir(args)
     result = run_two_stage(cfg)
-    tours = stage2_tours(cfg, result)  # it can fail, so before any output
+    try:  # too few marks exit 4, so before any output
+        tours = stage2_tours(cfg, result)
+    except DegenerateDenominatorError as exc:  # an overflow only flags a target row
+        tours = None
+        print(f"tours.csv not written: {exc}", file=sys.stderr)
     labels = tuple(c.density_id for c in result.stage1_samples.chains)
     write_d_estimate_csv(out / "d_estimate.csv", result.ratio_estimate, labels)
     write_targets_csv(out / "targets.csv", result.target_results)

@@ -36,14 +36,4 @@ class InsufficientRegenerationError(InsufficientDataError):
 
 
 class ConvergenceError(EstimationError):
-    """Optimizer failed to reach the requested tolerance.
-
-    Carries the best iterate found so callers can inspect how close the
-    solve got before giving up.
-    """
-
-    def __init__(self, message, zeta=None, grad_norm=None, iterations=None):
-        super().__init__(message)
-        self.zeta = zeta
-        self.grad_norm = grad_norm
-        self.iterations = iterations
+    """Optimizer failed to reach the requested tolerance."""

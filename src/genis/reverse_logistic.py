@@ -209,11 +209,7 @@ def _fit(
             return zeta, it, grad_norm, info, probs
         if it == MAX_ITER:
             raise ConvergenceError(
-                f"no convergence in {MAX_ITER} iterations (grad norm {grad_norm:.3e})",
-                zeta=zeta,
-                grad_norm=grad_norm,
-                iterations=MAX_ITER,
-            )
+                f"no convergence in {MAX_ITER} iterations (grad norm {grad_norm:.3e})")
         # Newton in the reduced parameterization zeta_k = -sum_{j<k} zeta_j
         neg_h = n * (info[:-1, :-1] - info[:-1, -1:] - info[-1:, :-1] + info[-1, -1])
         g_red = g[:-1] - g[-1]
@@ -225,16 +221,10 @@ def _fit(
             except np.linalg.LinAlgError:
                 ridge = max(ridge * 10.0, 1e-10 * max(np.trace(neg_h), 1.0))
         else:
-            raise ConvergenceError(
-                "reduced Hessian is not positive definite",
-                zeta=zeta,
-                grad_norm=grad_norm,
-                iterations=it,
-            )
+            raise ConvergenceError("reduced Hessian is not positive definite")
         step_red = np.linalg.solve(chol.T, np.linalg.solve(chol, g_red))
         if not np.isfinite(step_red).all():  # the reduced Hessian is numerically singular
-            raise ConvergenceError("Newton step overflows", zeta=zeta,
-                                   grad_norm=grad_norm, iterations=it)
+            raise ConvergenceError("Newton step overflows")
         step = np.append(step_red, -step_red.sum())
         slope = float(g_red @ step_red)
         ev = probs = None  # one set of membership probabilities at a time
@@ -251,12 +241,7 @@ def _fit(
                 break
             t *= 0.5
         else:
-            raise ConvergenceError(
-                "line search failed to improve the objective",
-                zeta=zeta,
-                grad_norm=grad_norm,
-                iterations=it + 1,
-            )
+            raise ConvergenceError("line search failed to improve the objective")
         zeta = cand
 
 

@@ -103,9 +103,6 @@ class SampleSet:
     def n_total(self) -> int:
         return int(self.n_per_chain.sum())
 
-    def __len__(self) -> int:
-        return len(self.chains)
-
     def check_aligned(self, references: Sequence[UnnormalizedDensity]) -> None:
         """Raise ValueError unless chain l targets references[l] for every l."""
         if len(self.chains) != len(references):

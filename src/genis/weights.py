@@ -111,13 +111,13 @@ def pilot_optimal_weights(
     weights, so its trace equals that of a separate `estimate_ratios`
     bit for bit.  Each grid point is fitted from zeta = 0, since a warm
     start moves the converged zeta by rounding and can flip near-tied
-    choices.  If the shared parts raise, each point evaluates zeta = 0
-    itself and fails as it would alone; if no draw links the references
-    into one group, the search raises InsufficientDataError.  Grid points
-    where the fit or the covariance fails are skipped; ties are broken
-    toward the pooled naive weights, then lexicographically.  Returns the
-    winning weights and a diagnostics map from grid points to traces (NaN
-    where skipped).
+    choices.  A state where every reference vanishes raises
+    UndefinedPointError, as a single fit does; if no draw links the
+    references into one group, the search raises InsufficientDataError.
+    Grid points where the fit or the covariance fails are skipped; ties
+    are broken toward the pooled naive weights, then lexicographically.
+    Returns the winning weights and a diagnostics map from grid points to
+    traces (NaN where skipped).
     """
     k = len(references)
     if grid is None:
@@ -128,12 +128,9 @@ def pilot_optimal_weights(
     n_per_f = n_per.astype(float)
     naive = naive_weights(n_per)
     mats = log_density_matrices(pilot_samples, references)
-    try:
-        start = _parts(mats, np.zeros(k))
-    except EstimationError:
-        start = None
-    else:  # under any weights, B at zeta = 0 has the signs of this sum
-        _check_overlap(sum(p[2] for p in start), [c.density_id for c in pilot_samples.chains])
+    start = _parts(mats, np.zeros(k))
+    # under any weights, B at zeta = 0 has the signs of this sum
+    _check_overlap(sum(p[2] for p in start), [c.density_id for c in pilot_samples.chains])
     diagnostics: dict[tuple, float] = {}
     for a_vec in grid:
         a_vec = np.asarray(a_vec, dtype=float)

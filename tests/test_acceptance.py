@@ -7,8 +7,11 @@ replication batches are shared through module fixtures and the whole
 file runs in a few minutes on one core.
 """
 
+import itertools
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from genis.cli import main as cli_main
 from genis.densities import Integrand, discrete_table_density, t_density
 from genis.pipeline import (
     ORACLE_Z,
+    _one_replication,
     config_from_dict,
     exact_truth,
     run_replications,
@@ -111,12 +115,21 @@ def toy_tuned_100():
 
 
 @pytest.fixture(scope="module")
-def toy_grid_500():
-    raw = _toy_raw(
-        se_method="bm", replications=500, size_grid=[1000, 10_000, 100_000],
-        workers=2,
-    )
-    return run_replications(config_from_dict(raw))
+def toy_grid_500(toy_both_100):
+    """500 stage-1 replications at 1,000, 10,000 and 100,000 draws per
+    chain.  At 100,000, replications 0-99 are toy_both_100's: the same
+    derived seeds give the same d_hat, and under "both" `cov` is the BM
+    covariance, bit for bit.  So only replications 100-499 run there."""
+    raw = _toy_raw(se_method="bm", replications=500, size_grid=[1000, 10_000], workers=2)
+    report = run_replications(config_from_dict(raw))
+    first = toy_both_100[0].records
+    assert [(r.replication, r.n_total) for r in first] == [(i, TOY_N_TOTAL) for i in range(100)]
+    top = config_from_dict(_toy_raw(se_method="bm"))
+    spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        rest = pool.map(_one_replication, itertools.repeat(top), range(100, 500), chunksize=1)
+        report.records += first + list(rest)
+    return report
 
 
 @pytest.fixture(scope="module")

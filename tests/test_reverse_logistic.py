@@ -325,11 +325,8 @@ def test_fit_exhausting_iterations_raises(monkeypatch):
         discrete_table_density(TABLE_1, id=samples.chains[0].density_id),
         discrete_table_density(TABLE_2, id=samples.chains[1].density_id),
     ]
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError, match=r"^no convergence in 1 iterations \(grad norm "):
         fit_reverse_logistic(samples, refs)
-    assert exc.value.zeta is not None
-    assert exc.value.grad_norm is not None
-    assert exc.value.iterations == 1
 
 
 def test_fit_objective_not_decreased():

@@ -8,7 +8,7 @@ import pytest
 
 from genis import reverse_logistic, weights
 from genis.densities import discrete_table_density, t_density
-from genis.errors import ConvergenceError
+from genis.errors import ConvergenceError, UndefinedPointError
 from genis.reverse_logistic import StageWeights, estimate_ratios
 from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
 from genis.weights import (
@@ -304,11 +304,11 @@ def test_pilot_computes_the_zeta_zero_parts_once(monkeypatch):
     assert at_zero == [3]
 
 
-def test_pilot_with_all_references_vanishing_at_a_state_fails_every_point():
-    """Both references vanish at state 1, which each chain visits: every
-    grid point fails, so the search raises ConvergenceError (exit 3), not
-    the UndefinedPointError of a single fit.  No config can express this,
-    since a sampler only emits states where its own target has mass."""
+def test_pilot_with_all_references_vanishing_at_a_state_raises_undefined_point():
+    """Both references vanish at state 1, which each chain visits: the
+    shared zeta = 0 evaluation raises the UndefinedPointError of a single
+    fit (exit 5) before any grid point is fitted.  The golden entry
+    repro-pilot-vanishing-state reaches the same state from a config."""
     refs = [
         discrete_table_density((1, 0, 1), id="left"),
         discrete_table_density((1, 0, 2), id="right"),
@@ -317,5 +317,5 @@ def test_pilot_with_all_references_vanishing_at_a_state_fails_every_point():
         ChainSample("left", np.array([0.0, 1.0, 2.0, 0.0, 2.0, 0.0]), "iid", 0),
         ChainSample("right", np.array([2.0, 0.0, 2.0, 1.0, 2.0, 2.0]), "iid", 0),
     )
-    with pytest.raises(ConvergenceError, match="every grid point failed"):
+    with pytest.raises(UndefinedPointError, match="all reference densities vanish"):
         pilot_optimal_weights(SampleSet(chains=chains), refs, step=0.25)
