@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from genis import reverse_logistic, weights
-from genis.densities import discrete_table_density, t_density
+from genis.densities import (
+    UnnormalizedDensity,
+    discrete_table_density,
+    t_density,
+    t_log_density,
+)
 from genis.errors import ConvergenceError, UndefinedPointError
 from genis.reverse_logistic import StageWeights, estimate_ratios
 from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
@@ -256,10 +261,20 @@ def _toy_pilot():
     return SampleSet(chains=chains), [t_density(5, 1.0), t_density(5, 0.0)]
 
 
+def _scaled_pair_pilot():
+    """t5 at 0 and e^26 times t5 at 1: from zeta = 0 the line search fails
+    at 7 of the 19 default grid points, so their traces are NaN."""
+    scaled = UnnormalizedDensity("t5_mu1", lambda x: t_log_density(5, 1.0, x) + 26.0)
+    chains = (sample_t_iid(5, 0.0, 200, seed=41), sample_t_iid(5, 1.0, 200, seed=42))
+    return SampleSet(chains=chains), [t_density(5, 0.0), scaled]
+
+
 # sha256 of the chosen weights followed by the sorted (point, trace) rows of
-# the diagnostics, as little-endian float64; recorded before the grid shared
-# its zeta = 0 evaluation.  Like the frozen chain digests, they may differ on
-# another CPU or BLAS build with no change to the code.
+# the diagnostics, as little-endian float64.  The first two were recorded
+# before the grid shared its zeta = 0 evaluation, the third, whose NaN traces
+# pin the points that fail, before the grid was fitted in lockstep.  Like the
+# frozen chain digests, they may differ on another CPU or BLAS build with no
+# change to the code.
 FROZEN_PILOTS = {
     "three_t_step_0.1": (
         _three_t_pilot,
@@ -270,6 +285,11 @@ FROZEN_PILOTS = {
         _toy_pilot,
         0.05,
         "dfb6649cc8173ebeaf3d50c95ed39f6ddf607c3d07dd07fe81c6225cc4eb86d0",
+    ),
+    "scaled_pair_failing_points": (
+        _scaled_pair_pilot,
+        0.05,
+        "b01c7026adc19b3c71ead97b55aae86dbaeb1a23d1ccbf9a4004506b90625d26",
     ),
 }
 
