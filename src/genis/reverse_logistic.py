@@ -23,18 +23,36 @@ as an independent route, from regeneration tours.
 
 Layout: each chain's log densities are one (k, n_l) array, component
 major, so reductions over components run over k contiguous rows.  The
-objective, the score, B and the membership probabilities all come from
-one softmax per chain.  The evaluator has two steps: `_parts` computes
-each chain's weight-free parts at zeta (own-term sum, column sums of the
+kernel is stacked over G weight vectors: a (G, k) stack of zeta gives one
+(G, k, n_l) array of membership probabilities per chain, and each point's
+objective, score, B and probabilities come from one softmax per chain.
+The evaluator has two steps: `_parts` computes each chain's weight-free
+parts at every zeta of the stack (own-term sum, column sums of the
 membership probabilities, diag(p_sum) - p p^T, and the probabilities),
-and `_combine` weighs them with w and a.  The parts at zeta = 0 do not
-depend on the weights, so the pilot grid computes them once for all its
-points.  The vanishing-state check runs once per fit, at zeta = 0, and
-again only at a non-finite iterate.  The Newton fit evaluates each
-iterate once, and B and Omega reuse its last evaluation.  The
-evaluator frees each n-length temporary once it is spent, and
-estimate_ratios drops the log-density matrices before the Omega routes
-run, so they never coexist with the routes' prefix sums and batch copies.
+and `_combine` weighs them with each point's w and a.  The parts at
+zeta = 0 do not depend on the weights, so every point shares them.
+
+`_fit` runs damped Newton on all G points in lockstep rounds: each round,
+the points with a fresh evaluation test convergence and take their Newton
+step together (batched Cholesky factor and solves), and the points in
+their line search are evaluated together in one `_parts` call.  Each
+point keeps its own iteration count, ridge, step halvings and errors, so
+it visits the iterates of a fit on its own and its results equal that
+fit's bit for bit; one point's failure leaves the others running.
+`_estimate_from_fit` then maps every converged point to ratios and takes
+the overlap check, the Jacobian, the deflated pseudo-inverse of B
+(batched eigh), the batch-means Omega and the sandwich over the whole
+stack; the regenerative Omega runs point by point.  The single-fit entry
+points call the kernel with G = 1, and the pilot grid feeds it
+fixed-size chunks of its points.
+
+The vanishing-state check runs once per fit, at zeta = 0, and again only
+at a non-finite candidate.  The Newton fit evaluates each iterate once,
+and B and Omega reuse its last evaluation.  The evaluator frees each
+n-length temporary once it is spent, the fit evaluates every round into
+one (G, k, n_l) buffer per chain that also keeps the converged points,
+and estimate_ratios drops the log-density matrices before the Omega
+routes run, so they never coexist with the routes' prefix sums.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ import numpy as np
 
 from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, bm_cov, block_size
 from .densities import UnnormalizedDensity
-from .errors import ConvergenceError, DegenerateDenominatorError
+from .errors import ConvergenceError, DegenerateDenominatorError, EstimationError
 from .errors import InsufficientDataError, UndefinedPointError
 from .regen import rs_long_run_cov
 from .samplers import SampleSet
@@ -55,6 +73,8 @@ from .samplers import SampleSet
 # at most TOL, else ConvergenceError after MAX_ITER iterations
 TOL = 1e-10
 MAX_ITER = 200
+# where each point of a lockstep fit stands at the start of a round
+_FRESH, _SEARCH, _DONE, _FAILED = range(4)
 SE_METHODS = ("bm", "rs", "both")
 
 
@@ -123,52 +143,75 @@ def log_density_matrices(
     ]
 
 
-def _parts(mats: list[np.ndarray], zeta: np.ndarray, check: bool = True) -> list:
-    """Per chain, the weight-free parts of the evaluator at zeta.
+def _parts(
+    mats: list[np.ndarray], zeta: np.ndarray, check: bool, out: list | None
+) -> list:
+    """Per chain, the weight-free parts of the evaluator at each row of the
+    (G, k) stack zeta.
 
-    Chain l gives its own-term sum sum_i log p_l, the column sums p_sum
-    of its (k, n_l) membership probabilities p, diag(p_sum) - p p^T and
-    p itself, all from one softmax.  With `check`, a state where every
-    reference density vanishes raises UndefinedPointError.
+    Chain l gives, per row, its own-term sum sum_i log p_l (G,), the column
+    sums p_sum (G, k) of its (G, k, n_l) membership probabilities p,
+    diag(p_sum) - p p^T (G, k, k) and p itself, all from one softmax.  p is
+    written into out[l] when `out` is given, else into a new array.  With
+    `check`, a state where every reference density vanishes at some row
+    raises UndefinedPointError.
     """
+    k = zeta.shape[1]
+    diag = np.arange(k)
     parts = []
     for l, mat in enumerate(mats):
-        p = mat + zeta[:, None]
+        p = np.add(mat, zeta[:, :, None], out=None if out is None else out[l])
         # the ufunc reductions are np.max's and np.sum's own arithmetic
         # without their Python wrappers
-        m = np.maximum.reduce(p, axis=0)
+        m = np.maximum.reduce(p, axis=1)
         if check and np.any(np.isneginf(m)):
             raise UndefinedPointError("all reference densities vanish at a state")
-        p -= m
+        p -= m[:, None]
         del m  # n-length temporaries are freed as soon as they are spent
-        own = p[l].copy()
+        own = p[:, l].copy()
         np.exp(p, out=p)
-        total = np.add.reduce(p, axis=0)
-        p /= total
+        total = np.add.reduce(p, axis=1)
+        p /= total[:, None]
         own -= np.log(total, out=total)
-        own_sum = float(np.add.reduce(own))
+        own_sum = np.add.reduce(own, axis=1)
         del own, total
-        p_sum = np.add.reduce(p, axis=1)
-        parts.append((own_sum, p_sum, np.diag(p_sum) - p @ p.T, p))
+        p_sum = np.add.reduce(p, axis=2)
+        curv = np.zeros((zeta.shape[0], k, k))
+        curv[:, diag, diag] = p_sum
+        parts.append((own_sum, p_sum, curv - p @ p.transpose(0, 2, 1), p))
     return parts
 
 
 def _combine(
     parts: list, w: np.ndarray, a: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Objective, score, curvature B and membership probabilities from
-    the parts of `_parts`: w weighs the objective and the score, a the
-    curvature."""
-    k = w.size
-    ll = 0.0
-    score = np.zeros(k)
-    info = np.zeros((k, k))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Per row of the (G, k) weights, the objective, score, curvature B and
+    membership probabilities from the parts of `_parts`: w weighs the
+    objective and the score, a the curvature.  Parts of one row serve
+    every row of the weights."""
+    g, k = w.shape
+    ll = np.zeros(g)
+    score = np.zeros((g, k))
+    info = np.zeros((g, k, k))
     for l, (own_sum, p_sum, curv, p) in enumerate(parts):
-        ll += w[l] * own_sum
-        score[l] += w[l] * p.shape[1]
-        score -= w[l] * p_sum
-        info += (a[l] / p.shape[1]) * curv
-    return ll, score, 0.5 * (info + info.T), [part[3] for part in parts]
+        ll += w[:, l] * own_sum
+        score[:, l] += w[:, l] * p.shape[2]
+        score -= w[:, l, None] * p_sum
+        info += (a[:, l] / p.shape[2])[:, None, None] * curv
+    return ll, score, 0.5 * (info + info.transpose(0, 2, 1)), [part[3] for part in parts]
+
+
+def _ridged_cholesky(neg_h: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of neg_h plus the smallest ridge of 0 and
+    1e-10 max(tr neg_h, 1) times a power of ten that makes it positive
+    definite, or None after 12 tries."""
+    ridge = 0.0
+    for _ in range(12):
+        try:
+            return np.linalg.cholesky(neg_h + ridge * np.eye(neg_h.shape[0]))
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10.0, 1e-10 * max(np.trace(neg_h), 1.0))
+    return None
 
 
 def _fit(
@@ -177,72 +220,160 @@ def _fit(
     n_per: np.ndarray,
     start: list | None = None,
 ):
-    """Damped Newton from zeta = 0 under sum(zeta) = 0.
+    """Damped Newton from zeta = 0 under sum(zeta) = 0, for each row of the
+    (G, k) weights a, in lockstep rounds.
 
-    `start`, when given, holds `_parts(mats, np.zeros(k))`, which do not
-    depend on the weights, so several fits on one set of matrices can
-    share them.  Each iterate is centred before it is evaluated, so the
-    returned zeta is the point of the last evaluation, whose B and
-    membership probabilities are returned with it (None for a single
-    chain).
+    Each round, every point with a fresh evaluation tests convergence and
+    takes its Newton step (one batched Cholesky factor and solve), and every
+    point in its line search is evaluated in one stacked `_parts` call.
+    Each point keeps its own iterations, ridge and step halvings, so it
+    visits the iterates, and fails with the error, of a fit on its own.
+
+    `start`, when given, holds `_parts(mats, np.zeros((1, k)), True, None)`,
+    which do not depend on the weights, so several fits on one set of
+    matrices can share them.  Each iterate is centred before it is
+    evaluated, so a point's returned zeta is that of its last evaluation,
+    whose B and membership probabilities are returned with it (None for a
+    single chain).
 
     The vanishing-state check runs at zeta = 0 only: while zeta is
     finite, a column of mat + zeta is all -inf exactly when the column of
-    mat is.  An iterate with a non-finite entry (an overflowed step) is
-    checked again.
+    mat is.  A candidate with a non-finite entry (an overflowed step) is
+    evaluated, and checked, on its own.
+
+    Returns (points, zeta, iterations, grad_norm, info, probs, errors):
+    errors[i] is the EstimationError that stopped point i or None; row j
+    of the rest, and of the (G_ok, k, n_l) stack of probabilities per
+    chain, belongs to the converged point points[j].
     """
-    k = a.size
+    g_count, k = a.shape
     if k != len(mats):
         raise ValueError("weights must have one entry per chain")
+    errors: list = [None] * g_count
     if k == 1:
-        return np.zeros(1), 0, 0.0, None, None
+        return (np.arange(g_count), np.zeros((g_count, 1)), np.zeros(g_count, int),
+                np.zeros(g_count), None, None, errors)
     n = float(n_per.sum())
     w = a * n / n_per
-    zeta = np.zeros(k)
-    ev = _combine(_parts(mats, zeta) if start is None else start, w, a)
-    for it in range(MAX_ITER + 1):
-        ll, g, info, probs = ev
+    zeta = np.zeros((g_count, k))
+    iterations = np.zeros(g_count, int)
+    grad_norm = np.zeros(g_count)
+    step = np.zeros((g_count, k))
+    t = np.ones(g_count)
+    slope = np.zeros(g_count)
+    base = np.zeros(g_count)
+    full_step = np.zeros(g_count, bool)
+    halvings = np.zeros(g_count, int)
+    state = np.full(g_count, _FRESH)
+
+    def fail(points, message):
+        state[points] = _FAILED
+        for i in points:
+            errors[i] = ConvergenceError(message)
+
+    ll, g, info, zero_probs = _combine(
+        _parts(mats, np.zeros((1, k)), True, None) if start is None else start, w, a)
+    # Each round evaluates its L candidates into rows 0..L-1 of `work`, one
+    # (G, k, n_l) array per chain, so no large array is allocated per round.
+    # A converged point moves its row to the end of `work`, filled from the
+    # last row down; the live points, at most G minus those kept, stay clear
+    # of it, so the fit holds G rows of membership probabilities at most.
+    work = None
+    slot = np.full(g_count, -1)  # each point's row of work; -1 for the zeta = 0 row
+    kept = 0
+    eye = np.eye(k - 1)
+    noise = 1e4 * np.finfo(float).eps
+    while True:
+        # Newton at the points evaluated last round
+        fresh = np.flatnonzero(state == _FRESH)
+        gf = g[fresh]
         # per-sample scale: the raw score is O(n), so an absolute cutoff
         # would sit below the float64 rounding floor for large chains
-        grad_norm = float(np.max(np.abs(g - g.mean()))) / n
-        if grad_norm <= TOL:
-            return zeta, it, grad_norm, info, probs
-        if it == MAX_ITER:
-            raise ConvergenceError(
-                f"no convergence in {MAX_ITER} iterations (grad norm {grad_norm:.3e})")
-        # Newton in the reduced parameterization zeta_k = -sum_{j<k} zeta_j
-        neg_h = n * (info[:-1, :-1] - info[:-1, -1:] - info[-1:, :-1] + info[-1, -1])
-        g_red = g[:-1] - g[-1]
-        ridge = 0.0
-        for _ in range(12):
+        gf = np.abs(gf - np.add.reduce(gf, axis=1, keepdims=True) / k)
+        norm = np.maximum.reduce(gf, axis=1) / n
+        grad_norm[fresh] = norm
+        conv = norm <= TOL
+        done = fresh[conv]
+        state[done] = _DONE
+        for i in fresh[~conv & (iterations[fresh] == MAX_ITER)]:
+            fail([i], f"no convergence in {MAX_ITER} iterations (grad norm {grad_norm[i]:.3e})")
+        new = np.flatnonzero(state == _FRESH)
+        if new.size:
+            # Newton in the reduced parameterization zeta_k = -sum_{j<k} zeta_j
+            h = info[new]
+            neg_h = n * (h[:, :-1, :-1] - h[:, :-1, -1:] - h[:, -1:, :-1] + h[:, -1:, -1:])
+            g_red = g[new, :-1] - g[new, -1:]
             try:
-                chol = np.linalg.cholesky(neg_h + ridge * np.eye(k - 1))
-                break
-            except np.linalg.LinAlgError:
-                ridge = max(ridge * 10.0, 1e-10 * max(np.trace(neg_h), 1.0))
-        else:
-            raise ConvergenceError("reduced Hessian is not positive definite")
-        step_red = np.linalg.solve(chol.T, np.linalg.solve(chol, g_red))
-        if not np.isfinite(step_red).all():  # the reduced Hessian is numerically singular
-            raise ConvergenceError("Newton step overflows")
-        step = np.append(step_red, -step_red.sum())
-        slope = float(g_red @ step_red)
-        ev = probs = None  # one set of membership probabilities at a time
-        # once the Newton decrement sinks below the objective's rounding
-        # noise the Armijo test carries no signal; the full step is then
-        # safely inside the quadratic basin and finishes the solve
-        full_step = slope <= 1e4 * np.finfo(float).eps * (1.0 + abs(ll))
-        t = 1.0
-        for _ in range(60):
-            cand = zeta + t * step
-            cand -= cand.mean()
-            ev = _combine(_parts(mats, cand, not np.isfinite(cand).all()), w, a)
-            if full_step or ev[0] >= ll + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError("line search failed to improve the objective")
-        zeta = cand
+                chol = np.linalg.cholesky(neg_h + 0.0 * eye)
+            except np.linalg.LinAlgError:  # some point needs a ridge
+                factors = [_ridged_cholesky(x) for x in neg_h]
+                ok = np.array([c is not None for c in factors])
+                fail(new[~ok], "reduced Hessian is not positive definite")
+                new, g_red = new[ok], g_red[ok]
+                chol = np.array([c for c in factors if c is not None]).reshape(-1, k - 1, k - 1)
+            step_red = np.linalg.solve(
+                chol.transpose(0, 2, 1), np.linalg.solve(chol, g_red[:, :, None]))[:, :, 0]
+            ok = np.isfinite(step_red).all(axis=1)
+            fail(new[~ok], "Newton step overflows")  # the reduced Hessian is numerically singular
+            new, g_red, step_red = new[ok], g_red[ok], step_red[ok]
+            step[new] = np.concatenate([step_red, -step_red.sum(axis=1, keepdims=True)], axis=1)
+            slope[new] = [float(x @ y) for x, y in zip(g_red, step_red)]
+            base[new] = ll[new]
+            # once the Newton decrement sinks below the objective's rounding
+            # noise the Armijo test carries no signal; the full step is then
+            # safely inside the quadratic basin and finishes the solve
+            full_step[new] = slope[new] <= noise * (1.0 + np.abs(ll[new]))
+            t[new] = 1.0
+            halvings[new] = 0
+            state[new] = _SEARCH
+        live = np.flatnonzero(state == _SEARCH)
+        if done.size and work is None:
+            work = [np.empty((g_count,) + mat.shape) for mat in mats]
+        # from the highest row down, so no copy lands on a row still to move
+        for i in done[np.argsort(-slot[done])]:
+            kept += 1
+            src = [p[0] for p in zero_probs] if slot[i] < 0 else [x[slot[i]] for x in work]
+            for x, p in zip(work, src):
+                x[g_count - kept] = p
+            slot[i] = g_count - kept
+        zero_probs = None  # after the first round no point is left on it
+        if not live.size:
+            break
+        # one stacked evaluation of every line-search candidate
+        cand = zeta[live] + t[live, None] * step[live]
+        cand -= np.add.reduce(cand, axis=1, keepdims=True) / k
+        finite = np.isfinite(cand).all(axis=1)
+        batches = [(live[finite], cand[finite], False)]
+        batches += [(live[j:j + 1], cand[j:j + 1], True) for j in np.flatnonzero(~finite)]
+        if work is None:  # not before the zeta = 0 probabilities are spent
+            work = [np.empty((g_count,) + mat.shape) for mat in mats]
+        rows = 0
+        for pts, c, check in batches:
+            if not pts.size:
+                continue
+            slot[pts] = np.arange(rows, rows + pts.size)
+            buf = [x[rows:rows + pts.size] for x in work]
+            rows += pts.size
+            try:
+                c_ll, c_g, c_info, _ = _combine(_parts(mats, c, check, buf), w[pts], a[pts])
+            except UndefinedPointError as err:
+                state[pts] = _FAILED
+                errors[pts[0]] = err
+                continue
+            ok = full_step[pts] | (c_ll >= base[pts] + 1e-4 * t[pts] * slope[pts])
+            won = pts[ok]
+            zeta[won] = c[ok]
+            ll[won], g[won], info[won] = c_ll[ok], c_g[ok], c_info[ok]
+            iterations[won] += 1
+            state[won] = _FRESH
+            lost = pts[~ok]
+            t[lost] *= 0.5
+            halvings[lost] += 1
+            fail(lost[halvings[lost] == 60], "line search failed to improve the objective")
+    done = np.flatnonzero(state == _DONE)
+    points = done[np.argsort(slot[done])]
+    probs = [x[g_count - kept:] for x in work] if kept else None
+    return points, zeta[points], iterations[points], grad_norm[points], info[points], probs, errors
 
 
 def fit_reverse_logistic(
@@ -254,29 +385,34 @@ def fit_reverse_logistic(
     mats = log_density_matrices(samples, references)
     n_per = samples.n_per_chain
     a = (StageWeights(n_per) if weights is None else weights).a
-    return _fit(mats, a, n_per.astype(float))[0]
+    _, zeta, *_, errors = _fit(mats, a[None], n_per.astype(float))
+    if errors[0] is not None:
+        raise errors[0]
+    return zeta[0]
 
 
 def zeta_to_ratios(zeta, a) -> np.ndarray:
-    """Map the fitted offsets to ratio estimates d_j = e^{z_1 - z_j} a_j / a_1."""
+    """Map the fitted offsets to ratio estimates d_j = e^{z_1 - z_j} a_j / a_1,
+    along the last axis of zeta and a."""
     zeta = np.asarray(zeta, dtype=float)
     a = np.asarray(a, dtype=float)
     if zeta.shape != a.shape:
         raise ValueError("zeta and a must have the same length")
-    return np.exp(zeta[0] - zeta[1:]) * a[1:] / a[0]
+    return np.exp(zeta[..., :1] - zeta[..., 1:]) * a[..., 1:] / a[..., :1]
 
 
 def ratio_jacobian(d_hat) -> np.ndarray:
-    """Jacobian D of the zeta -> d map at the fitted point, (k, k-1).
+    """Jacobian D of the zeta -> d map at the fitted point, (..., k, k-1)
+    for d_hat of shape (..., k-1).
 
     Row 0 holds (d_2..d_k); row j has -d_{j+1} on its diagonal entry.
     Columns sum to zero.
     """
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
-    km1 = d_hat.size
-    out = np.zeros((km1 + 1, km1))
-    out[0, :] = d_hat
-    out[1:, :][np.diag_indices(km1)] = -d_hat
+    km1 = d_hat.shape[-1]
+    out = np.zeros(d_hat.shape[:-1] + (km1 + 1, km1))
+    out[..., 0, :] = d_hat
+    out[..., np.arange(1, km1 + 1), np.arange(km1)] = -d_hat
     return out
 
 
@@ -291,9 +427,9 @@ def info_matrix(
     B_rr = sum_l a_l mean_i p_r(1-p_r), B_rs = -sum_l a_l mean_i p_r p_s.
     Symmetric PSD with zero row sums; equals -Hessian/n of the objective.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)[None]
     mats = log_density_matrices(samples, references)
-    return _combine(_parts(mats, np.asarray(zeta, dtype=float)), a, a)[2]
+    return _combine(_parts(mats, np.asarray(zeta, dtype=float)[None], True, None), a, a)[2][0]
 
 
 def _omega(
@@ -303,16 +439,19 @@ def _omega(
     bm_spec: BatchMeansSpec,
     method: str,
 ) -> np.ndarray:
+    """Omega for each row of the (G, k) weights a from one (G, k, n_l)
+    stack of membership probabilities per chain: batch means over the whole
+    stack, the regenerative route point by point."""
     if method not in ("bm", "rs"):
         raise ValueError("method must be 'bm' or 'rs'")
-    n = sum(p.shape[1] for p in probs)
-    omega = np.zeros((a.size, a.size))
+    n = sum(p.shape[2] for p in probs)
+    omega = np.zeros((a.shape[0], a.shape[1], a.shape[1]))
     for l, p in enumerate(probs):
         if method == "bm":
-            sigma_l = bm_cov(p, block_size(p.shape[1], bm_spec))
+            sigma_l = bm_cov(p, block_size(p.shape[2], bm_spec))
         else:
-            sigma_l = rs_long_run_cov(p, chains[l])
-        omega += (n / p.shape[1]) * a[l] ** 2 * sigma_l
+            sigma_l = np.array([rs_long_run_cov(x, chains[l]) for x in p])
+        omega += ((n / p.shape[2]) * a[:, l] ** 2)[:, None, None] * sigma_l
     return omega
 
 
@@ -330,33 +469,35 @@ def score_long_run_cov(
     along the chain; chain l contributes (n/n_l) a_l^2 times its long-run
     covariance, estimated by batch means or from regeneration tours.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)[None]
     mats = log_density_matrices(samples, references)
-    probs = _combine(_parts(mats, np.asarray(zeta, dtype=float)), a, a)[3]
-    return _omega(probs, samples.chains, a, bm_spec, method)
+    probs = _combine(_parts(mats, np.asarray(zeta, dtype=float)[None], True, None), a, a)[3]
+    return _omega(probs, samples.chains, a, bm_spec, method)[0]
 
 
 def sym_pseudo_inverse(mat) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
+    """Moore-Penrose inverse of a symmetric matrix, or of each matrix of a
+    (..., k, k) stack, via eigendecomposition.
 
     Eigenvalues with magnitude at most k * machine epsilon times the
     largest are treated as zero.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("matrix must be square")
-    k = mat.shape[0]
+    k = mat.shape[-1]
     if k == 0:
-        return np.zeros((0, 0))
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    cutoff = k * np.finfo(float).eps * np.max(np.abs(vals), initial=0.0)
+        return np.zeros(mat.shape)
+    vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    cutoff = k * np.finfo(float).eps * np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
     inv_vals = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    out = (vecs * inv_vals) @ vecs.T
-    return 0.5 * (out + out.T)
+    out = (vecs * inv_vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _deflated_info_pinv(info: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the curvature matrix with its null space removed.
+    """Pseudo-inverse of the curvature matrix, or of each of a stack, with
+    its null space removed.
 
     The membership probabilities sum to one, so the curvature matrix
     always annihilates the all-ones vector.  Assembly rounding can leave
@@ -364,41 +505,46 @@ def _deflated_info_pinv(info: np.ndarray) -> np.ndarray:
     inverts noise into enormous entries.  Shifting along the known null
     direction before inverting and subtracting the shift afterwards is
     exact when the row sums vanish and stays bounded when they almost do.
+    A matrix with no positive trace has the pseudo-inverse zero.
     """
-    info = 0.5 * (info + info.T)
-    k = info.shape[0]
-    lam = float(np.trace(info))
-    if lam <= 0.0:
-        return np.zeros_like(info)
+    info = 0.5 * (info + np.swapaxes(info, -1, -2))
+    k = info.shape[-1]
+    lam = np.trace(info, axis1=-2, axis2=-1)[..., None, None]
+    zero = lam <= 0.0
+    shift = np.where(zero, 1.0, lam)
     j = np.full((k, k), 1.0 / k)
-    out = sym_pseudo_inverse(info + lam * j) - j / lam
-    return 0.5 * (out + out.T)
+    out = sym_pseudo_inverse(info + shift * j) - j / shift
+    return np.where(zero, 0.0, 0.5 * (out + np.swapaxes(out, -1, -2)))
 
 
-def _check_overlap(info: np.ndarray, labels: Sequence[str]):
-    """Raise InsufficientDataError unless the graph with an edge wherever
-    B_rs < 0 (some draw has mass under both r and s) is connected, which
-    the ratios need to be identified (Vardi 1985; Geyer 1994)."""
+def _overlap_errors(info: np.ndarray, labels: Sequence[str]) -> list:
+    """For each matrix of a (G, k, k) stack of curvature matrices, None if
+    the graph with an edge wherever B_rs < 0 (some draw has mass under both
+    r and s) is connected, which the ratios need to be identified (Vardi
+    1985; Geyer 1994), else the InsufficientDataError naming the split."""
     linked = np.eye(len(labels), dtype=bool) | (info < 0)
-    group = linked[0]
+    group = linked[:, 0]
     for _ in labels:  # grow the first reference's group to a fixpoint
-        group = linked[group].any(axis=0)
-    if not group.all():
-        split = [[x for x, g in zip(labels, group) if g == side] for side in (True, False)]
-        raise InsufficientDataError(
+        group = (linked & group[:, :, None]).any(axis=1)
+    errors: list = [None] * len(group)
+    for i in np.flatnonzero(~group.all(axis=1)):
+        split = [[x for x, y in zip(labels, group[i]) if y == side] for side in (True, False)]
+        errors[i] = InsufficientDataError(
             "no draw has mass under a reference of {} and one of {}, so the ratios "
             "between the two groups are not identified".format(*split)
         )
+    return errors
 
 
 def ratio_covariance(d_jacobian, info_pinv, omega) -> np.ndarray:
-    """Sandwich covariance D^T B^+ Omega B^+ D of the scaled ratio errors."""
+    """Sandwich covariance D^T B^+ Omega B^+ D of the scaled ratio errors,
+    of one point or of each of a stack."""
     d_jacobian = np.asarray(d_jacobian, dtype=float)
     info_pinv = np.asarray(info_pinv, dtype=float)
     omega = np.asarray(omega, dtype=float)
     inner = info_pinv @ omega @ info_pinv
-    out = d_jacobian.T @ inner @ d_jacobian
-    return 0.5 * (out + out.T)
+    out = np.swapaxes(d_jacobian, -1, -2) @ inner @ d_jacobian
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _estimate_from_fit(
@@ -408,38 +554,53 @@ def _estimate_from_fit(
     n_per: np.ndarray,
     bm_spec: BatchMeansSpec,
     se_method: str,
-) -> RatioEstimate:
-    """Ratios and their covariance from the result of `_fit`.
+) -> list:
+    """Ratios and their covariance for each point of a `_fit` result,
+    whose (G, k) weights are a.
 
-    B and Omega come from the membership probabilities of the fit's last
-    evaluation, taken at the returned zeta; the log-density matrices are
-    not needed, so a caller that is done with them can free them first.
+    B and Omega come from the membership probabilities of each point's
+    last evaluation, taken at its returned zeta; the log-density matrices
+    are not needed, so a caller that is done with them can free them
+    first.  Returns, per point, its RatioEstimate or the EstimationError
+    that stopped it.
     """
-    zeta, iterations, grad_norm, info, probs = fit
+    points, zeta, iterations, grad_norm, info, probs, errors = fit
+    out = list(errors)
+    a = a[points]
     methods = [m for m in ("bm", "rs") if se_method in (m, "both")]
-    covs = {m: np.zeros((0, 0)) for m in methods}
+    covs = {m: np.zeros((points.size, 0, 0)) for m in methods}
+    failed = [None] * points.size
     with np.errstate(over="ignore", invalid="ignore"):  # out of range is checked below
         d_hat = zeta_to_ratios(zeta, a)
-        if a.size > 1:
-            _check_overlap(info, [c.density_id for c in chains])
+        if a.shape[1] > 1 and points.size:
+            failed = _overlap_errors(info, [c.density_id for c in chains])
             jac = ratio_jacobian(d_hat)
             info_pinv = _deflated_info_pinv(info)
-            covs = {
-                m: ratio_covariance(jac, info_pinv, _omega(probs, chains, a, bm_spec, m))
-                for m in methods
-            }
-    if not all(np.isfinite(x).all() for x in (d_hat, *covs.values())):
-        raise DegenerateDenominatorError("ratio estimates or their covariance leave float range")
-    return RatioEstimate(
-        d_hat=d_hat,
-        zeta_hat=zeta,
-        a=a,
-        n_per_chain=n_per,
-        cov_bm=covs.get("bm"),
-        cov_rs=covs.get("rs"),
-        iterations=iterations,
-        grad_norm=grad_norm,
-    )
+            try:  # Omega's errors come from the chains alone, so every point shares them
+                covs = {
+                    m: ratio_covariance(jac, info_pinv, _omega(probs, chains, a, bm_spec, m))
+                    for m in methods
+                }
+            except EstimationError as err:
+                failed = [err if e is None else e for e in failed]
+    finite = np.isfinite(d_hat).all(axis=1)
+    for c in covs.values():
+        finite &= np.isfinite(c).all(axis=(1, 2))
+    for j, i in enumerate(points):
+        if failed[j] is None and not finite[j]:
+            failed[j] = DegenerateDenominatorError(
+                "ratio estimates or their covariance leave float range")
+        out[i] = failed[j] or RatioEstimate(
+            d_hat=d_hat[j],
+            zeta_hat=zeta[j],
+            a=a[j],
+            n_per_chain=n_per,
+            cov_bm=covs["bm"][j] if "bm" in covs else None,
+            cov_rs=covs["rs"][j] if "rs" in covs else None,
+            iterations=int(iterations[j]),
+            grad_norm=float(grad_norm[j]),
+        )
+    return out
 
 
 def estimate_ratios(
@@ -454,7 +615,10 @@ def estimate_ratios(
         raise ValueError(f"se_method must be one of {SE_METHODS}")
     mats = log_density_matrices(samples, references)
     n_per = samples.n_per_chain
-    a = (StageWeights(n_per) if weights is None else weights).a
+    a = (StageWeights(n_per) if weights is None else weights).a[None]
     fit = _fit(mats, a, n_per.astype(float))
     del mats  # the Omega routes need only the fit's membership probabilities
-    return _estimate_from_fit(fit, samples.chains, a, n_per, bm_spec, se_method)
+    (est,) = _estimate_from_fit(fit, samples.chains, a, n_per, bm_spec, se_method)
+    if isinstance(est, EstimationError):
+        raise est
+    return est

@@ -17,12 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .batch_means import DEFAULT_BM_SPEC, MIN_DRAWS, BatchMeansSpec, block_size, bm_cov
-from .errors import ConvergenceError, EstimationError
+from .errors import ConvergenceError
 from .reverse_logistic import (
+    RatioEstimate,
     StageWeights,
-    _check_overlap,
     _estimate_from_fit,
     _fit,
+    _overlap_errors,
     _parts,
     log_density_matrices,
 )
@@ -30,6 +31,9 @@ from .samplers import SampleSet
 
 WEIGHT_FLOOR = 1e-6
 DEFAULT_STEP = 0.05  # pilot grid spacing on the simplex
+# grid points fitted in lockstep at once: more share each round's fixed
+# cost, but their membership probabilities are alive together
+PILOT_CHUNK = 6
 
 
 def naive_weights(n_per_chain) -> np.ndarray:
@@ -107,17 +111,24 @@ def pilot_optimal_weights(
 
     The log-density matrices, and the evaluator's weight-free parts at
     zeta = 0 (with its vanishing-state check), are computed once and
-    shared by every grid point; each point combines them with its own
-    weights, so its trace equals that of a separate `estimate_ratios`
-    bit for bit.  Each grid point is fitted from zeta = 0, since a warm
-    start moves the converged zeta by rounding and can flip near-tied
-    choices.  A state where every reference vanishes raises
-    UndefinedPointError, as a single fit does; if no draw links the
-    references into one group, the search raises InsufficientDataError.
-    Grid points where the fit or the covariance fails are skipped; ties
-    are broken toward the pooled naive weights, then lexicographically.
-    Returns the winning weights and a diagnostics map from grid points to
-    traces (NaN where skipped).
+    shared by every grid point.  The points are fitted, and their
+    covariances estimated, PILOT_CHUNK at a time in one lockstep kernel;
+    each point combines the shared parts with its own weights and takes
+    its own Newton iterations, so its trace equals that of a separate
+    `estimate_ratios` bit for bit.  A chunk's membership probabilities
+    are dropped once its estimates are taken, so the search's memory
+    does not grow with the grid: beyond the pilot it peaks near
+    1.2 PILOT_CHUNK + 3 copies of the pilot's (k, sum n_l) float64
+    matrix (9.9 at 3 x 2,000 draws; test_pilot_grid_memory_peak bounds
+    it at 12), against 47 with all 36 points of a step-0.1 grid stacked.
+    Each grid point is fitted from zeta = 0, since a warm start moves the
+    converged zeta by rounding and can flip near-tied choices.  A state
+    where every reference vanishes raises UndefinedPointError, as a single
+    fit does; if no draw links the references into one group, the search
+    raises InsufficientDataError.  Grid points where the fit or the
+    covariance fails are skipped; ties are broken toward the pooled naive
+    weights, then lexicographically.  Returns the winning weights and a
+    diagnostics map from grid points to traces (NaN where skipped).
     """
     k = len(references)
     if grid is None:
@@ -126,27 +137,30 @@ def pilot_optimal_weights(
         raise ValueError("empty weight grid")
     n_per = pilot_samples.n_per_chain
     n_per_f = n_per.astype(float)
-    naive = naive_weights(n_per)
     mats = log_density_matrices(pilot_samples, references)
-    start = _parts(mats, np.zeros(k))
+    start = _parts(mats, np.zeros((1, k)), True, None)
     # under any weights, B at zeta = 0 has the signs of this sum
-    _check_overlap(sum(p[2] for p in start), [c.density_id for c in pilot_samples.chains])
-    diagnostics: dict[tuple, float] = {}
-    for a_vec in grid:
-        a_vec = np.asarray(a_vec, dtype=float)
-        key = tuple(a_vec)
-        a = StageWeights(a_vec).a
-        try:
-            est = _estimate_from_fit(
-                _fit(mats, a, n_per_f, start=start),
-                pilot_samples.chains, a, n_per, bm_spec, "bm",
-            )
-        except EstimationError:
-            diagnostics[key] = math.nan
-            continue
-        diagnostics[key] = float(np.trace(est.cov)) if est.cov.size else 0.0
+    labels = [c.density_id for c in pilot_samples.chains]
+    (overlap,) = _overlap_errors(sum(p[2] for p in start), labels)
+    if overlap is not None:
+        raise overlap
+    points = np.asarray(grid, dtype=float)
+    weights = np.array([StageWeights(a_vec).a for a_vec in points])
+    traces = np.full(len(points), math.nan)
+    for lo in range(0, len(points), PILOT_CHUNK):
+        a = weights[lo:lo + PILOT_CHUNK]
+        fit = _fit(mats, a, n_per_f, start=start)
+        for i, est in enumerate(
+            _estimate_from_fit(fit, pilot_samples.chains, a, n_per, bm_spec, "bm"), lo
+        ):
+            if isinstance(est, RatioEstimate):
+                traces[i] = float(np.trace(est.cov)) if est.cov.size else 0.0
+        del fit  # a chunk's membership probabilities go with its estimates
+    keys = [tuple(pt) for pt in points]
+    diagnostics = {key: float(trace) for key, trace in zip(keys, traces)}
+    is_naive = dict(zip(keys, np.isclose(points, naive_weights(n_per)).all(axis=1)))
     ok = [pt for pt, trace in diagnostics.items() if not math.isnan(trace)]
     if not ok:
         raise ConvergenceError("every grid point failed in the pilot search")
-    best = min(ok, key=lambda pt: (diagnostics[pt], not np.allclose(pt, naive), pt))
+    best = min(ok, key=lambda pt: (diagnostics[pt], not is_naive[pt], pt))
     return np.asarray(best), diagnostics

@@ -138,7 +138,9 @@ def rl_evaluate(samples, references, zeta, weights=None):
     a = (StageWeights(n_per) if weights is None else weights).a
     mats = log_density_matrices(samples, references)
     w = a * n_per.sum() / n_per  # the per-sample weights w_l = a_l n / n_l
-    return _combine(_parts(mats, np.asarray(zeta, dtype=float)), w, a)
+    ll, score, info, probs = _combine(
+        _parts(mats, np.asarray(zeta, dtype=float)[None], True, None), w[None], a[None])
+    return ll[0], score[0], info[0], [p[0] for p in probs]
 
 
 def read_chain_file(path):

@@ -27,7 +27,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genis import cli
@@ -238,6 +238,26 @@ def run_command(command, config: Path) -> int:
     return code
 
 
+# configs that once crashed and that the strategy reaches only on other
+# seeds: a table target 1e200 times a reference, whose u_hat squared leaves
+# float range (OverflowError in estimate, replicate and oracle-check), and
+# a near-normal imh reference with its proposal 50 away, whose tuned
+# splitting constant is below float range (ValueError in every command)
+HUGE_TABLE_TARGET = {
+    "references": [{"family": "table", "sampler": "mh", "table": [1.0, 1.0], "label": "r0"}],
+    "stage1": {"sizes": [50]},
+    "stage2": {"sizes": [50]},
+    "targets": {"family": "table", "tables": [[1e200, 1e200]]},
+    "master_seed": 1,
+}
+FAR_IMH_PROPOSAL = {
+    "references": [{"family": "t", "sampler": "imh", "df": 1e6, "mu": 0.0,
+                    "proposal_mu": 50.0, "with_regen": True}],
+    "stage1": {"sizes": [50]},
+    "master_seed": 1,
+}
+
+
 def test_every_command_exits_cleanly_on_any_config(monkeypatch):
     """Also, the strategy reaches past config validation: at most 40% of
     the command runs exit 2.  The argument parser, which a process builds
@@ -247,6 +267,8 @@ def test_every_command_exits_cleanly_on_any_config(monkeypatch):
     codes: Counter = Counter()
 
     @given(raw=configs)
+    @example(raw=HUGE_TABLE_TARGET)
+    @example(raw=FAR_IMH_PROPOSAL)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def run(raw):
         with tempfile.TemporaryDirectory() as tmp:

@@ -479,12 +479,13 @@ def test_estimates_out_of_float_range_are_estimation_errors(z):
     NaN; now they raise, and the pilot grid skips such a point."""
     chains = [sample_t_iid(5, mu, 10, seed=1) for mu in (0.0, 1.0)]
     p = np.random.default_rng(1).uniform(0.2, 0.8, 10)
-    probs = [np.stack([p, 1.0 - p])] * 2
-    info = np.array([[0.25, -0.25], [-0.25, 0.25]])
-    fit = (np.array([z, -z]), 1, 0.0, info, probs)
-    a, n_per = np.array([0.5, 0.5]), np.array([10, 10])
-    with pytest.raises(DegenerateDenominatorError, match="float range"):
-        reverse_logistic._estimate_from_fit(fit, chains, a, n_per, DEFAULT_BM_SPEC, "bm")
+    probs = [np.stack([p, 1.0 - p])[None]] * 2
+    info = np.array([[[0.25, -0.25], [-0.25, 0.25]]])
+    fit = (np.array([0]), np.array([[z, -z]]), np.array([1]), np.array([0.0]), info, probs, [None])
+    a, n_per = np.array([[0.5, 0.5]]), np.array([10, 10])
+    (err,) = reverse_logistic._estimate_from_fit(fit, chains, a, n_per, DEFAULT_BM_SPEC, "bm")
+    assert isinstance(err, DegenerateDenominatorError)
+    assert "float range" in str(err)
 
 
 def test_pseudo_inverse_examples():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from genis import reverse_logistic, weights
+from genis.batch_means import DEFAULT_BM_SPEC
 from genis.densities import (
     UnnormalizedDensity,
     discrete_table_density,
     t_density,
     t_log_density,
 )
-from genis.errors import ConvergenceError, UndefinedPointError
+from genis.errors import ConvergenceError, InsufficientDataError, UndefinedPointError
 from genis.reverse_logistic import StageWeights, estimate_ratios
 from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
 from genis.weights import (
@@ -24,7 +25,7 @@ from genis.weights import (
     simplex_grid,
 )
 
-from conftest import TABLE_1, exact_proportion_chain
+from conftest import TABLE_1, exact_proportion_chain, traced_peak
 
 
 # -------------------------------------------------------------------- naive
@@ -306,13 +307,13 @@ def test_pilot_matches_frozen_digest(case):
 
 def test_pilot_computes_the_zeta_zero_parts_once(monkeypatch):
     """The 36 points of a step-0.1 grid on three chains share one zeta = 0
-    evaluation; every other evaluation is at a Newton iterate."""
+    evaluation, the first; every other row of every stacked evaluation is
+    at a Newton iterate."""
     real = reverse_logistic._parts
-    at_zero = []
+    zero_rows = []
 
     def counting(mats, zeta, *args, **kwargs):
-        if not np.any(zeta):
-            at_zero.append(zeta.size)
+        zero_rows.append(int(np.sum(~np.any(zeta, axis=1))))
         return real(mats, zeta, *args, **kwargs)
 
     monkeypatch.setattr(reverse_logistic, "_parts", counting)
@@ -321,7 +322,96 @@ def test_pilot_computes_the_zeta_zero_parts_once(monkeypatch):
     _, diag = pilot_optimal_weights(pilot, refs, step=0.1)
     assert len(diag) == 36
     assert all(np.isfinite(v) for v in diag.values())
-    assert at_zero == [3]
+    assert zero_rows[0] == 1 and sum(zero_rows) == 1
+
+
+@pytest.mark.parametrize(
+    "build, step", [(_three_t_pilot, 0.125), (_scaled_pair_pilot, 0.05)], ids=["21", "19"]
+)
+def test_pilot_chunks_match_single_fits(monkeypatch, build, step):
+    """Grids of 21 and 19 points, neither a multiple of the chunk: the
+    default chunk gives the diagnostics of one point at a time, bit for
+    bit.  On the scaled pair the line search fails at some points, each
+    with the error of its own estimate_ratios call, while the other points
+    of its chunk converge."""
+    pilot, refs = build()
+    grid = weights.simplex_grid(len(refs), step)
+    assert len(grid) % weights.PILOT_CHUNK
+    best, diag = pilot_optimal_weights(pilot, refs, step=step)
+    monkeypatch.setattr(weights, "PILOT_CHUNK", 1)
+    single_best, single = pilot_optimal_weights(pilot, refs, step=step)
+    np.testing.assert_array_equal(single_best, best)
+    assert np.array_equal(list(single.values()), list(diag.values()), equal_nan=True)
+    for point in grid:
+        try:
+            trace = float(np.trace(estimate_ratios(pilot, refs, StageWeights(point)).cov))
+        except ConvergenceError as err:
+            assert "line search failed" in str(err)
+            trace = np.nan
+        assert np.array_equal(diag[tuple(point)], trace, equal_nan=True)
+    if build is _scaled_pair_pilot:
+        assert 0 < sum(np.isnan(list(diag.values()))) < len(diag)
+
+
+def test_lockstep_fit_checks_non_finite_candidates_alone(monkeypatch):
+    """Components e^-709 apart make some Newton candidates overflow: each
+    is evaluated, with the vanishing-state check, on its own, and every
+    point of the stack fails with the error of its own fit, some with
+    "Newton step overflows", the others in their line search."""
+    real = reverse_logistic._parts
+    calls = []
+
+    def spy(mats, zeta, check, out):
+        calls.append((zeta.shape[0], check, bool(np.isfinite(zeta).all())))
+        return real(mats, zeta, check, out)
+
+    gap = np.array([0.0, -709.2, -710.2])[:, None]
+    mats = [gap + np.array([[0.0, 0.1], [0.0, 0.2], [0.0, -0.1]])] * 3
+    a = np.array(weights.simplex_grid(3, 0.1))
+    n_per = np.full(3, 2.0)
+    monkeypatch.setattr(reverse_logistic, "_parts", spy)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing steps warn
+        *_, errors = reverse_logistic._fit(mats, a, n_per)
+        stacked = list(calls)
+        alone = [reverse_logistic._fit(mats, row[None], n_per)[-1][0] for row in a]
+    assert any(not finite for *_, finite in stacked)
+    assert all(rows == 1 and check for rows, check, finite in stacked if not finite)
+    assert all(not check for _, check, finite in stacked[1:] if finite)
+    messages = {str(err) for err in errors}
+    assert "Newton step overflows" in messages
+    assert "line search failed to improve the objective" in messages
+    assert [(type(e), str(e)) for e in alone] == [(type(e), str(e)) for e in errors]
+
+
+def test_pilot_on_tiny_chains_fails_every_point_without_raising_from_a_chunk():
+    """Three draws per chain are too few for batch means: block_size fails
+    in every chunk's estimate step, each point gets that error, and the
+    search reports that every grid point failed."""
+    refs = [t_density(5, 1.0), t_density(5, 0.0)]
+    pilot = SampleSet(chains=(sample_t_iid(5, 1.0, 3, seed=1), sample_t_iid(5, 0.0, 3, seed=2)))
+    a = np.array(weights.simplex_grid(2, 0.05))
+    mats = reverse_logistic.log_density_matrices(pilot, refs)
+    fit = reverse_logistic._fit(mats, a, pilot.n_per_chain.astype(float))
+    assert fit[0].size == len(a)
+    out = reverse_logistic._estimate_from_fit(
+        fit, pilot.chains, a, pilot.n_per_chain, DEFAULT_BM_SPEC, "bm")
+    assert all(isinstance(err, InsufficientDataError) for err in out)
+    assert {str(err) for err in out} == {"batch means needs n >= 4, got 3"}
+    with pytest.raises(ConvergenceError, match="every grid point failed"):
+        pilot_optimal_weights(pilot, refs, step=0.05)
+
+
+def test_pilot_grid_memory_peak():
+    """The 36-point search on 3 x 2,000 draws peaks, beyond the live
+    pilot, below 12 copies of the pilot's (k, sum n_l) float64 matrix
+    (1.7 MB).  It measures 9.9 at PILOT_CHUNK = 6, so the bound leaves 21%
+    headroom; with all 36 points fitted in one stack it peaked at 46.7."""
+    pilot, refs = _three_t_pilot()
+    unit = 8 * len(refs) * int(pilot.n_per_chain.sum())
+    pilot_optimal_weights(pilot, refs, step=0.1)  # first-call imports
+    (_, diag), peak = traced_peak(lambda: pilot_optimal_weights(pilot, refs, step=0.1))
+    assert len(diag) == 36
+    assert peak < 12 * unit
 
 
 def test_pilot_with_all_references_vanishing_at_a_state_raises_undefined_point():
