@@ -30,6 +30,7 @@ import pytest
 from genis import cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
+CONFIGS = Path(__file__).parents[1] / "configs"
 RECORD = bool(os.environ.get("GENIS_RECORD_GOLDEN"))
 
 T_IID = {"family": "t", "sampler": "iid", "df": 5.0, "mu": 1.0}
@@ -81,7 +82,7 @@ def _unlabeled_tables(**top):
 
 def _t_targets_over_tables():
     """configs/oracle.json with t targets, which have no ratio to the tables."""
-    raw = json.loads((Path(__file__).parents[1] / "configs" / "oracle.json").read_text())
+    raw = json.loads((CONFIGS / "oracle.json").read_text())
     raw["targets"] = {"family": "t", "df": 5.0, "mu_grid": [2.0]}
     return raw
 
@@ -140,6 +141,23 @@ def _overflowing_tour_sums():
             "master_seed": 214}
 
 
+def _stage2_without_marks():
+    """configs/toy.json with no regeneration marks on its imh chain, so
+    `estimate` writes no tours.csv."""
+    raw = json.loads((CONFIGS / "toy.json").read_text())
+    raw["references"][1]["with_regen"] = False
+    raw.update(se_method="bm", stage1={"sizes": [2000, 2000]}, stage2={"sizes": [1000, 1000]})
+    return raw
+
+
+def _scaled_tables(scale):
+    """Tables [1, 1, 1] and scale * [1, 3, 2], whose ratio is 2 * scale."""
+    return {"references": [{"family": "table", "sampler": "mh", "table": [1.0, 1.0, 1.0]},
+                           {"family": "table", "sampler": "mh",
+                            "table": [scale, 3.0 * scale, 2.0 * scale]}],
+            "stage1": {"sizes": [2000, 2000]}, "master_seed": 1}
+
+
 # name: (config, argv without --config and --out)
 CASES = {
     "estimate-d-bm": (_t(), ["estimate-d"]),
@@ -161,6 +179,7 @@ CASES = {
     "estimate-truth": (_t(stage2={}, se_method="both", truth=T_TRUTH), ["estimate"]),
     "estimate-table": (_tables(), ["estimate"]),
     "estimate-table-unlabeled": (_unlabeled_tables(), ["estimate"]),
+    "estimate-stage2-without-marks": (_stage2_without_marks(), ["estimate"]),
     "replicate-size-grid": (
         _t(replications=3, size_grid=[3, 300, 1000], se_method="both",
            truth={"d": [1.0]}),
@@ -196,6 +215,8 @@ CASES = {
     "repro-overflowing-ratio-variance": (_overflowing_ratio_variance(), ["estimate"]),
     "repro-pilot-vanishing-state": (_pilot_vanishing_state(), ["estimate-d"]),
     "repro-overflowing-tour-sums": (_overflowing_tour_sums(), ["estimate"]),
+    "repro-scaled-tables-1e-60": (_scaled_tables(1e-60), ["estimate-d"]),
+    "repro-scaled-tables-1e-200": (_scaled_tables(1e-200), ["estimate-d"]),
 }
 
 
