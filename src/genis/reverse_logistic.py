@@ -46,13 +46,17 @@ stack; the regenerative Omega runs point by point.  The single-fit entry
 points call the kernel with G = 1, and the pilot grid feeds it
 fixed-size chunks of its points.
 
-The vanishing-state check runs once per fit, at zeta = 0, and again only
-at a non-finite candidate.  The Newton fit evaluates each iterate once,
-and B and Omega reuse its last evaluation.  The evaluator frees each
-n-length temporary once it is spent, the fit evaluates every round into
-one (G, k, n_l) buffer per chain that also keeps the converged points,
-and estimate_ratios drops the log-density matrices before the Omega
-routes run, so they never coexist with the routes' prefix sums.
+Each Newton step is capped at MAX_STEP in max-norm, so the fit crosses
+any gap between the reference constants in bounded steps, and every
+candidate is finite.  The vanishing-state check therefore runs once, as
+the log-density matrices are built: at a finite zeta, a column of
+mat + zeta is all -inf exactly when the column of mat is.  The fit
+evaluates each iterate once, and B and Omega reuse its last evaluation.
+The evaluator frees each n-length temporary once it is spent, the fit
+evaluates every round into one (G, k, n_l) buffer per chain that also
+keeps the converged points, and estimate_ratios drops the log-density
+matrices before the Omega routes run, so they never coexist with the
+routes' prefix sums.
 """
 
 from __future__ import annotations
@@ -73,6 +77,8 @@ from .samplers import SampleSet
 # at most TOL, else ConvergenceError after MAX_ITER iterations
 TOL = 1e-10
 MAX_ITER = 200
+# largest Newton step in max-norm; a longer step is shortened to it first
+MAX_STEP = 20.0
 # where each point of a lockstep fit stands at the start of a round
 _FRESH, _SEARCH, _DONE, _FAILED = range(4)
 SE_METHODS = ("bm", "rs", "both")
@@ -135,26 +141,27 @@ class RatioEstimate:
 def log_density_matrices(
     samples: SampleSet, references: Sequence[UnnormalizedDensity]
 ) -> list[np.ndarray]:
-    """Per chain, the (k, n_l) matrix of log nu_s at that chain's states."""
+    """Per chain, the (k, n_l) matrix of log nu_s at that chain's states.
+    With k > 1, a state where every reference vanishes raises
+    UndefinedPointError."""
     samples.check_aligned(references)
-    return [
-        np.stack([ref.log_density(chain.states) for ref in references])
-        for chain in samples.chains
-    ]
+    mats = [np.stack([ref.log_density(chain.states) for ref in references])
+            for chain in samples.chains]
+    if len(references) > 1 and any(np.isneginf(np.maximum.reduce(m, 0)).any() for m in mats):
+        raise UndefinedPointError("all reference densities vanish at a state")
+    return mats
 
 
-def _parts(
-    mats: list[np.ndarray], zeta: np.ndarray, check: bool, out: list | None
-) -> list:
+def _parts(mats: list[np.ndarray], zeta: np.ndarray, out: list | None) -> list:
     """Per chain, the weight-free parts of the evaluator at each row of the
     (G, k) stack zeta.
 
     Chain l gives, per row, its own-term sum sum_i log p_l (G,), the column
     sums p_sum (G, k) of its (G, k, n_l) membership probabilities p,
     diag(p_sum) - p p^T (G, k, k) and p itself, all from one softmax.  p is
-    written into out[l] when `out` is given, else into a new array.  With
-    `check`, a state where every reference density vanishes at some row
-    raises UndefinedPointError.
+    written into out[l] when `out` is given, else into a new array.  zeta
+    must be finite and mats free of vanishing states, as
+    `log_density_matrices` ensures, so every column has a finite maximum.
     """
     k = zeta.shape[1]
     diag = np.arange(k)
@@ -164,8 +171,6 @@ def _parts(
         # the ufunc reductions are np.max's and np.sum's own arithmetic
         # without their Python wrappers
         m = np.maximum.reduce(p, axis=1)
-        if check and np.any(np.isneginf(m)):
-            raise UndefinedPointError("all reference densities vanish at a state")
         p -= m[:, None]
         del m  # n-length temporaries are freed as soon as they are spent
         own = p[:, l].copy()
@@ -229,17 +234,17 @@ def _fit(
     Each point keeps its own iterations, ridge and step halvings, so it
     visits the iterates, and fails with the error, of a fit on its own.
 
-    `start`, when given, holds `_parts(mats, np.zeros((1, k)), True, None)`,
+    A step longer than MAX_STEP in max-norm is scaled down to it, with the
+    Armijo slope of the scaled step; a step within the bound is taken bit
+    for bit as solved, and one that overflows fails its point.  Every
+    candidate is thus finite and needs no vanishing-state check.
+
+    `start`, when given, holds `_parts(mats, np.zeros((1, k)), None)`,
     which do not depend on the weights, so several fits on one set of
     matrices can share them.  Each iterate is centred before it is
     evaluated, so a point's returned zeta is that of its last evaluation,
     whose B and membership probabilities are returned with it (None for a
     single chain).
-
-    The vanishing-state check runs at zeta = 0 only: while zeta is
-    finite, a column of mat + zeta is all -inf exactly when the column of
-    mat is.  A candidate with a non-finite entry (an overflowed step) is
-    evaluated, and checked, on its own.
 
     Returns (points, zeta, iterations, grad_norm, info, probs, errors):
     errors[i] is the EstimationError that stopped point i or None; row j
@@ -272,7 +277,7 @@ def _fit(
             errors[i] = ConvergenceError(message)
 
     ll, g, info, zero_probs = _combine(
-        _parts(mats, np.zeros((1, k)), True, None) if start is None else start, w, a)
+        _parts(mats, np.zeros((1, k)), None) if start is None else start, w, a)
     # Each round evaluates its L candidates into rows 0..L-1 of `work`, one
     # (G, k, n_l) array per chain, so no large array is allocated per round.
     # A converged point moves its row to the end of `work`, filled from the
@@ -313,11 +318,14 @@ def _fit(
                 chol = np.array([c for c in factors if c is not None]).reshape(-1, k - 1, k - 1)
             step_red = np.linalg.solve(
                 chol.transpose(0, 2, 1), np.linalg.solve(chol, g_red[:, :, None]))[:, :, 0]
-            ok = np.isfinite(step_red).all(axis=1)
+            with np.errstate(over="ignore"):  # an overflow fails its point below
+                full = np.concatenate([step_red, -step_red.sum(axis=1, keepdims=True)], axis=1)
+            ok = np.isfinite(full).all(axis=1)
             fail(new[~ok], "Newton step overflows")  # the reduced Hessian is numerically singular
-            new, g_red, step_red = new[ok], g_red[ok], step_red[ok]
-            step[new] = np.concatenate([step_red, -step_red.sum(axis=1, keepdims=True)], axis=1)
-            slope[new] = [float(x @ y) for x, y in zip(g_red, step_red)]
+            new, g_red, full = new[ok], g_red[ok], full[ok]
+            # a step within MAX_STEP is divided by 1.0, which leaves it as it is
+            step[new] = full / np.maximum(1.0, np.abs(full).max(axis=1) / MAX_STEP)[:, None]
+            slope[new] = [float(x @ y) for x, y in zip(g_red, step[new, :-1])]
             base[new] = ll[new]
             # once the Newton decrement sinks below the objective's rounding
             # noise the Armijo test carries no signal; the full step is then
@@ -342,34 +350,21 @@ def _fit(
         # one stacked evaluation of every line-search candidate
         cand = zeta[live] + t[live, None] * step[live]
         cand -= np.add.reduce(cand, axis=1, keepdims=True) / k
-        finite = np.isfinite(cand).all(axis=1)
-        batches = [(live[finite], cand[finite], False)]
-        batches += [(live[j:j + 1], cand[j:j + 1], True) for j in np.flatnonzero(~finite)]
         if work is None:  # not before the zeta = 0 probabilities are spent
             work = [np.empty((g_count,) + mat.shape) for mat in mats]
-        rows = 0
-        for pts, c, check in batches:
-            if not pts.size:
-                continue
-            slot[pts] = np.arange(rows, rows + pts.size)
-            buf = [x[rows:rows + pts.size] for x in work]
-            rows += pts.size
-            try:
-                c_ll, c_g, c_info, _ = _combine(_parts(mats, c, check, buf), w[pts], a[pts])
-            except UndefinedPointError as err:
-                state[pts] = _FAILED
-                errors[pts[0]] = err
-                continue
-            ok = full_step[pts] | (c_ll >= base[pts] + 1e-4 * t[pts] * slope[pts])
-            won = pts[ok]
-            zeta[won] = c[ok]
-            ll[won], g[won], info[won] = c_ll[ok], c_g[ok], c_info[ok]
-            iterations[won] += 1
-            state[won] = _FRESH
-            lost = pts[~ok]
-            t[lost] *= 0.5
-            halvings[lost] += 1
-            fail(lost[halvings[lost] == 60], "line search failed to improve the objective")
+        slot[live] = np.arange(live.size)
+        c_ll, c_g, c_info, _ = _combine(
+            _parts(mats, cand, [x[:live.size] for x in work]), w[live], a[live])
+        ok = full_step[live] | (c_ll >= base[live] + 1e-4 * t[live] * slope[live])
+        won = live[ok]
+        zeta[won] = cand[ok]
+        ll[won], g[won], info[won] = c_ll[ok], c_g[ok], c_info[ok]
+        iterations[won] += 1
+        state[won] = _FRESH
+        lost = live[~ok]
+        t[lost] *= 0.5
+        halvings[lost] += 1
+        fail(lost[halvings[lost] == 60], "line search failed to improve the objective")
     done = np.flatnonzero(state == _DONE)
     points = done[np.argsort(slot[done])]
     probs = [x[g_count - kept:] for x in work] if kept else None
@@ -429,7 +424,7 @@ def info_matrix(
     """
     a = np.asarray(a, dtype=float)[None]
     mats = log_density_matrices(samples, references)
-    return _combine(_parts(mats, np.asarray(zeta, dtype=float)[None], True, None), a, a)[2][0]
+    return _combine(_parts(mats, np.asarray(zeta, dtype=float)[None], None), a, a)[2][0]
 
 
 def _omega(
@@ -471,7 +466,7 @@ def score_long_run_cov(
     """
     a = np.asarray(a, dtype=float)[None]
     mats = log_density_matrices(samples, references)
-    probs = _combine(_parts(mats, np.asarray(zeta, dtype=float)[None], True, None), a, a)[3]
+    probs = _combine(_parts(mats, np.asarray(zeta, dtype=float)[None], None), a, a)[3]
     return _omega(probs, samples.chains, a, bm_spec, method)[0]
 
 
@@ -583,7 +578,8 @@ def _estimate_from_fit(
                 }
             except EstimationError as err:
                 failed = [err if e is None else e for e in failed]
-    finite = np.isfinite(d_hat).all(axis=1)
+        d_sq = d_hat * d_hat  # the covariance scales with d^2, so it must be a normal float
+    finite = (np.isfinite(d_sq) & (d_sq >= np.finfo(float).tiny)).all(axis=1)
     for c in covs.values():
         finite &= np.isfinite(c).all(axis=(1, 2))
     for j, i in enumerate(points):

@@ -109,8 +109,8 @@ def pilot_optimal_weights(
 ) -> tuple[np.ndarray, dict]:
     """Grid search for the stage-1 weights minimizing trace of the covariance.
 
-    The log-density matrices, and the evaluator's weight-free parts at
-    zeta = 0 (with its vanishing-state check), are computed once and
+    The log-density matrices (with their vanishing-state check), and the
+    evaluator's weight-free parts at zeta = 0, are computed once and
     shared by every grid point.  The points are fitted, and their
     covariances estimated, PILOT_CHUNK at a time in one lockstep kernel;
     each point combines the shared parts with its own weights and takes
@@ -138,7 +138,7 @@ def pilot_optimal_weights(
     n_per = pilot_samples.n_per_chain
     n_per_f = n_per.astype(float)
     mats = log_density_matrices(pilot_samples, references)
-    start = _parts(mats, np.zeros((1, k)), True, None)
+    start = _parts(mats, np.zeros((1, k)), None)
     # under any weights, B at zeta = 0 has the signs of this sum
     labels = [c.density_id for c in pilot_samples.chains]
     (overlap,) = _overlap_errors(sum(p[2] for p in start), labels)

@@ -139,7 +139,7 @@ def rl_evaluate(samples, references, zeta, weights=None):
     mats = log_density_matrices(samples, references)
     w = a * n_per.sum() / n_per  # the per-sample weights w_l = a_l n / n_l
     ll, score, info, probs = _combine(
-        _parts(mats, np.asarray(zeta, dtype=float)[None], True, None), w[None], a[None])
+        _parts(mats, np.asarray(zeta, dtype=float)[None], None), w[None], a[None])
     return ll[0], score[0], info[0], [p[0] for p in probs]
 
 

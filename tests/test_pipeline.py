@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1176,6 +1177,36 @@ def test_cli_coincident_location_weights_run(tmp_path, kind):
         rows = list(csv.DictReader(fh))
     assert [r["flags"] for r in rows] == [""] * 5
     assert rows[-1]["target_label"] == "t5_mu1" and float(rows[-1]["u_hat"]) == 1.0
+
+
+def _scaled_oracle(tmp_path, scale, target_too):
+    """oracle-check on configs/oracle.json with the second reference's
+    table, and the target's when target_too, multiplied by scale."""
+    raw = json.loads(ORACLE_JSON.read_text())
+    tables = [raw["references"][1]["table"]] + (raw["targets"]["tables"] if target_too else [])
+    for table in tables:
+        table[:] = [scale * v for v in table]
+    return cli_main(["oracle-check", "--config", write_config(tmp_path, raw)])
+
+
+def test_oracle_check_holds_at_any_scale_of_the_reference_constants(tmp_path, capsys):
+    """The chains do not depend on the tables' scale, so every z-score is
+    that of the run at 1e-8.  From zeta = 0 the unbounded Newton step once
+    overshot so far that no line search recovered (exit 3) at each of
+    these scales; with the step capped, the fit converges wherever the
+    ratios stay in float range, and a ratio whose square leaves it, so
+    that its covariance cannot be formed, exits 5 instead of printing se 0."""
+    assert _scaled_oracle(tmp_path, 1e-8, True) == 0
+    z_scores = re.findall(r"z ([^;\s]+)", capsys.readouterr().out)
+    assert len(z_scores) == 3
+    for scale, target_too in ((1e-40, True), (1e-120, True), (1e100, False)):
+        assert _scaled_oracle(tmp_path, scale, target_too) == 0
+        assert re.findall(r"z ([^;\s]+)", capsys.readouterr().out) == z_scores
+    for scale, target_too in ((1e-200, True), (1e160, False)):
+        assert _scaled_oracle(tmp_path, scale, target_too) == 5
+        assert capsys.readouterr().err == (
+            "estimation failed: DegenerateDenominatorError: "
+            "ratio estimates or their covariance leave float range\n")
 
 
 def _oracle_json(refs=None, targets=None) -> dict:

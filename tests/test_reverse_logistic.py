@@ -152,8 +152,8 @@ def test_all_references_vanishing_at_a_state_is_undefined():
 
 
 def test_vanishing_state_raises_on_every_evaluator_path():
-    """The fit checks vanishing states once, at zeta = 0; the evaluator
-    called on its own still checks at the zeta it is given."""
+    """The check runs where the log-density matrices are built, so every
+    path that builds them raises, whatever zeta it then evaluates."""
     samples, refs = _both_vanish_at_1()
     zeta, a = np.array([0.3, -0.3]), np.array([0.4, 0.6])
     calls = (
@@ -664,6 +664,26 @@ def test_estimate_ratios_continuous_scale_covariance(toy_refs):
     base = estimate_ratios(samples, toy_refs).d_hat[0]
     got = estimate_ratios(samples, [toy_refs[0], scaled]).d_hat[0]
     assert got == pytest.approx(c * base, rel=1e-7)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-60, 1e-25, 1e25, 1e60, 1e150])
+def test_estimate_ratios_are_scale_equivariant(toy_refs, scale):
+    """Multiplying a reference by s multiplies its ratio and both standard
+    errors by s, on the same chains, up to where the ratio's square leaves
+    float range.  Without a bound on the Newton step, every scale here
+    failed its line search."""
+    chains = (
+        sample_t_iid(5, 1.0, 2000, seed=61),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 2000, seed=62, with_regen=True),
+    )
+    samples = SampleSet(chains=chains)
+    scaled = UnnormalizedDensity(
+        toy_refs[1].id, lambda x: t_log_density(5, 0.0, x) + math.log(scale))
+    base = estimate_ratios(samples, toy_refs, se_method="both")
+    got = estimate_ratios(samples, [toy_refs[0], scaled], se_method="both")
+    np.testing.assert_allclose(got.d_hat / scale, base.d_hat, rtol=1e-9)
+    np.testing.assert_allclose(got.se / scale, base.se, rtol=1e-9)
+    np.testing.assert_allclose(got.se_rs / scale, base.se_rs, rtol=1e-9)
 
 
 def test_estimate_ratios_single_chain():
