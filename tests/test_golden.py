@@ -150,6 +150,19 @@ def _stage2_without_marks():
     return raw
 
 
+def _three_refs_unequal_stage2():
+    """Three t5 references (iid at 1, imh at 0 with marks, iid at 2) whose
+    stage-2 chain lengths, normalized once more, would round differently
+    in the tours.csv mixture."""
+    raw = _t(stage2={}, se_method="both")
+    raw["references"].append(dict(T_IID, mu=2.0))
+    raw["stage1"]["sizes"] = [2000, 2000, 2000]
+    raw["stage2"]["sizes"] = [2500, 800, 3000]
+    raw["targets"] = {"family": "t", "df": 5.0, "mu_grid": [0.5, 1.5]}
+    raw["integrand"] = "x"
+    return raw
+
+
 def _scaled_tables(scale):
     """Tables [1, 1, 1] and scale * [1, 3, 2], whose ratio is 2 * scale."""
     return {"references": [{"family": "table", "sampler": "mh", "table": [1.0, 1.0, 1.0]},
@@ -180,6 +193,7 @@ CASES = {
     "estimate-table": (_tables(), ["estimate"]),
     "estimate-table-unlabeled": (_unlabeled_tables(), ["estimate"]),
     "estimate-stage2-without-marks": (_stage2_without_marks(), ["estimate"]),
+    "estimate-three-refs-unequal-stage2": (_three_refs_unequal_stage2(), ["estimate"]),
     "replicate-size-grid": (
         _t(replications=3, size_grid=[3, 300, 1000], se_method="both",
            truth={"d": [1.0]}),
