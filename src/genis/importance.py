@@ -21,7 +21,8 @@ denominator once per run of targets sharing a weight vector.  Each
 target then takes one pass: per chain, one evaluation of its log density
 gives both u and the sensitivity kernel, whose exponential serves the
 g = 1 and the g = f gradient sums; one batch-means matrix of (v, u), or
-of u alone without f, gives both stage-2 variances.
+of u alone without f, gives both stage-2 variances.  `target_tours` sums
+u and v over each chain's regeneration tours, for ``tours.csv``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, block_size, bm_cov
 from .densities import Integrand, TargetFamily, UnnormalizedDensity, log_sum_exp_rows
 from .errors import DegenerateDenominatorError, EstimationError
+from .regen import ChainTours, _tour_sums, tour_boundaries
 from .samplers import SampleSet
 
 DEFAULT_TAIL_GUARD = 1e3
@@ -114,6 +116,34 @@ class _Context:
         log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
         self._last = (a_vec, (a, log_mix, [2.0 * m for m in log_mix]))
         return self._last[1]
+
+
+def target_tours(
+    samples: SampleSet,
+    references: Sequence[UnnormalizedDensity],
+    target: UnnormalizedDensity,
+    a,
+    d_hat,
+    f: Integrand | None,
+) -> list[ChainTours]:
+    """Per chain, each complete tour's length T_t and sums U_t of u and V_t
+    of v = f * u (no V without f), u from the mixture of `a` and `d_hat`.
+    Every chain's marks are checked before any density is evaluated."""
+    bounds = [tour_boundaries(chain) for chain in samples.chains]
+    ctx = _Context(samples, references, d_hat, f)
+    log_mix = ctx.mixture(a)[1]
+    out = []
+    for l, (chain, b) in enumerate(zip(samples.chains, bounds)):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            u = np.exp(target.log_density(ctx.states[l]) - log_mix[l])
+            u_sums = _tour_sums(u, b)
+            v_sums = None if f is None else _tour_sums(ctx.f_vals[l] * u, b)
+        if not all(np.isfinite(x).all() for x in (u, u_sums, v_sums) if x is not None):
+            raise DegenerateDenominatorError(
+                f"importance weights or their tour sums overflow for target {target.id!r}"
+            )
+        out.append(ChainTours(chain.density_id, np.diff(b), u_sums, v_sums))
+    return out
 
 
 class _Pass(NamedTuple):

@@ -35,8 +35,7 @@ from .densities import (
     t_family,
 )
 from .errors import ConfigError, EstimationError
-from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family
-from .regen import split_tours
+from .importance import DEFAULT_TAIL_GUARD, TargetResult, estimate_family, target_tours
 from .reverse_logistic import (
     SE_METHODS,
     RatioEstimate,
@@ -744,7 +743,8 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
     With size_grid set, stage 1 is replicated at each per-chain size in
     the grid (targets are skipped); otherwise the full configured
     experiment is replicated.  Failed replications are recorded and do
-    not stop the run.
+    not stop the run.  With workers > 1 they run in spawned processes, so
+    a calling script needs an ``if __name__ == "__main__"`` guard.
     """
     configs = [
         replace(cfg, stage1=replace(cfg.stage1, sizes=(size,) * len(cfg.references)),
@@ -755,8 +755,10 @@ def run_replications(cfg: ExperimentConfig) -> ReplicationReport:
     if cfg.workers > 1:
         # imported here: a serial run need not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        spawn = get_context("spawn")  # fork is unsafe with BLAS threads
+        with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
             records = list(pool.map(_one_replication, *zip(*jobs), chunksize=1))
     else:
         records = list(itertools.starmap(_one_replication, jobs))
@@ -856,13 +858,13 @@ def stage2_tours(cfg: ExperimentConfig, result: TwoStageResult):
     Regenerative bookkeeping needs marks on every Markov chain; returns
     None when any are missing or no targets are configured.
     """
-    if result.stage2_samples is None or result.target_results is None:
+    samples = result.stage2_samples
+    if samples is None or result.target_results is None:
         return None
-    for chain in result.stage2_samples.chains:
+    for chain in samples.chains:
         if chain.kind != "iid" and chain.regen_marks is None:
             return None
-    references = build_references(cfg)
-    family = build_family(cfg)
-    f = build_integrand(cfg)
-    w = naive_weights(result.stage2_samples.n_per_chain)
-    return split_tours(result.stage2_samples, references, family.targets[0], w, f)
+    # naive weights as raw lengths and d = 1, so they are normalized only once
+    return target_tours(samples, build_references(cfg), build_family(cfg).targets[0],
+                        samples.n_per_chain, np.ones(len(samples.chains) - 1),
+                        build_integrand(cfg))

@@ -6,13 +6,9 @@ makes every draw a tour, and any other chain needs at least two marks.
 Both users of that decomposition take a chain, call it, and sum their
 series over the tours with `_tour_sums`:
 
-- `split_tours` gives, per chain and per complete tour, the rows of
-  ``tours.csv``: the length T_t and the sums U_t of the importance weights
-  and V_t of the weighted integrand, with
-
-      u(x) = nu(x) / sum_l w_l nu_l(x),
-
-  which does not involve the stage-1 ratio estimates;
+- `importance.target_tours` gives, per chain and per complete tour, the
+  rows of ``tours.csv`` as a `ChainTours`, from the stage-2 mixture that
+  `importance` builds for the target sweep;
 - `rs_long_run_cov`, stage 1's regenerative route, estimates the long-run
   covariance of series given as rows along a chain, as `bm_cov` takes
   them.
@@ -20,16 +16,12 @@ series over the tours with `_tour_sums`:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .densities import Integrand, UnnormalizedDensity, log_sum_exp_rows
-from .errors import (
-    DegenerateDenominatorError,
-    InsufficientRegenerationError,
-)
-from .samplers import ChainSample, SampleSet
+from .errors import InsufficientRegenerationError
+from .samplers import ChainSample
 
 
 class ChainTours(NamedTuple):
@@ -38,7 +30,7 @@ class ChainTours(NamedTuple):
     density_id: str
     lengths: np.ndarray
     u_sums: np.ndarray
-    v_sums: np.ndarray | None = None
+    v_sums: np.ndarray | None
 
 
 def tour_boundaries(chain: ChainSample) -> np.ndarray:
@@ -68,35 +60,6 @@ def _tour_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     sums = csum[ends]
     sums[1:] -= csum[ends[:-1]]
     return sums
-
-
-def split_tours(
-    samples: SampleSet,
-    references: Sequence[UnnormalizedDensity],
-    target: UnnormalizedDensity,
-    w,
-    f: Integrand | None = None,
-) -> list[ChainTours]:
-    """Tour sums of u (and v = f*u when f is given) for every chain."""
-    samples.check_aligned(references)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (len(references),) or np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("w must be a positive weight per reference")
-    out = []
-    for chain in samples.chains:
-        bounds = tour_boundaries(chain)
-        ref_log = np.column_stack([r.log_density(chain.states) for r in references])
-        log_mix = log_sum_exp_rows(ref_log + np.log(w))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            u = np.exp(target.log_density(chain.states) - log_mix)
-            u_sums = _tour_sums(u, bounds)
-            v_sums = None if f is None else _tour_sums(f.values(chain.states) * u, bounds)
-        if not all(np.isfinite(x).all() for x in (u, u_sums, v_sums) if x is not None):
-            raise DegenerateDenominatorError(
-                f"importance weights or their tour sums overflow for target {target.id!r}"
-            )
-        out.append(ChainTours(chain.density_id, np.diff(bounds), u_sums, v_sums))
-    return out
 
 
 def rs_long_run_cov(rows, chain: ChainSample) -> np.ndarray:

@@ -161,10 +161,11 @@ def covered_prefix(samples):
     return SampleSet(chains=tuple(chains))
 
 
-def rs_point_estimates(tours, w, d_hat):
-    """Regenerative estimates of the ratio u and the mean eta from tour sums:
-    u = sum_l w_l d_l sum U / sum T and eta = sum_l w_l d_l sum V / sum T / u."""
-    coef = np.asarray(w, dtype=float) * np.concatenate(([1.0], np.atleast_1d(d_hat)))
+def rs_point_estimates(tours, a):
+    """Regenerative estimates of the ratio u and the mean eta from the tour
+    sums of `target_tours` under weights a (any ratios d): with a scaled to
+    sum 1, u = sum_l a_l sum U / sum T and eta = sum_l a_l sum V / sum T / u."""
+    coef = np.asarray(a, dtype=float) / np.sum(a)
     u_bar = np.array([t.u_sums.sum() / t.lengths.sum() for t in tours])
     v_bar = np.array([t.v_sums.sum() / t.lengths.sum() for t in tours])
     u_hat = float(np.sum(coef * u_bar))

@@ -18,6 +18,7 @@ import pytest
 
 from genis.cli import main as cli_main
 from genis.densities import Integrand, discrete_table_density, t_density
+from genis.importance import target_tours
 from genis.pipeline import (
     ORACLE_Z,
     _one_replication,
@@ -28,7 +29,6 @@ from genis.pipeline import (
     truth_rows,
     z_score,
 )
-from genis.regen import split_tours
 from genis.reverse_logistic import (
     StageWeights,
     _deflated_info_pinv,
@@ -357,11 +357,11 @@ def test_algebraic_invariants(toy_refs, table_refs, exact_table_samples):
     )
     s2 = SampleSet(chains=chains2)
     tgt = t_density(5, 0.5)
-    tours = split_tours(s2, toy_refs, tgt, w2, f=IDENTITY)
     a_eq = w2 * np.concatenate(([1.0], d_hat))
+    tours = target_tours(s2, toy_refs, tgt, a_eq, d_hat, IDENTITY)
     gis = stage2_row(covered_prefix(s2), tgt, toy_refs, a_eq, d_hat, f=IDENTITY)
     u_gis, eta_gis = gis.u_hat, gis.eta_hat
-    u_rs, eta_rs = rs_point_estimates(tours, w2, d_hat)
+    u_rs, eta_rs = rs_point_estimates(tours, a_eq)
     u_rel = abs(u_rs - u_gis) / abs(u_gis)
     eta_rel = abs(eta_rs - eta_gis) / abs(eta_gis)
     checks.append(("tour-prefix-identity", max(u_rel, eta_rel) <= 1e-12))

@@ -1,9 +1,12 @@
 """Stage 2: importance estimates across targets and their two-part errors."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genis.batch_means import DEFAULT_BM_SPEC
 from genis.densities import (
@@ -11,19 +14,28 @@ from genis.densities import (
     TargetFamily,
     UnnormalizedDensity,
     discrete_table_density,
+    log_sum_exp_rows,
     t_density,
     t_family,
 )
-from genis.errors import DegenerateDenominatorError
+from genis.errors import DegenerateDenominatorError, InsufficientRegenerationError
 from genis.importance import (
     _Context,
     _target_pass,
     estimate_family,
     ratio_delta_variance,
+    target_tours,
 )
 from genis.pipeline import config_from_json, run_two_stage
+from genis.regen import ChainTours, _tour_sums, tour_boundaries
 from genis.reverse_logistic import estimate_ratios
-from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
+from genis.samplers import (
+    ChainSample,
+    SampleSet,
+    discrete_mh,
+    independence_mh,
+    sample_t_iid,
+)
 
 from conftest import (
     TABLE_1,
@@ -518,3 +530,168 @@ def test_estimate_validation(table_refs, exact_table_samples):
             exact_table_samples, target, table_refs, HALF, TRUE_D,
             cov=np.zeros((2, 2)), q=0.5,
         )
+
+
+# --------------------------------------------------------------- tour sums
+
+W_TRUE = HALF / np.concatenate(([1.0], TRUE_D))  # the mixture's a_l / d_l
+
+
+def _toy_set(chain):
+    """`chain` in its slot of the toy_refs order (t5_mu1, t5_mu0), with a
+    short iid chain in the other slot."""
+    slots = {
+        "t5_mu1": sample_t_iid(5, 1.0, 20, seed=0),
+        "t5_mu0": sample_t_iid(5, 0.0, 20, seed=0),
+    }
+    slots[chain.density_id] = chain
+    return SampleSet(chains=(slots["t5_mu1"], slots["t5_mu0"]))
+
+
+def test_target_tours_per_draw_marks(toy_refs):
+    chain = sample_t_iid(5, 1.0, 50, seed=3)
+    target = t_density(5, 0.5)
+    tours = target_tours(_toy_set(chain), toy_refs, target, HALF, TRUE_D, None)[0]
+    assert tours.lengths.size == 50
+    np.testing.assert_array_equal(tours.lengths, 1)
+    # per-draw tour sums are the weights themselves
+    ref_log = np.column_stack([r.log_density(chain.states) for r in toy_refs])
+    mix = np.exp(ref_log) @ W_TRUE
+    u = np.exp(target.log_density(chain.states)) / mix
+    np.testing.assert_allclose(tours.u_sums, u, rtol=1e-10)
+
+
+def test_target_tours_weight_mixture_gives_lengths(toy_refs):
+    """When the target is the mixture of a over d, u is one at every
+    state, so each tour's weight sum equals its length."""
+    chain = independence_mh(
+        t_density(5, 0.0), 5, 1.0, 400, seed=4, with_regen=True, splitting_const=0.8
+    )
+    target = mixture(toy_refs, W_TRUE, id="wmix")
+    tours = target_tours(_toy_set(chain), toy_refs, target, HALF, TRUE_D, None)[1]
+    np.testing.assert_allclose(tours.u_sums, tours.lengths, rtol=1e-12)
+    assert tours.lengths.sum() <= chain.n
+
+
+def test_target_tours_validation(toy_refs):
+    samples = _toy_set(sample_t_iid(5, 1.0, 10, seed=5))
+    target = t_density(5, 0.5)
+    with pytest.raises(ValueError):
+        target_tours(samples, toy_refs, target, [0.5], TRUE_D, None)
+    with pytest.raises(ValueError):
+        target_tours(samples, toy_refs, target, [0.5, -0.1], TRUE_D, None)
+    with pytest.raises(ValueError, match="one chain per reference"):
+        target_tours(samples, toy_refs[:1], target, [1.0], [], None)
+    with pytest.raises(ValueError, match="chain order mismatch"):
+        target_tours(samples, toy_refs[::-1], target, HALF, TRUE_D, None)
+
+
+def test_target_tours_sums_out_of_float_range():
+    """v = x * u at states near 1e308 overflows the prefix sums behind the
+    tour sums, which once warned and went on with inf and NaN; like an
+    overflowing weight, it is a degenerate denominator."""
+    ref = t_density(5, 1e308)
+    samples = SampleSet(chains=(sample_t_iid(5, 1e308, 4, seed=1),))
+    identity = Integrand("x", lambda x: x)
+    with pytest.raises(DegenerateDenominatorError, match="tour sums overflow"):
+        target_tours(samples, [ref], ref, [1.0], [], identity)
+
+
+def test_target_tours_check_every_chain_before_any_density(toy_refs):
+    """A later chain with one regeneration mark fails (exit 4 in the CLI)
+    before the first chain's densities are evaluated."""
+    def refuse(x):
+        raise AssertionError("a density was evaluated")
+
+    lonely = np.zeros(30, dtype=bool)
+    lonely[0] = True
+    chains = (
+        sample_t_iid(5, 1.0, 20, seed=0),
+        ChainSample("t5_mu0", np.zeros(30), "markov", 0, regen_marks=lonely),
+    )
+    refs = [UnnormalizedDensity(r.id, refuse) for r in toy_refs]
+    with pytest.raises(InsufficientRegenerationError, match="chain 't5_mu0'"):
+        target_tours(SampleSet(chains=chains), refs, refs[0], HALF, [1.0], None)
+
+
+def _split_tours(samples, references, target, w, f=None):
+    """Reference for target_tours: the standalone tour sums it replaced,
+    whose mixture sum_l w_l nu_l takes the weights as given."""
+    samples.check_aligned(references)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (len(references),) or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise ValueError("w must be a positive weight per reference")
+    out = []
+    for chain in samples.chains:
+        bounds = tour_boundaries(chain)
+        ref_log = np.column_stack([r.log_density(chain.states) for r in references])
+        log_mix = log_sum_exp_rows(ref_log + np.log(w))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            u = np.exp(target.log_density(chain.states) - log_mix)
+            u_sums = _tour_sums(u, bounds)
+            v_sums = None if f is None else _tour_sums(f.values(chain.states) * u, bounds)
+        if not all(np.isfinite(x).all() for x in (u, u_sums, v_sums) if x is not None):
+            raise DegenerateDenominatorError(
+                f"importance weights or their tour sums overflow for target {target.id!r}"
+            )
+        out.append(ChainTours(chain.density_id, np.diff(bounds), u_sums, v_sums))
+    return out
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=3),
+    family=st.sampled_from(["t", "table"]),
+    marked=st.lists(st.booleans(), min_size=3, max_size=3),
+    with_f=st.booleans(),
+    raw_lengths=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_target_tours_equal_the_oracle_at_unit_ratios(
+    seed, k, family, marked, with_f, raw_lengths
+):
+    """At d = 1, target_tours equals the standalone tour sums under the
+    normalized weights bit for bit: on raw chain lengths, as stage2_tours
+    passes them, and on any positive weights; t and table references, iid
+    chains without marks and marked MH chains, with and without f."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(20, 400, size=k)
+    if family == "t":
+        dfs = rng.choice([3.0, 5.0, 10.0], size=k)
+        mus = rng.permutation(np.linspace(-2.0, 2.0, 5))[:k]
+        refs = [t_density(df, mu) for df, mu in zip(dfs, mus)]
+        chains = tuple(
+            independence_mh(ref, 5, mus[i] + 0.5, n, seed + i, with_regen=True)
+            if marked[i] else sample_t_iid(dfs[i], mus[i], n, seed + i, ref.id)
+            for i, (ref, n) in enumerate(zip(refs, sizes))
+        )
+        target = t_density(5, float(rng.uniform(-2.0, 2.0)))
+    else:
+        tables = rng.uniform(0.1, 3.0, size=(k + 1, int(rng.integers(2, 6))))
+        refs = [discrete_table_density(tuple(t), id=f"table{i}")
+                for i, t in enumerate(tables[:k])]
+        chains = tuple(
+            discrete_mh(ref, n, seed + i, with_regen=True)
+            if marked[i] else _iid_table_chain(tables[i], n, seed + i, ref.id)
+            for i, (ref, n) in enumerate(zip(refs, sizes))
+        )
+        target = discrete_table_density(tuple(tables[k]), id="target")
+    samples = SampleSet(chains=chains)
+    f = IDENTITY if with_f else None
+    a = samples.n_per_chain if raw_lengths else rng.uniform(0.1, 2.0, size=k)
+    w = np.asarray(a, dtype=float)
+    w = w / w.sum()  # naive_weights' arithmetic
+    try:
+        expected = _split_tours(samples, refs, target, w, f)
+    except InsufficientRegenerationError as exc:
+        with pytest.raises(InsufficientRegenerationError, match=re.escape(str(exc))):
+            target_tours(samples, refs, target, a, np.ones(k - 1), f)
+        return
+    got = target_tours(samples, refs, target, a, np.ones(k - 1), f)
+    assert len(got) == len(expected) == k
+    for g, e in zip(got, expected):
+        assert g.density_id == e.density_id
+        assert np.array_equal(g.lengths, e.lengths)
+        assert np.array_equal(g.u_sums, e.u_sums)
+        assert (g.v_sums is None) == (e.v_sums is None) == (f is None)
+        assert f is None or np.array_equal(g.v_sums, e.v_sums)

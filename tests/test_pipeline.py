@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import genis
-from genis import cli
+from genis import cli, pipeline
 from genis.batch_means import DEFAULT_BM_SPEC
 from genis.cli import main as cli_main
 from genis.errors import ConfigError, UndefinedPointError
@@ -418,6 +420,39 @@ def test_run_replications_workers_agree():
     for a, b in zip(serial.records, parallel.records):
         assert np.array_equal(a.estimate.d_hat, b.estimate.d_hat)
         assert np.array_equal(a.estimate.cov_bm, b.estimate.cov_bm)
+
+
+def test_run_replications_workers_start_clean(monkeypatch):
+    """Pool workers are spawned, so they start from a fresh import: a
+    forked worker would inherit the parent's state, here a patched
+    run_two_stage, and in general a process with BLAS threads, whose fork
+    Python 3.12 warns about."""
+    raw = toy_config(replications=2, targets=None, workers=2)
+    raw["stage1"]["sizes"] = [300, 300]
+    expected = run_replications(config_from_dict(dict(raw, workers=1)))
+
+    def refuse(cfg, rep_index=0):
+        raise RuntimeError("run_two_stage ran with the parent's patch")
+
+    monkeypatch.setattr(pipeline, "run_two_stage", refuse)
+    report = run_replications(config_from_dict(raw))
+    assert not report.failures()
+    for a, b in zip(expected.records, report.records):
+        assert np.array_equal(a.estimate.d_hat, b.estimate.d_hat)
+
+
+def test_weight_comparison_script_runs(tmp_path):
+    """scripts/weight_comparison.py end to end at a tiny size."""
+    script = Path(__file__).parents[1] / "scripts" / "weight_comparison.py"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", str(script),
+         "--reps", "4", "--size", "500", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "pooled / tilted variance ratio: " in run.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "replications_pooled.csv", "replications_tilted.csv"]
 
 
 def test_run_replications_size_grid():

@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genis.densities import Integrand, discrete_table_density, t_density
-from genis.errors import DegenerateDenominatorError, InsufficientRegenerationError
-from genis.regen import (
-    _tour_sums,
-    rs_long_run_cov,
-    split_tours,
-    tour_boundaries,
-)
+from genis.errors import InsufficientRegenerationError
+from genis.importance import target_tours
+from genis.regen import _tour_sums, rs_long_run_cov, tour_boundaries
 from genis.samplers import (
     ChainSample,
     SampleSet,
@@ -30,8 +26,9 @@ from conftest import (
 )
 
 IDENTITY = Integrand("x", lambda x: np.asarray(x, dtype=float))
-W_TRUE = np.array([0.5, 0.25])  # a = (1/2, 1/2) over d = (1, 2)
+A_TRUE = np.array([0.5, 0.5])
 TRUE_D = np.array([2.0])
+W_TRUE = np.array([0.5, 0.25])  # the mixture's a_l / d_l
 
 
 def _marked_chain(states, marks, density_id="c"):
@@ -68,66 +65,6 @@ def test_boundaries_markov_needs_marks_and_two_tours():
 
 
 # -------------------------------------------------------------- tour sums
-
-
-def _toy_set(chain):
-    """`chain` in its slot of the toy_refs order (t5_mu1, t5_mu0), with a
-    short iid chain in the other slot."""
-    slots = {
-        "t5_mu1": sample_t_iid(5, 1.0, 20, seed=0),
-        "t5_mu0": sample_t_iid(5, 0.0, 20, seed=0),
-    }
-    slots[chain.density_id] = chain
-    return SampleSet(chains=(slots["t5_mu1"], slots["t5_mu0"]))
-
-
-def test_split_tours_per_draw_marks(toy_refs):
-    chain = sample_t_iid(5, 1.0, 50, seed=3)
-    target = t_density(5, 0.5)
-    tours = split_tours(_toy_set(chain), toy_refs, target, W_TRUE)[0]
-    assert tours.lengths.size == 50
-    np.testing.assert_array_equal(tours.lengths, 1)
-    # per-draw tour sums are the weights themselves
-    ref_log = np.column_stack([r.log_density(chain.states) for r in toy_refs])
-    mix = np.exp(ref_log) @ W_TRUE
-    u = np.exp(target.log_density(chain.states)) / mix
-    np.testing.assert_allclose(tours.u_sums, u, rtol=1e-10)
-
-
-def test_split_tours_weight_mixture_gives_lengths(toy_refs):
-    """When the target is the w-mixture of the references, u is one at
-    every state, so each tour's weight sum equals its length."""
-    chain = independence_mh(
-        t_density(5, 0.0), 5, 1.0, 400, seed=4, with_regen=True, splitting_const=0.8
-    )
-    target = mixture(toy_refs, W_TRUE, id="wmix")
-    tours = split_tours(_toy_set(chain), toy_refs, target, W_TRUE)[1]
-    np.testing.assert_allclose(tours.u_sums, tours.lengths, rtol=1e-12)
-    assert tours.lengths.sum() <= chain.n
-
-
-def test_split_tours_validation(toy_refs):
-    samples = _toy_set(sample_t_iid(5, 1.0, 10, seed=5))
-    target = t_density(5, 0.5)
-    with pytest.raises(ValueError):
-        split_tours(samples, toy_refs, target, [0.5])
-    with pytest.raises(ValueError):
-        split_tours(samples, toy_refs, target, [0.5, -0.1])
-    with pytest.raises(ValueError, match="one chain per reference"):
-        split_tours(samples, toy_refs[:1], target, [1.0])
-    with pytest.raises(ValueError, match="chain order mismatch"):
-        split_tours(samples, toy_refs[::-1], target, W_TRUE)
-
-
-def test_split_tours_sums_out_of_float_range():
-    """v = x * u at states near 1e308 overflows the prefix sums behind the
-    tour sums, which once warned and went on with inf and NaN; like an
-    overflowing weight, it is a degenerate denominator."""
-    ref = t_density(5, 1e308)
-    samples = SampleSet(chains=(sample_t_iid(5, 1e308, 4, seed=1),))
-    identity = Integrand("x", lambda x: x)
-    with pytest.raises(DegenerateDenominatorError, match="tour sums overflow"):
-        split_tours(samples, [ref], ref, [1.0], identity)
 
 
 @given(
@@ -172,12 +109,12 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
     )
     samples = SampleSet(chains=chains)
     target = t_density(5, 0.5)
-    tours = split_tours(samples, toy_refs, target, w, f=IDENTITY)
     a_equiv = w * np.concatenate(([1.0], d_hat))
+    tours = target_tours(samples, toy_refs, target, a_equiv, d_hat, IDENTITY)
     gis = stage2_row(
         covered_prefix(samples), target, toy_refs, a_equiv, d_hat, f=IDENTITY
     )
-    u_rs, eta_rs = rs_point_estimates(tours, w, d_hat)
+    u_rs, eta_rs = rs_point_estimates(tours, a_equiv)
     assert u_rs == pytest.approx(gis.u_hat, rel=1e-12)
     assert eta_rs == pytest.approx(gis.eta_hat, rel=1e-12)
 
@@ -185,24 +122,24 @@ def test_rs_matches_generalized_is_on_covered_prefix(toy_refs):
 def test_rs_constant_integrand_returns_constant(table_refs):
     samples = table_mh_samples(500, master_seed=41, stage=2)
     target = discrete_table_density((2.0, 2.0), id="even")
-    tours = split_tours(samples, table_refs, target, W_TRUE, f=constant(2.5))
+    tours = target_tours(samples, table_refs, target, A_TRUE, TRUE_D, constant(2.5))
     for t in tours:
         np.testing.assert_allclose(t.v_sums, 2.5 * t.u_sums, rtol=1e-13)
-    assert rs_point_estimates(tours, W_TRUE, TRUE_D)[1] == pytest.approx(
+    assert rs_point_estimates(tours, A_TRUE)[1] == pytest.approx(
         2.5, rel=1e-13
     )
 
 
-def _rs_standard_errors(samples, refs, target, w, d_hat):
+def _rs_standard_errors(samples, refs, target, a, d_hat):
     """Tour estimates of u and eta (f = IDENTITY) with their regenerative
     standard errors.  Per chain, rs_long_run_cov of the per-draw rows
     (f u, u) over its tours, divided by the covered length, is the
     covariance of the chain's tour ratios (sum V / sum T, sum U / sum T);
     the delta method combines the chains."""
-    tours = split_tours(samples, refs, target, w, f=IDENTITY)
-    u_hat, eta_hat = rs_point_estimates(tours, w, d_hat)
-    coef = np.asarray(w, dtype=float) * np.concatenate(([1.0], d_hat))
-    mix = mixture(refs, w)
+    tours = target_tours(samples, refs, target, a, d_hat, IDENTITY)
+    u_hat, eta_hat = rs_point_estimates(tours, a)
+    coef = np.asarray(a, dtype=float) / np.sum(a)
+    mix = mixture(refs, coef / np.concatenate(([1.0], d_hat)))
     var_u = var_eta = 0.0
     for l, (chain, t) in enumerate(zip(samples.chains, tours)):
         x = chain.states
@@ -219,7 +156,7 @@ def test_rs_discrete_three_se_oracle(table_refs):
     samples = table_mh_samples(20_000, master_seed=43, stage=2)
     target = discrete_table_density((2.0, 2.0), id="even")
     u_hat, eta_hat, se_u, se_eta = _rs_standard_errors(
-        samples, table_refs, target, W_TRUE, TRUE_D
+        samples, table_refs, target, A_TRUE, TRUE_D
     )
     assert abs(u_hat - 2.0) <= 3.0 * se_u
     assert abs(eta_hat - 0.5) <= 3.0 * se_eta
