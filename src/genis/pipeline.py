@@ -447,8 +447,9 @@ def _sample_one(
         )
     if cfg.burn_in > 0 or cfg.thinning > 1:
         # slicing invalidates regeneration marks, which _validate already
-        # guarantees are not needed downstream
-        states = chain.states[cfg.burn_in :: cfg.thinning][:n]
+        # guarantees are not needed downstream; the copy frees the raw chain
+        # and keeps later dot products on BLAS's contiguous kernel
+        states = chain.states[cfg.burn_in :: cfg.thinning][:n].copy()
         chain = ChainSample(
             density_id=chain.density_id,
             states=states,

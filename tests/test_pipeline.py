@@ -302,6 +302,17 @@ def test_sample_stage_burn_in_and_thinning():
     assert not np.array_equal(base.chains[0].states, samples.chains[0].states)
 
 
+@pytest.mark.parametrize("burn_in, thinning", [(50, 1), (0, 3), (50, 3)])
+def test_sample_stage_keeps_only_the_retained_draws(burn_in, thinning):
+    """Burnt-in or thinned states are a contiguous array of their own: a
+    view would hold the whole raw chain and feed BLAS a strided vector,
+    whose dot products round differently."""
+    cfg = config_from_dict(toy_config(burn_in=burn_in, thinning=thinning, targets=None))
+    for chain in sample_stage(cfg, build_references(cfg), (100, 100), STAGE1_TAG).chains:
+        assert chain.states.flags.c_contiguous
+        assert chain.states.flags.owndata
+
+
 def test_sample_stage_seed_separation():
     cfg = config_from_dict(toy_config(targets=None))
     refs = build_references(cfg)
