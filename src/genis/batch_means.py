@@ -7,11 +7,10 @@ of length b, the estimator is
 
 where Zbar_m are block means and Zbb is the grand mean over the e*b
 points actually used.  Trailing remainder points are dropped.  `bm_cov`
-takes the p series as rows, a (p, n) array or p separate 1-d arrays, or a
-(..., p, n) stack of such series, and accumulates entries per row pair in
-a fixed order, so the (j, j) entry of a p-row call is bitwise identical to
-a one-row call on row j, and each series of a stack gives what it gives
-alone.
+takes the p series as the rows of a (p, n) array, or a (..., p, n) stack
+of such series, and accumulates entries per row pair in a fixed order, so
+the (j, j) entry of a p-row call is bitwise identical to a one-row call on
+row j, and each series of a stack gives what it gives alone.
 """
 
 from __future__ import annotations
@@ -57,22 +56,14 @@ def block_size(n: int, spec: BatchMeansSpec = DEFAULT_BM_SPEC) -> int:
 def bm_cov(rows, b: int) -> np.ndarray:
     """Batch means long-run covariance of the series whose p rows are given.
 
-    `rows` is a (..., p, n) array, a stack of p-row series, or a sequence
-    of p 1-d arrays of one length.  Returns one (p, p) symmetric PSD matrix
-    per series, (..., p, p), on the per-sample scale, i.e. it estimates
-    lim n*Cov(mean of the series).
+    `rows` is a (p, n) array, or a (..., p, n) stack of p-row series.
+    Returns one (p, p) symmetric PSD matrix per series, (..., p, p), on the
+    per-sample scale, i.e. it estimates lim n*Cov(mean of the series).
     """
-    stacked = isinstance(rows, np.ndarray) and rows.ndim > 1
-    if stacked:
-        rows = rows.astype(float, copy=False)
-        n = rows.shape[-1] if rows.shape[-2] > 0 else 0
-    else:
-        rows = [np.asarray(r, dtype=float) for r in rows]
-        n = rows[0].shape[0] if rows and rows[0].ndim == 1 else 0
-        if any(r.ndim != 1 or r.shape[0] != n for r in rows):
-            n = 0
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[-1] if rows.ndim > 1 and rows.shape[-2] > 0 else 0
     if n < 1:
-        raise ValueError("rows must be nonempty 1-d arrays of one length")
+        raise ValueError("rows must be a nonempty (..., p, n) array")
     b = int(b)
     if b < 1:
         raise ValueError("block size must be positive")
@@ -83,18 +74,12 @@ def bm_cov(rows, b: int) -> np.ndarray:
         )
     # contiguous blocks and centered rows keep the reduction and np.dot on
     # one kernel whatever the layout and however many rows share the call
-    # (a stack whose rows are contiguous splits into blocks without a copy);
+    # (rows that are each contiguous split into blocks without a copy);
     # add.reduce / count is np.mean's own arithmetic without its wrapper
-    if stacked:
-        blocks = rows[..., : e * b]
-        if blocks.strides[-1] != blocks.itemsize:
-            blocks = np.ascontiguousarray(blocks)
-        means = np.add.reduce(blocks.reshape(rows.shape[:-1] + (e, b)), axis=-1) / b
-    else:
-        means = np.array([
-            np.add.reduce(np.ascontiguousarray(row[: e * b]).reshape(e, b), axis=1) / b
-            for row in rows
-        ])
+    blocks = rows[..., : e * b]
+    if blocks.strides[-1] != blocks.itemsize:
+        blocks = np.ascontiguousarray(blocks)
+    means = np.add.reduce(blocks.reshape(rows.shape[:-1] + (e, b)), axis=-1) / b
     centered = means - np.add.reduce(means, axis=-1, keepdims=True) / e
     # every (j, k) entry is the dot product of rows j and k: a stacked
     # (1, e) @ (e, 1) product runs the same BLAS dot per pair as np.dot

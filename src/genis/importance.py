@@ -16,13 +16,14 @@ the ratios), and the stage-2 sampling variance of the weight series,
 estimated by batch means chain by chain.
 
 `estimate_family` is the entry point.  Per call it evaluates the
-reference log densities and f once per chain, and the log mixture
-denominator once per run of targets sharing a weight vector.  Each
-target then takes one pass: per chain, one evaluation of its log density
-gives both u and the sensitivity kernel, whose exponential serves the
-g = 1 and the g = f gradient sums; one batch-means matrix of (v, u), or
-of u alone without f, gives both stage-2 variances.  `target_tours` sums
-u and v over each chain's regeneration tours, for ``tours.csv``.
+reference log densities and f once on the pooled draws, the chains end
+to end, and the log mixture denominator once per run of targets sharing
+a weight vector.  Each target then takes one pass: one evaluation of its
+log density gives both u and the sensitivity kernel, whose exponential
+serves the g = 1 and the g = f gradient sums; per chain, one batch-means
+matrix of (v, u), or of u alone without f, gives both stage-2 variances.
+`target_tours` sums u and v over each chain's regeneration tours, for
+``tours.csv``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .samplers import SampleSet
 
 DEFAULT_TAIL_GUARD = 1e3
 
-# normalized weights, per-chain log mixtures, and twice those
-_Mixture = tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]
+# normalized weights, the pooled log mixture, and twice it
+_Mixture = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,9 @@ class TargetResult:
 
 
 class _Context:
-    """Chain data shared by every target of one family run."""
+    """Chain data shared by every target of one family run, pooled: the
+    states of every chain end to end in `x`, chain l at `x[chains[l]]`,
+    and each per-state array in the same layout."""
 
     def __init__(
         self,
@@ -80,23 +83,22 @@ class _Context:
             raise ValueError("d_hat must have one ratio per non-first reference")
         if np.any(d_hat <= 0) or not np.all(np.isfinite(d_hat)):
             raise ValueError("ratios must be positive and finite")
-        self.states = [c.states for c in samples.chains]
+        self.x = np.concatenate([c.states for c in samples.chains])
+        ends = np.cumsum(samples.n_per_chain)
+        self.chains = [slice(end - c.n, end) for end, c in zip(ends, samples.chains)]
         self.d_full = np.concatenate(([1.0], d_hat))
         self.n_per = samples.n_per_chain.astype(float)
         self.n = float(self.n_per.sum())
-        # kept (n_l, k): numpy sums a (k, n_l) array pairwise, which rounds
+        # kept (N, k): numpy sums a (k, n_l) array pairwise, which rounds
         # the sensitivity sums differently
-        self.ref_logs = [
-            np.column_stack([ref.log_density(x) for ref in references])
-            for x in self.states
-        ]
+        self.ref_logs = np.column_stack([ref.log_density(self.x) for ref in references])
         self.f = f
         self._last: tuple = (None, None)  # (weight vector object, its mixture)
 
     @cached_property
-    def f_vals(self) -> list[np.ndarray] | None:
+    def f_vals(self) -> np.ndarray | None:
         # first read inside a target's pass, so a failing f is isolated there
-        return None if self.f is None else [self.f.values(x) for x in self.states]
+        return None if self.f is None else self.f.values(self.x)
 
     def mixture(self, a_vec) -> _Mixture:
         """The mixture of a weight vector; only the last one is kept, so a
@@ -113,8 +115,8 @@ class _Context:
         a = a / a.sum()
         with np.errstate(divide="ignore"):  # log 0 = -inf: a dropped reference
             log_coef = np.log(a) - np.log(self.d_full)
-        log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
-        self._last = (a_vec, (a, log_mix, [2.0 * m for m in log_mix]))
+        log_mix = log_sum_exp_rows(self.ref_logs + log_coef)
+        self._last = (a_vec, (a, log_mix, 2.0 * log_mix))
         return self._last[1]
 
 
@@ -132,24 +134,26 @@ def target_tours(
     bounds = [tour_boundaries(chain) for chain in samples.chains]
     ctx = _Context(samples, references, d_hat, f)
     log_mix = ctx.mixture(a)[1]
-    out = []
-    for l, (chain, b) in enumerate(zip(samples.chains, bounds)):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            u = np.exp(target.log_density(ctx.states[l]) - log_mix[l])
-            u_sums = _tour_sums(u, b)
-            v_sums = None if f is None else _tour_sums(ctx.f_vals[l] * u, b)
-        if not all(np.isfinite(x).all() for x in (u, u_sums, v_sums) if x is not None):
-            raise DegenerateDenominatorError(
-                f"importance weights or their tour sums overflow for target {target.id!r}"
-            )
-        out.append(ChainTours(chain.density_id, np.diff(b), u_sums, v_sums))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u = np.exp(target.log_density(ctx.x) - log_mix)
+        v = None if f is None else ctx.f_vals * u
+        out = [
+            ChainTours(chain.density_id, np.diff(b), _tour_sums(u[span], b),
+                       None if v is None else _tour_sums(v[span], b))
+            for chain, span, b in zip(samples.chains, ctx.chains, bounds)
+        ]
+    sums = [x for tours in out for x in (tours.u_sums, tours.v_sums) if x is not None]
+    if not all(np.isfinite(x).all() for x in (u, *sums)):
+        raise DegenerateDenominatorError(
+            f"importance weights or their tour sums overflow for target {target.id!r}"
+        )
     return out
 
 
 class _Pass(NamedTuple):
     """One target's stage-2 pieces, before the stage-1 covariance enters."""
 
-    u: list[np.ndarray]  # weight series per chain
+    u: np.ndarray  # weight series, pooled as the context's states
     u_hat: float
     eta_hat: float | None
     c_vec: np.ndarray  # gradient of u_hat in d_2..d_k
@@ -171,53 +175,49 @@ def _target_pass(
     """
     a, log_mix, log_mix2 = ctx.mixture(a_vec)
     f_vals = ctx.f_vals
-    u_series = []
-    c_sum = np.zeros(len(a) - 1)
-    s_sum = None if f_vals is None else np.zeros(len(a) - 1)
-    for l, x in enumerate(ctx.states):
-        log_nu = target.log_density(x)
-        u = log_nu - log_mix[l]
-        kernel = (log_nu - log_mix2[l])[:, None] + ctx.ref_logs[l][:, 1:]
-        with np.errstate(over="ignore"):  # exp in place: both exponents are temporaries
-            np.exp(u, out=u)
-            np.exp(kernel, out=kernel)
-        if not np.isfinite(u).all():
-            raise DegenerateDenominatorError(
-                f"importance weights overflow for target {target.id!r}"
-            )
-        if not np.isfinite(kernel).all():
-            raise DegenerateDenominatorError(
-                f"sensitivity kernel overflow for target {target.id!r}"
-            )
-        u_series.append(u)
-        w_l = a[l] / ctx.n_per[l]
-        c_sum += w_l * kernel.sum(axis=0)
-        if f_vals is not None:
-            s_sum += w_l * np.multiply(kernel, f_vals[l][:, None], out=kernel).sum(axis=0)
-    u_hat = float(sum(a[l] * u.sum() / ctx.n_per[l] for l, u in enumerate(u_series)))
+    log_nu = target.log_density(ctx.x)
+    # rows (v, u), or u alone without f; chain l's columns are its series
+    vu = np.empty((1 if f_vals is None else 2, ctx.x.size))
+    u = np.subtract(log_nu, log_mix, out=vu[-1])
+    kernel = (log_nu - log_mix2)[:, None] + ctx.ref_logs[:, 1:]
+    del log_nu  # freed before the exponentials, to keep the pass's peak down
+    with np.errstate(over="ignore"):  # exp in place: both exponents are temporaries
+        np.exp(u, out=u)
+        np.exp(kernel, out=kernel)
+    if not np.isfinite(u).all():
+        raise DegenerateDenominatorError(
+            f"importance weights overflow for target {target.id!r}"
+        )
+    if not np.isfinite(kernel).all():
+        raise DegenerateDenominatorError(
+            f"sensitivity kernel overflow for target {target.id!r}"
+        )
+    spans = list(enumerate(ctx.chains))
+    w = a / ctx.n_per
+    c_sum = sum(w[l] * kernel[span].sum(axis=0) for l, span in spans)
+    u_hat = float(sum(a[l] * u[span].sum() / ctx.n_per[l] for l, span in spans))
     c_vec = c_sum * a[1:] / ctx.d_full[1:] ** 2
 
-    p = 1 if f_vals is None else 2
-    bm = np.zeros((p, p))
-    for l, u in enumerate(u_series):
-        series = [u] if f_vals is None else [f_vals[l] * u, u]
+    if f_vals is not None:
+        np.multiply(f_vals, u, out=vu[0])
+    bm = np.zeros((len(vu), len(vu)))
+    for l, span in spans:
         s_l = ctx.n_per[l] / ctx.n
-        bm += (a[l] ** 2 / s_l) * bm_cov(series, block_size(u.size, bm_spec))
+        bm += (a[l] ** 2 / s_l) * bm_cov(vu[:, span], block_size(ctx.n_per[l], bm_spec))
     if f_vals is None:
-        return _Pass(u_series, u_hat, None, c_vec, None, bm)
+        return _Pass(u, u_hat, None, c_vec, None, bm)
 
     if u_hat <= 0 or not np.isfinite(u_hat):
         raise DegenerateDenominatorError("importance weight sum is not positive")
     v_hat = float(
-        sum(
-            a[l] * np.dot(f_vals[l], u_series[l]) / ctx.n_per[l]
-            for l in range(len(u_series))
-        )
+        sum(a[l] * np.dot(f_vals[span], u[span]) / ctx.n_per[l] for l, span in spans)
     )
     eta_hat = v_hat / u_hat
+    np.multiply(kernel, f_vals[:, None], out=kernel)
+    s_sum = sum(w[l] * kernel[span].sum(axis=0) for l, span in spans)
     s_vec = s_sum * a[1:] / ctx.d_full[1:] ** 2
     e_vec = s_vec / u_hat - c_vec * (eta_hat / u_hat)
-    return _Pass(u_series, u_hat, eta_hat, c_vec, e_vec, bm)
+    return _Pass(u, u_hat, eta_hat, c_vec, e_vec, bm)
 
 
 def ratio_delta_variance(v_hat: float, u_hat: float, joint_cov) -> float:
@@ -306,9 +306,8 @@ def _one_target(
 ) -> TargetResult:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         p = _target_pass(ctx, target, a_vec, bm_spec)
-        all_u = np.concatenate(p.u)
-        mean_u = np.add.reduce(all_u) / all_u.size  # np.mean's arithmetic
-        tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
+        mean_u = np.add.reduce(p.u) / p.u.size  # np.mean's arithmetic
+        tail = mean_u > 0 and float(p.u.max()) > tail_guard * mean_u
         var1_u = float(q) * float(p.c_vec @ cov @ p.c_vec) if p.c_vec.size else 0.0
         var2_u = float(p.bm[-1, -1])  # bitwise the univariate BM of u
         se_u = float(np.sqrt(max(var1_u + var2_u, 0.0) / ctx.n))

@@ -65,12 +65,12 @@ def _tour_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def rs_long_run_cov(rows, chain: ChainSample) -> np.ndarray:
     """Regenerative estimate of the long-run covariance of a vector series.
 
-    `rows` is a (k, n) array or a sequence of k 1-d arrays, as for
-    `bm_cov`, evaluated along `chain`.  Tour sums G_t over the chain's
-    complete tours give the per-sample scale estimate
-    sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T / sum_t T_t, with gbar the
-    ratio estimate of the series mean.  For an iid chain without marks
-    every draw is a tour, and this is the plain sample covariance.
+    `rows` is a (k, n) array of k series along `chain`, as `bm_cov` takes
+    them.  Tour sums G_t over the chain's complete tours give the
+    per-sample scale estimate sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T /
+    sum_t T_t, with gbar the ratio estimate of the series mean.  For an
+    iid chain without marks every draw is a tour, and this is the plain
+    sample covariance.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != chain.n:

@@ -76,7 +76,7 @@ def effective_sample_size(
     n = x.size
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = float(np.var(x, ddof=1))
-        lrv = float(bm_cov([x], block_size(n, bm_spec))[0, 0]) if 0.0 < s2 < math.inf else 0.0
+        lrv = float(bm_cov(x[None], block_size(n, bm_spec))[0, 0]) if 0.0 < s2 < math.inf else 0.0
     if not 0.0 < lrv < math.inf:
         return float(n)
     return float(min(n * s2 / lrv, n))

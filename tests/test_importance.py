@@ -1,14 +1,17 @@
 """Stage 2: importance estimates across targets and their two-part errors."""
 
+import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genis.batch_means import DEFAULT_BM_SPEC
+from genis import importance
+from genis.batch_means import DEFAULT_BM_SPEC, block_size, bm_cov
 from genis.densities import (
     Integrand,
     TargetFamily,
@@ -20,6 +23,7 @@ from genis.densities import (
 )
 from genis.errors import DegenerateDenominatorError, InsufficientRegenerationError
 from genis.importance import (
+    TargetResult,
     _Context,
     _target_pass,
     estimate_family,
@@ -113,7 +117,7 @@ def test_weights_single_reference_is_classic_ratio(toy_refs):
     x = np.linspace(-4.0, 4.0, 21)
     p = _pass(_chains_at(x, [ref]), target, [ref], [1.0], np.empty(0))
     direct = np.exp(target.log_density(x) - ref.log_density(x))
-    np.testing.assert_allclose(p.u[0], direct, rtol=1e-12)
+    np.testing.assert_allclose(p.u, direct, rtol=1e-12)
 
 
 def test_weights_validate_inputs(toy_refs):
@@ -396,28 +400,35 @@ def test_toy_config_stage2_matches_frozen_rows():
         assert r.flags == ()
 
 
-def test_family_evaluates_each_target_once_per_chain(toy_refs):
+def test_family_evaluates_each_target_and_reference_once(toy_refs):
+    """Every reference and every target is evaluated once per family run,
+    on all chains' draws together, not once per chain."""
     calls = {}
 
-    def counted(target):
+    def counted(density, role):
         def log_eval(x):
-            calls[target.id] = calls.get(target.id, 0) + 1
-            return target.log_eval(x)
+            calls[role, density.id] = calls.get((role, density.id), 0) + 1
+            return density.log_eval(x)
 
-        return UnnormalizedDensity(target.id, log_eval, target.size)
+        return UnnormalizedDensity(density.id, log_eval, density.size)
 
-    family = TargetFamily(tuple(counted(t) for t in t_family(5, [0.0, 0.5, 1.0]).targets))
+    targets = t_family(5, [0.0, 0.5, 1.0]).targets
+    family = TargetFamily(tuple(counted(t, "target") for t in targets))
+    refs = [counted(r, "reference") for r in toy_refs]
     chains = (
         sample_t_iid(5, 1.0, 400, seed=3),
-        sample_t_iid(5, 0.0, 400, seed=4),
+        sample_t_iid(5, 0.0, 300, seed=4),
     )
     samples = SampleSet(chains=chains)
     results = estimate_family(
-        samples, family, toy_refs, TRUE_D, np.array([[0.5]]), q=0.1,
+        samples, family, refs, TRUE_D, np.array([[0.5]]), q=0.1,
         f=IDENTITY, a_per_target=[HALF, [0.3, 0.7], HALF],
     )
     assert all(r.flags == () for r in results)
-    assert calls == {t.id: len(chains) for t in family.targets}
+    assert calls == {
+        **{("reference", r.id): 1 for r in refs},
+        **{("target", t.id): 1 for t in targets},
+    }
 
 
 def test_family_toy_grid_hits_truth(toy_refs):
@@ -532,6 +543,138 @@ def test_estimate_validation(table_refs, exact_table_samples):
         )
 
 
+class _PerChainContext:
+    """Reference for `_Context`: the per-chain layout the pooled one
+    replaced, every density evaluated chain by chain; valid inputs only."""
+
+    def __init__(self, samples, references, d_hat, f):
+        self.states = [c.states for c in samples.chains]
+        self.d_full = np.concatenate(([1.0], np.atleast_1d(np.asarray(d_hat, dtype=float))))
+        self.n_per = samples.n_per_chain.astype(float)
+        self.n = float(self.n_per.sum())
+        self.ref_logs = [
+            np.column_stack([ref.log_density(x) for ref in references])
+            for x in self.states
+        ]
+        self.f_vals = None if f is None else [f.values(x) for x in self.states]
+
+    def mixture(self, a_vec):
+        a = np.atleast_1d(np.asarray(a_vec, dtype=float))
+        a = a / a.sum()
+        with np.errstate(divide="ignore"):
+            log_coef = np.log(a) - np.log(self.d_full)
+        log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
+        return a, log_mix, [2.0 * m for m in log_mix]
+
+
+def _per_chain_pass(ctx, target, a_vec, bm_spec):
+    """Reference for `_target_pass`: the per-chain pass it replaced."""
+    a, log_mix, log_mix2 = ctx.mixture(a_vec)
+    f_vals = ctx.f_vals
+    u_series = []
+    c_sum = np.zeros(len(a) - 1)
+    s_sum = None if f_vals is None else np.zeros(len(a) - 1)
+    for l, x in enumerate(ctx.states):
+        log_nu = target.log_density(x)
+        u = log_nu - log_mix[l]
+        kernel = (log_nu - log_mix2[l])[:, None] + ctx.ref_logs[l][:, 1:]
+        with np.errstate(over="ignore"):
+            np.exp(u, out=u)
+            np.exp(kernel, out=kernel)
+        if not (np.isfinite(u).all() and np.isfinite(kernel).all()):
+            raise DegenerateDenominatorError("overflow")
+        u_series.append(u)
+        w_l = a[l] / ctx.n_per[l]
+        c_sum += w_l * kernel.sum(axis=0)
+        if f_vals is not None:
+            s_sum += w_l * np.multiply(kernel, f_vals[l][:, None], out=kernel).sum(axis=0)
+    u_hat = float(sum(a[l] * u.sum() / ctx.n_per[l] for l, u in enumerate(u_series)))
+    c_vec = c_sum * a[1:] / ctx.d_full[1:] ** 2
+
+    p = 1 if f_vals is None else 2
+    bm = np.zeros((p, p))
+    for l, u in enumerate(u_series):
+        series = [u] if f_vals is None else [f_vals[l] * u, u]
+        s_l = ctx.n_per[l] / ctx.n
+        bm += (a[l] ** 2 / s_l) * bm_cov(series, block_size(u.size, bm_spec))
+    if f_vals is None:
+        return u_series, u_hat, None, c_vec, None, bm
+
+    if u_hat <= 0 or not np.isfinite(u_hat):
+        raise DegenerateDenominatorError("importance weight sum is not positive")
+    v_hat = float(
+        sum(
+            a[l] * np.dot(f_vals[l], u_series[l]) / ctx.n_per[l]
+            for l in range(len(u_series))
+        )
+    )
+    eta_hat = v_hat / u_hat
+    s_vec = s_sum * a[1:] / ctx.d_full[1:] ** 2
+    e_vec = s_vec / u_hat - c_vec * (eta_hat / u_hat)
+    return u_series, u_hat, eta_hat, c_vec, e_vec, bm
+
+
+def _per_chain_target(ctx, target, a_vec, cov, q, bm_spec, tail_guard):
+    """Reference for `_one_target`, over the per-chain pass."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, u_hat, eta_hat, c_vec, e_vec, bm = _per_chain_pass(ctx, target, a_vec, bm_spec)
+        all_u = np.concatenate(u)
+        mean_u = np.add.reduce(all_u) / all_u.size
+        tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
+        var1_u = float(q) * float(c_vec @ cov @ c_vec) if c_vec.size else 0.0
+        var2_u = float(bm[-1, -1])
+        se_u = float(np.sqrt(max(var1_u + var2_u, 0.0) / ctx.n))
+        var1_eta = var2_eta = se_eta = None
+        if eta_hat is not None:
+            var1_eta = float(q) * float(e_vec @ cov @ e_vec) if e_vec.size else 0.0
+            var2_eta = ratio_delta_variance(eta_hat * u_hat, u_hat, bm)
+            se_eta = float(np.sqrt(max(var1_eta + var2_eta, 0.0) / ctx.n))
+    if not all(math.isfinite(x) for x in (u_hat, se_u, eta_hat, se_eta) if x is not None):
+        raise DegenerateDenominatorError("estimates leave float range")
+    return TargetResult(
+        target.id, u_hat, eta_hat, se_u, se_eta, var1_u, var2_u, var1_eta, var2_eta,
+        float(q), int(ctx.n), ("tail_weight",) if tail else (),
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=3),
+    family=st.sampled_from(["t", "table"]),
+    marked=st.lists(st.booleans(), min_size=3, max_size=3),
+    with_f=st.booleans(),
+    per_target=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_family_rows_equal_the_per_chain_reference(
+    seed, k, family, marked, with_f, per_target
+):
+    """The pooled pass gives the rows of the per-chain pass it replaced,
+    bit for bit: k = 1-3 t or table references, iid and marked MH chains
+    of unequal lengths, with and without f, one weight vector for every
+    target or one per target, a zero weight among them."""
+    rng, refs, samples, targets = _random_setup(seed, k, family, marked, 3)
+    d_hat = rng.uniform(0.5, 2.0, size=k - 1)
+    root = rng.standard_normal((k - 1, k - 1))
+    run = dict(
+        samples=samples, family=TargetFamily(tuple(targets)), references=refs,
+        d_hat=d_hat, stage1_cov=root @ root.T, q=float(rng.uniform(0.0, 1.0)),
+        f=IDENTITY if with_f else None, tail_guard=float(rng.uniform(1.0, 5.0)),
+    )
+    if per_target:
+        a_list = [rng.uniform(0.1, 2.0, size=k) for _ in targets]
+        if k > 1:
+            a_list[1][int(rng.integers(k))] = 0.0  # that chain drops out
+        run["a_per_target"] = a_list
+    else:
+        run["a"] = rng.uniform(0.1, 2.0, size=k)
+    got = estimate_family(**run)
+    with mock.patch.object(importance, "_Context", _PerChainContext), \
+            mock.patch.object(importance, "_one_target", _per_chain_target):
+        expected = estimate_family(**run)
+    assert [repr(r) for r in got] == [repr(r) for r in expected]
+
+
 # --------------------------------------------------------------- tour sums
 
 W_TRUE = HALF / np.concatenate(([1.0], TRUE_D))  # the mixture's a_l / d_l
@@ -638,6 +781,37 @@ def _split_tours(samples, references, target, w, f=None):
     return out
 
 
+def _random_setup(seed, k, family, marked, n_targets):
+    """k t or table references, each with a chain of random length, iid or
+    marked MH as `marked` says, and n_targets targets of the same family;
+    returns the generator for further draws."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(20, 400, size=k)
+    if family == "t":
+        dfs = rng.choice([3.0, 5.0, 10.0], size=k)
+        mus = rng.permutation(np.linspace(-2.0, 2.0, 5))[:k]
+        refs = [t_density(df, mu) for df, mu in zip(dfs, mus)]
+        chains = tuple(
+            independence_mh(ref, 5, mus[i] + 0.5, n, seed + i, with_regen=True)
+            if marked[i] else sample_t_iid(dfs[i], mus[i], n, seed + i, ref.id)
+            for i, (ref, n) in enumerate(zip(refs, sizes))
+        )
+        targets = [t_density(5, float(rng.uniform(-2.0, 2.0)), id=f"target{i}")
+                   for i in range(n_targets)]
+    else:
+        tables = rng.uniform(0.1, 3.0, size=(k + n_targets, int(rng.integers(2, 6))))
+        refs = [discrete_table_density(tuple(t), id=f"table{i}")
+                for i, t in enumerate(tables[:k])]
+        chains = tuple(
+            discrete_mh(ref, n, seed + i, with_regen=True)
+            if marked[i] else _iid_table_chain(tables[i], n, seed + i, ref.id)
+            for i, (ref, n) in enumerate(zip(refs, sizes))
+        )
+        targets = [discrete_table_density(tuple(t), id=f"target{i}")
+                   for i, t in enumerate(tables[k:])]
+    return rng, refs, SampleSet(chains=chains), targets
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     k=st.integers(min_value=1, max_value=3),
@@ -654,29 +828,7 @@ def test_target_tours_equal_the_oracle_at_unit_ratios(
     normalized weights bit for bit: on raw chain lengths, as stage2_tours
     passes them, and on any positive weights; t and table references, iid
     chains without marks and marked MH chains, with and without f."""
-    rng = np.random.default_rng(seed)
-    sizes = rng.integers(20, 400, size=k)
-    if family == "t":
-        dfs = rng.choice([3.0, 5.0, 10.0], size=k)
-        mus = rng.permutation(np.linspace(-2.0, 2.0, 5))[:k]
-        refs = [t_density(df, mu) for df, mu in zip(dfs, mus)]
-        chains = tuple(
-            independence_mh(ref, 5, mus[i] + 0.5, n, seed + i, with_regen=True)
-            if marked[i] else sample_t_iid(dfs[i], mus[i], n, seed + i, ref.id)
-            for i, (ref, n) in enumerate(zip(refs, sizes))
-        )
-        target = t_density(5, float(rng.uniform(-2.0, 2.0)))
-    else:
-        tables = rng.uniform(0.1, 3.0, size=(k + 1, int(rng.integers(2, 6))))
-        refs = [discrete_table_density(tuple(t), id=f"table{i}")
-                for i, t in enumerate(tables[:k])]
-        chains = tuple(
-            discrete_mh(ref, n, seed + i, with_regen=True)
-            if marked[i] else _iid_table_chain(tables[i], n, seed + i, ref.id)
-            for i, (ref, n) in enumerate(zip(refs, sizes))
-        )
-        target = discrete_table_density(tuple(tables[k]), id="target")
-    samples = SampleSet(chains=chains)
+    rng, refs, samples, (target,) = _random_setup(seed, k, family, marked, 1)
     f = IDENTITY if with_f else None
     a = samples.n_per_chain if raw_lengths else rng.uniform(0.1, 2.0, size=k)
     w = np.asarray(a, dtype=float)
