@@ -1,3 +1,4 @@
+import doctest
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genis import densities
 from genis.densities import (
     TargetFamily,
     UnnormalizedDensity,
@@ -180,3 +182,9 @@ def test_log_sum_exp_dominates_max(rows, cols, seed):
     out = log_sum_exp_rows(mat)
     assert np.all(out >= mat.max(axis=1) - 1e-12)
     assert np.all(out <= mat.max(axis=1) + math.log(cols) + 1e-12)
+
+
+def test_docstring_examples_hold():
+    result = doctest.testmod(densities)
+    assert result.attempted > 0
+    assert result.failed == 0
