@@ -175,7 +175,8 @@ def log_sum_exp_rows(mat: np.ndarray) -> np.ndarray:
     if np.any(np.isneginf(m)):
         raise UndefinedPointError("all mixture components vanish at a state")
     with np.errstate(invalid="ignore"):
-        shifted = np.exp(mat - m[:, None])
+        shifted = mat - m[:, None]
+    np.exp(shifted, out=shifted)  # in place: no second (n, k) temporary
     shifted[np.isneginf(mat)] = 0.0
     return m + np.log(np.sum(shifted, axis=1))
 

@@ -176,10 +176,10 @@ def _target_pass(
     a, log_mix, log_mix2 = ctx.mixture(a_vec)
     f_vals = ctx.f_vals
     log_nu = target.log_density(ctx.x)
+    kernel = (log_nu - log_mix2)[:, None] + ctx.ref_logs[:, 1:]
     # rows (v, u), or u alone without f; chain l's columns are its series
     vu = np.empty((1 if f_vals is None else 2, ctx.x.size))
     u = np.subtract(log_nu, log_mix, out=vu[-1])
-    kernel = (log_nu - log_mix2)[:, None] + ctx.ref_logs[:, 1:]
     del log_nu  # freed before the exponentials, to keep the pass's peak down
     with np.errstate(over="ignore"):  # exp in place: both exponents are temporaries
         np.exp(u, out=u)
