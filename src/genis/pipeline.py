@@ -259,10 +259,15 @@ def _validate_reference(ref: ReferenceConfig, where: str):
         _checked(where, log_splitting_const, ref.splitting_const)
 
 
-def _pilot_grid(k: int, step: float, where: str) -> list:
-    grid = _checked(where, simplex_grid, k, step)
-    _require(len(grid) > 0, f"{where}: step {step:g} leaves an empty weight grid "
+def _check_pilot(k: int, weights: WeightConfig, where: str) -> list:
+    """The pilot rules: the step leaves a nonempty grid, which is returned,
+    and pilot_sizes, when given, lists one positive size per reference."""
+    grid = _checked(where, simplex_grid, k, weights.step)
+    _require(len(grid) > 0, f"{where}: step {weights.step:g} leaves an empty weight grid "
                             f"for {k} references")
+    sizes = weights.pilot_sizes
+    _require(sizes is None or (len(sizes) == k and all(x > 0 for x in sizes)),
+             f"{where}: pilot_sizes must list one positive size per reference")
     return grid
 
 
@@ -281,10 +286,7 @@ def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses)
                  f"{where}.weights: fixed kind needs one value per reference")
         _checked(f"{where}.weights", StageWeights, w.values)
     if w.kind == "pilot":
-        _pilot_grid(k, w.step, f"{where}.weights")
-    if w.kind == "pilot" and w.pilot_sizes is not None:
-        _require(len(w.pilot_sizes) == k and all(x > 0 for x in w.pilot_sizes),
-                 f"{where}.weights: pilot_sizes must list one positive size per reference")
+        _check_pilot(k, w, f"{where}.weights")
     if w.kind == "ess":
         _require(all(x >= MIN_DRAWS for x in stage.sizes),
                  f"{where}.weights: ess weights need at least {MIN_DRAWS} draws per chain")
@@ -514,10 +516,10 @@ def pilot_weights(
     pilot sizes, the chosen weights and the grid diagnostics.
     """
     wc = cfg.stage1.weights
+    grid = _check_pilot(len(references), wc, "stage1.weights")  # whatever the kind
     sizes = wc.pilot_sizes
     if sizes is None:
         sizes = tuple(max(200, s // 10) for s in cfg.stage1.sizes)
-    grid = _pilot_grid(len(references), wc.step, "stage1.weights")  # whatever the kind
     pilot = sample_stage(cfg, references, sizes, PILOT_TAG, rep_index)
     best, diagnostics = pilot_optimal_weights(pilot, references, grid, cfg.bm_spec)
     return sizes, best, diagnostics

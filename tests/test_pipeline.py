@@ -774,18 +774,30 @@ def test_cli_bad_pilot_step_is_a_config_error(tmp_path, capsys, command, step):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("step", [0, 0.7])
-def test_cli_pilot_weights_checks_the_step_whatever_the_kind(tmp_path, capsys, step):
-    """pilot-weights searches the stage-1 grid even for weights of another
-    kind, whose step is not checked when the config is read; a bad step
-    once ended there in a ValueError traceback (exit 1)."""
+_BAD_SIZES = "config error: stage1.weights: pilot_sizes must list one positive size per reference"
+
+
+@pytest.mark.parametrize("pilot, err", [
+    pytest.param({"step": 0}, "config error: stage1.weights: ", id="0"),
+    pytest.param({"step": 0.7}, "config error: stage1.weights: ", id="0.7"),
+    pytest.param({"pilot_sizes": [0, 300]}, _BAD_SIZES, id="sizes-0-300"),
+    pytest.param({"pilot_sizes": [-5, 300]}, _BAD_SIZES, id="sizes-neg5-300"),
+    pytest.param({"pilot_sizes": [300]}, _BAD_SIZES, id="sizes-300"),
+    pytest.param({"pilot_sizes": [300, 300, 300]}, _BAD_SIZES, id="sizes-300-300-300"),
+])
+def test_cli_pilot_weights_checks_the_step_whatever_the_kind(tmp_path, capsys, pilot, err):
+    """pilot-weights searches the stage-1 grid on pilot chains even for
+    weights of another kind, whose step and pilot_sizes are not checked
+    when the config is read; a bad step once ended there in a ValueError
+    traceback (exit 1), as did a nonpositive size or too few sizes, and
+    too many sizes printed a size for a chain that does not exist."""
     raw = toy_config(targets=None)
-    raw["stage1"]["weights"] = {"kind": "naive", "step": step}
+    raw["stage1"]["weights"] = {"kind": "naive", **pilot}
     path = write_config(tmp_path, raw)
     assert cli_main(["estimate-d", "--config", path, "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     assert cli_main(["pilot-weights", "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("config error: stage1.weights: ")
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_cli_oracle_check(tmp_path, capsys):
