@@ -259,16 +259,15 @@ def _validate_reference(ref: ReferenceConfig, where: str):
         _checked(where, log_splitting_const, ref.splitting_const)
 
 
-def _check_pilot(k: int, weights: WeightConfig, where: str) -> list:
-    """The pilot rules: the step leaves a nonempty grid, which is returned,
-    and pilot_sizes, when given, lists one positive size per reference."""
-    grid = _checked(where, simplex_grid, k, weights.step)
-    _require(len(grid) > 0, f"{where}: step {weights.step:g} leaves an empty weight grid "
-                            f"for {k} references")
+def _check_pilot(k: int, weights: WeightConfig, where: str):
+    """The pilot rules: the step leaves a nonempty grid, and pilot_sizes,
+    when given, lists one positive size per reference."""
+    step = weights.step
+    _require(len(_checked(where, simplex_grid, k, step)) > 0,
+             f"{where}: step {step:g} leaves an empty weight grid for {k} references")
     sizes = weights.pilot_sizes
     _require(sizes is None or (len(sizes) == k and all(x > 0 for x in sizes)),
              f"{where}: pilot_sizes must list one positive size per reference")
-    return grid
 
 
 def _validate_stage(cfg: ExperimentConfig, stage: StageConfig, where: str, uses):
@@ -516,12 +515,13 @@ def pilot_weights(
     pilot sizes, the chosen weights and the grid diagnostics.
     """
     wc = cfg.stage1.weights
-    grid = _check_pilot(len(references), wc, "stage1.weights")  # whatever the kind
+    if wc.kind != "pilot":  # the config reader has checked a pilot kind
+        _check_pilot(len(references), wc, "stage1.weights")
     sizes = wc.pilot_sizes
     if sizes is None:
         sizes = tuple(max(200, s // 10) for s in cfg.stage1.sizes)
     pilot = sample_stage(cfg, references, sizes, PILOT_TAG, rep_index)
-    best, diagnostics = pilot_optimal_weights(pilot, references, grid, cfg.bm_spec)
+    best, diagnostics = pilot_optimal_weights(pilot, references, wc.step, cfg.bm_spec)
     return sizes, best, diagnostics
 
 

@@ -11,8 +11,7 @@ covariance.
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Sequence
+from itertools import combinations
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .reverse_logistic import (
 from .samplers import SampleSet
 
 WEIGHT_FLOOR = 1e-6
-DEFAULT_STEP = 0.05  # pilot grid spacing on the simplex
+DEFAULT_STEP = 0.05  # the config's pilot grid spacing on the simplex
 # grid points fitted in lockstep at once: more share each round's fixed
 # cost, but their membership probabilities are alive together
 PILOT_CHUNK = 6
@@ -82,32 +81,30 @@ def effective_sample_size(
     return float(min(n * s2 / lrv, n))
 
 
-def simplex_grid(k: int, step: float = DEFAULT_STEP):
-    """Positive weight vectors on the k-simplex with the given step."""
+def simplex_grid(k: int, step: float):
+    """Positive weight vectors on the k-simplex with the given step: the
+    compositions of m = round(1/step) into k positive parts, over m, one per
+    choice of k - 1 cut points among 1, ..., m - 1, in lexicographic order."""
     if k < 1:
         raise ValueError("k must be positive")
     if not 0 < step < 1:
         raise ValueError("step must lie strictly between 0 and 1")
-    if k == 1:
-        return [np.array([1.0])]
     m = int(round(1.0 / step))
     grid = []
-    for parts in product(range(1, m), repeat=k - 1):
-        if sum(parts) < m:
-            vec = np.array(parts + (m - sum(parts),), dtype=float) / m
-            if np.all(vec >= WEIGHT_FLOOR):
-                grid.append(vec)
+    for cuts in combinations(range(1, m), k - 1):
+        vec = np.diff((0, *cuts, m)) / m
+        if np.all(vec >= WEIGHT_FLOOR):
+            grid.append(vec)
     return grid
 
 
 def pilot_optimal_weights(
     pilot_samples: SampleSet,
     references,
-    grid: Sequence | None = None,
+    step: float,
     bm_spec: BatchMeansSpec = DEFAULT_BM_SPEC,
-    step: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, dict]:
-    """Grid search for the stage-1 weights minimizing trace of the covariance.
+    """Search simplex_grid(k, step) for the stage-1 weights minimizing tr(cov).
 
     The log-density matrices (with their vanishing-state check), and the
     evaluator's weight-free parts at zeta = 0, are computed once and
@@ -131,8 +128,7 @@ def pilot_optimal_weights(
     diagnostics map from grid points to traces (NaN where skipped).
     """
     k = len(references)
-    if grid is None:
-        grid = simplex_grid(k, step=step)
+    grid = simplex_grid(k, step)
     if len(grid) == 0:
         raise ValueError("empty weight grid")
     n_per = pilot_samples.n_per_chain

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -128,8 +129,35 @@ def test_ess_degenerate_series_clamp():
 # ------------------------------------------------------------- simplex grid
 
 
+def _product_simplex_grid(k, step):
+    """The grid as it was first built: every (k-1)-tuple of parts in
+    1, ..., m - 1, kept when the parts leave a positive last one."""
+    if k == 1:
+        return [np.array([1.0])]
+    m = int(round(1.0 / step))
+    grid = []
+    for parts in itertools.product(range(1, m), repeat=k - 1):
+        if sum(parts) < m:
+            vec = np.array(parts + (m - sum(parts),), dtype=float) / m
+            if np.all(vec >= weights.WEIGHT_FLOOR):
+                grid.append(vec)
+    return grid
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_simplex_grid_equals_the_product_scan(k):
+    """Enumerating the cut points gives the product scan's vectors, bit for
+    bit and in its order, so the pilot search keeps its traces and its
+    lexicographic tie-break."""
+    for step in (0.05, 0.07, 0.1, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.9):
+        grid = simplex_grid(k, step)
+        reference = _product_simplex_grid(k, step)
+        assert [v.dtype for v in grid] == [np.dtype(float)] * len(reference)
+        assert [v.tobytes() for v in grid] == [v.tobytes() for v in reference]
+
+
 def test_simplex_grid_small_cases():
-    assert [tuple(v) for v in simplex_grid(1)] == [(1.0,)]
+    assert [tuple(v) for v in simplex_grid(1, 0.05)] == [(1.0,)]
     pts = sorted(tuple(v) for v in simplex_grid(2, step=0.25))
     assert pts == [(0.25, 0.75), (0.5, 0.5), (0.75, 0.25)]
     pts3 = simplex_grid(3, step=1.0 / 3.0)
@@ -140,11 +168,13 @@ def test_simplex_grid_small_cases():
 def test_simplex_grid_covers_and_validates():
     grid = simplex_grid(2, step=0.05)
     assert len(grid) == 19
+    # seven weights: 20 parts split at 6 of 19 cut points, each split once
+    assert len(simplex_grid(7, 0.05)) == math.comb(19, 6)
     for v in grid:
         assert v.sum() == pytest.approx(1.0, rel=1e-12)
         assert np.all(v > 0)
     with pytest.raises(ValueError):
-        simplex_grid(0)
+        simplex_grid(0, 0.05)
     with pytest.raises(ValueError):
         simplex_grid(2, step=1.5)
 
@@ -158,33 +188,28 @@ def test_pilot_single_point_grid(toy_refs):
         independence_mh(t_density(5, 0.0), 5, 1.0, 400, seed=2),
     )
     pilot = SampleSet(chains=chains)
-    point = np.array([0.6, 0.4])
-    best, diag = pilot_optimal_weights(pilot, toy_refs, grid=[point])
-    np.testing.assert_allclose(best, point)
-    assert len(diag) == 1
+    best, diag = pilot_optimal_weights(pilot, toy_refs, step=0.5)
+    np.testing.assert_array_equal(best, [0.5, 0.5])
+    assert list(diag) == [(0.5, 0.5)]
 
 
 def test_pilot_tie_break_prefers_naive():
     """With identical references every weight gives zero estimated
-    covariance, so the tie-break toward pooled weights decides."""
+    covariance, so the tie-break toward pooled weights decides; when the
+    pooled weights are off the grid, the smallest point wins."""
     refs = [
         discrete_table_density(TABLE_1, id="p"),
         discrete_table_density(TABLE_1, id="q"),
     ]
-    chains = (
-        exact_proportion_chain(TABLE_1, 30, "p"),
-        exact_proportion_chain(TABLE_1, 30, "q"),
-    )
-    pilot = SampleSet(chains=chains)
-    grid = [np.array([0.3, 0.7]), np.array([0.5, 0.5]), np.array([0.7, 0.3])]
-    best, diag = pilot_optimal_weights(pilot, refs, grid=grid)
-    np.testing.assert_allclose(best, [0.5, 0.5])
-    assert all(v == pytest.approx(0.0, abs=1e-12) for v in diag.values())
-    # the same point on any grid order; without naive, the smaller point
-    for order in itertools.permutations(grid):
-        np.testing.assert_allclose(pilot_optimal_weights(pilot, refs, list(order))[0], [0.5, 0.5])
-    for order in ([grid[0], grid[2]], [grid[2], grid[0]]):
-        np.testing.assert_allclose(pilot_optimal_weights(pilot, refs, order)[0], [0.3, 0.7])
+    for lengths, step, winner in (((30, 30), 0.1, [0.5, 0.5]), ((30, 20), 0.25, [0.25, 0.75])):
+        chains = (
+            exact_proportion_chain(TABLE_1, lengths[0], "p"),
+            exact_proportion_chain(TABLE_1, lengths[1], "q"),
+        )
+        best, diag = pilot_optimal_weights(SampleSet(chains=chains), refs, step=step)
+        np.testing.assert_allclose(best, winner)
+        assert len(diag) == round(1 / step) - 1
+        assert all(v == pytest.approx(0.0, abs=1e-12) for v in diag.values())
 
 
 def test_pilot_selected_trace_is_minimal(toy_refs):
@@ -201,8 +226,9 @@ def test_pilot_selected_trace_is_minimal(toy_refs):
 
 def test_pilot_prefers_tilted_weights_on_the_asymmetric_pair(toy_refs):
     """The mixed iid-plus-Markov pair rewards overweighting the cheaper
-    iid chain: the tilted candidate should win in a majority of pilots."""
-    grid = [np.array([0.5, 0.5]), np.array([0.82, 0.18])]
+    iid chain: the tilted candidate should beat the pooled weights in a
+    majority of pilots.  The search's traces are those of estimate_ratios
+    (test_pilot_grid_matches_estimate_ratios_per_point)."""
     wins = 0
     seeds = range(11)
     for s in seeds:
@@ -211,8 +237,11 @@ def test_pilot_prefers_tilted_weights_on_the_asymmetric_pair(toy_refs):
             independence_mh(t_density(5, 0.0), 5, 1.0, 1000, seed=200 + s),
         )
         pilot = SampleSet(chains=chains)
-        best, _ = pilot_optimal_weights(pilot, toy_refs, grid=grid)
-        wins += np.allclose(best, [0.82, 0.18])
+        pooled, tilted = (
+            np.trace(estimate_ratios(pilot, toy_refs, weights=StageWeights(a)).cov)
+            for a in ([0.5, 0.5], [0.82, 0.18])
+        )
+        wins += tilted < pooled
     assert wins > len(seeds) // 2
 
 
@@ -223,7 +252,7 @@ def test_pilot_all_points_failing_raises(toy_refs):
     )
     pilot = SampleSet(chains=chains)
     with pytest.raises(ConvergenceError):
-        pilot_optimal_weights(pilot, toy_refs, grid=[np.array([0.5, 0.5])])
+        pilot_optimal_weights(pilot, toy_refs, step=0.5)
 
 
 def test_pilot_grid_matches_estimate_ratios_per_point():
