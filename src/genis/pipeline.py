@@ -262,9 +262,7 @@ def _validate_reference(ref: ReferenceConfig, where: str):
 def _check_pilot(k: int, weights: WeightConfig, where: str):
     """The pilot rules: the step leaves a nonempty grid, and pilot_sizes,
     when given, lists one positive size per reference."""
-    step = weights.step
-    _require(len(_checked(where, simplex_grid, k, step)) > 0,
-             f"{where}: step {step:g} leaves an empty weight grid for {k} references")
+    _checked(where, simplex_grid, k, weights.step)
     sizes = weights.pilot_sizes
     _require(sizes is None or (len(sizes) == k and all(x > 0 for x in sizes)),
              f"{where}: pilot_sizes must list one positive size per reference")

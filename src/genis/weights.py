@@ -11,7 +11,7 @@ covariance.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -84,18 +84,23 @@ def effective_sample_size(
 def simplex_grid(k: int, step: float):
     """Positive weight vectors on the k-simplex with the given step: the
     compositions of m = round(1/step) into k positive parts, over m, one per
-    choice of k - 1 cut points among 1, ..., m - 1, in lexicographic order."""
+    choice of k - 1 cut points among 1, ..., m - 1, in lexicographic order,
+    yielded lazily once k, the step and the grid's emptiness are checked."""
     if k < 1:
         raise ValueError("k must be positive")
     if not 0 < step < 1:
         raise ValueError("step must lie strictly between 0 and 1")
     m = int(round(1.0 / step))
-    grid = []
-    for cuts in combinations(range(1, m), k - 1):
-        vec = np.diff((0, *cuts, m)) / m
-        if np.all(vec >= WEIGHT_FLOOR):
-            grid.append(vec)
-    return grid
+    # the smallest part c whose c / m passes the floor: 1 while m <= 10**6
+    low = next(c for c in count(max(1, int(m * WEIGHT_FLOOR))) if c / m >= WEIGHT_FLOOR)
+    if k * low > m:
+        raise ValueError(f"step {step:g} leaves an empty weight grid for {k} references")
+    def vectors():
+        for cuts in combinations(range(1, m), k - 1):
+            vec = np.diff((0, *cuts, m)) / m
+            if np.all(vec >= WEIGHT_FLOOR):
+                yield vec
+    return vectors()
 
 
 def pilot_optimal_weights(
@@ -128,9 +133,7 @@ def pilot_optimal_weights(
     diagnostics map from grid points to traces (NaN where skipped).
     """
     k = len(references)
-    grid = simplex_grid(k, step)
-    if len(grid) == 0:
-        raise ValueError("empty weight grid")
+    points = np.asarray(list(simplex_grid(k, step)), dtype=float)
     n_per = pilot_samples.n_per_chain
     n_per_f = n_per.astype(float)
     mats = log_density_matrices(pilot_samples, references)
@@ -140,7 +143,6 @@ def pilot_optimal_weights(
     (overlap,) = _overlap_errors(sum(p[2] for p in start), labels)
     if overlap is not None:
         raise overlap
-    points = np.asarray(grid, dtype=float)
     weights = np.array([StageWeights(a_vec).a for a_vec in points])
     traces = np.full(len(points), math.nan)
     for lo in range(0, len(points), PILOT_CHUNK):

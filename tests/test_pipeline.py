@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import genis
-from genis import cli, pipeline
+from genis import cli, pipeline, weights
 from genis.batch_means import DEFAULT_BM_SPEC
 from genis.cli import main as cli_main
 from genis.errors import ConfigError, UndefinedPointError
@@ -798,6 +798,35 @@ def test_cli_pilot_weights_checks_the_step_whatever_the_kind(tmp_path, capsys, p
     capsys.readouterr()
     assert cli_main(["pilot-weights", "--config", path]) == 2
     assert capsys.readouterr().err.startswith(err)
+
+
+def _three_t_pilot(step) -> dict:
+    refs = [{"family": "t", "sampler": "iid", "df": 5.0, "mu": mu} for mu in (0.0, 1.0, 2.0)]
+    weights_block = {"kind": "pilot", "step": step, "pilot_sizes": [200, 200, 200]}
+    return {"references": refs, "stage1": {"sizes": [300, 300, 300], "weights": weights_block},
+            "master_seed": 5}
+
+
+def test_reading_a_pilot_config_lists_no_grid_point(tmp_path, monkeypatch, capsys):
+    """At k = 3 and step 1e-4 the pilot grid has C(9999, 2), about 5e7,
+    points.  Reading the config and exporting its chains check the step
+    and the grid's emptiness without listing one: the config reader once
+    listed the whole grid to learn that it was nonempty."""
+    def refuse(pool, r):
+        raise AssertionError("the pilot grid was listed")
+
+    monkeypatch.setattr(weights, "combinations", refuse)
+    raw = _three_t_pilot(1e-4)
+    assert config_from_dict(raw).stage1.weights.step == 1e-4
+    out = tmp_path / "o"
+    path = write_config(tmp_path, raw)
+    assert cli_main(["export-chains", "--config", path, "--out", str(out)]) == 0
+    assert len(list((out / "chains").iterdir())) == 3
+    # an empty grid is still a config error with its own text, exit 2
+    path = write_config(tmp_path, _three_t_pilot(0.4), name="empty.json")
+    assert cli_main(["export-chains", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: stage1.weights: step 0.4 leaves an empty weight grid for 3 references\n")
 
 
 def test_cli_oracle_check(tmp_path, capsys):

@@ -150,8 +150,13 @@ def test_simplex_grid_equals_the_product_scan(k):
     bit and in its order, so the pilot search keeps its traces and its
     lexicographic tie-break."""
     for step in (0.05, 0.07, 0.1, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.9):
-        grid = simplex_grid(k, step)
         reference = _product_simplex_grid(k, step)
+        if round(1.0 / step) < k:  # e.g. 0.9 at k >= 2, 0.3 and 1/3 at k >= 4
+            assert reference == []
+            with pytest.raises(ValueError, match="leaves an empty weight grid"):
+                simplex_grid(k, step)
+            continue
+        grid = list(simplex_grid(k, step))
         assert [v.dtype for v in grid] == [np.dtype(float)] * len(reference)
         assert [v.tobytes() for v in grid] == [v.tobytes() for v in reference]
 
@@ -160,16 +165,16 @@ def test_simplex_grid_small_cases():
     assert [tuple(v) for v in simplex_grid(1, 0.05)] == [(1.0,)]
     pts = sorted(tuple(v) for v in simplex_grid(2, step=0.25))
     assert pts == [(0.25, 0.75), (0.5, 0.5), (0.75, 0.25)]
-    pts3 = simplex_grid(3, step=1.0 / 3.0)
+    pts3 = list(simplex_grid(3, step=1.0 / 3.0))
     assert len(pts3) == 1
     np.testing.assert_allclose(pts3[0], 1.0 / 3.0)
 
 
 def test_simplex_grid_covers_and_validates():
-    grid = simplex_grid(2, step=0.05)
+    grid = list(simplex_grid(2, step=0.05))
     assert len(grid) == 19
     # seven weights: 20 parts split at 6 of 19 cut points, each split once
-    assert len(simplex_grid(7, 0.05)) == math.comb(19, 6)
+    assert len(list(simplex_grid(7, 0.05))) == math.comb(19, 6)
     for v in grid:
         assert v.sum() == pytest.approx(1.0, rel=1e-12)
         assert np.all(v > 0)
@@ -177,6 +182,50 @@ def test_simplex_grid_covers_and_validates():
         simplex_grid(0, 0.05)
     with pytest.raises(ValueError):
         simplex_grid(2, step=1.5)
+
+
+def _steps_around(k):
+    """Steps putting m = round(1/step) at k - 1, k and k + 1, some from a
+    half-way value that Python rounds half to even (0.4 gives m = 2 and
+    2/7 gives m = 4)."""
+    for m in (k - 1, k, k + 1):
+        for x in (m - 0.5, m, m + 0.25, m + 0.5):
+            if x > 1:
+                yield 1.0 / x
+
+
+def _raises_where_the_scan_is_empty(k, step) -> bool:
+    """simplex_grid(k, step) yields the product scan's vectors bit for bit,
+    or raises at the call when the scan keeps none; True when it raised."""
+    reference = _product_simplex_grid(k, step)
+    if not reference:
+        with pytest.raises(ValueError) as err:
+            simplex_grid(k, step)
+        assert str(err.value) == f"step {step:g} leaves an empty weight grid for {k} references"
+        return True
+    assert [v.tobytes() for v in simplex_grid(k, step)] == [v.tobytes() for v in reference]
+    return False
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_simplex_grid_raises_exactly_when_the_product_scan_is_empty(k):
+    """The emptiness rule is arithmetic on k and m, yet it agrees with
+    listing the grid on every step around m = k."""
+    steps = list(_steps_around(k))
+    assert {round(1.0 / s) for s in steps} >= {m for m in (k - 1, k, k + 1) if m >= 1}
+    empty = [step for step in steps if _raises_where_the_scan_is_empty(k, step)]
+    assert empty == [step for step in steps if round(1.0 / step) < k]
+
+
+@pytest.mark.parametrize("floor", [0.15, 0.25, 1.0 / 3.0])
+def test_simplex_grid_emptiness_follows_the_floor(monkeypatch, floor):
+    """With a floor above 1/m the smallest part that passes it is more than
+    one step, so fewer than m references fit; the rule still raises exactly
+    when the product scan keeps no vector, also on grids with m >= k."""
+    monkeypatch.setattr(weights, "WEIGHT_FLOOR", floor)
+    steps = (0.1, 0.125, 1.0 / 6.0, 0.2, 1.0 / 3.0)
+    empty = [(k, s) for k in range(1, 7) for s in steps if _raises_where_the_scan_is_empty(k, s)]
+    assert any(round(1.0 / s) >= k for k, s in empty)
 
 
 # -------------------------------------------------------------- pilot search
@@ -369,7 +418,7 @@ def test_pilot_chunks_match_single_fits(monkeypatch, build, step, max_iter):
     if max_iter is not None:
         monkeypatch.setattr(reverse_logistic, "MAX_ITER", max_iter)
     pilot, refs = build()
-    grid = weights.simplex_grid(len(refs), step)
+    grid = list(weights.simplex_grid(len(refs), step))
     assert len(grid) % weights.PILOT_CHUNK
     best, diag = pilot_optimal_weights(pilot, refs, step=step)
     monkeypatch.setattr(weights, "PILOT_CHUNK", 1)
@@ -403,7 +452,7 @@ def test_lockstep_fit_evaluates_only_finite_candidates(monkeypatch):
 
     gap = np.array([0.0, -709.2, -710.2])[:, None]
     mats = [gap + np.array([[0.0, 0.1], [0.0, 0.2], [0.0, -0.1]])] * 3
-    a = np.array(weights.simplex_grid(3, 0.1))
+    a = np.array(list(weights.simplex_grid(3, 0.1)))
     n_per = np.full(3, 2.0)
     monkeypatch.setattr(reverse_logistic, "_parts", spy)
     points, zeta, *_, errors = reverse_logistic._fit(mats, a, n_per)
@@ -425,7 +474,7 @@ def test_pilot_on_tiny_chains_fails_every_point_without_raising_from_a_chunk():
     search reports that every grid point failed."""
     refs = [t_density(5, 1.0), t_density(5, 0.0)]
     pilot = SampleSet(chains=(sample_t_iid(5, 1.0, 3, seed=1), sample_t_iid(5, 0.0, 3, seed=2)))
-    a = np.array(weights.simplex_grid(2, 0.05))
+    a = np.array(list(weights.simplex_grid(2, 0.05)))
     mats = reverse_logistic.log_density_matrices(pilot, refs)
     fit = reverse_logistic._fit(mats, a, pilot.n_per_chain.astype(float))
     assert fit[0].size == len(a)
