@@ -87,26 +87,16 @@ class TargetFamily:
 T_SERIES_DF = 1e3
 
 
-def _t_params(df: float, mu: float) -> tuple[float, float]:
-    """A Student-t's df and center as floats, checked: df in (0, inf), mu finite."""
+def t_density(df: float, mu: float, id: str | None = None) -> UnnormalizedDensity:
+    """Student-t density with df degrees of freedom centered at mu, on the
+    real line; df must lie in (0, inf), with a nonzero half, and mu be finite.
+    Normalized, with its log constant formed once, here.
+    """
     df, mu = float(df), float(mu)
-    if not 0.0 < df < math.inf:
-        raise ValueError("df must be positive and finite")
+    if not 0.0 < df / 2.0 < math.inf:  # at df = 5e-324 the half is 0, lgamma's pole
+        raise ValueError(f"df {df!r} must be positive and finite, with a nonzero half")
     if not math.isfinite(mu):
         raise ValueError("mu must be finite")
-    return df, mu
-
-
-def t_log_density(df: float, mu: float, x) -> np.ndarray:
-    """Log density of a Student-t with df degrees of freedom centered at mu.
-
-    Normalized, so pairs of these have normalizing-constant ratio one.
-
-    >>> math.isclose(t_log_density(1.0, 0.0, 0.0), -math.log(math.pi))  # Cauchy at 0
-    True
-    """
-    df, mu = _t_params(df, mu)
-    x = np.asarray(x, dtype=float)
     if df < T_SERIES_DF:
         const = (
             math.lgamma((df + 1.0) / 2.0)
@@ -115,21 +105,25 @@ def t_log_density(df: float, mu: float, x) -> np.ndarray:
         )
     else:
         const = -0.5 * math.log(2.0 * math.pi) - 0.25 / df + 1.0 / (24.0 * df) / df / df
-    with np.errstate(over="ignore"):  # an infinite square gives log density -inf
-        return const - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / df)
+
+    def log_eval(x):
+        with np.errstate(over="ignore"):  # an infinite square gives log density -inf
+            return const - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / df)
+
+    return UnnormalizedDensity(id=t_label(df, mu) if id is None else id, log_eval=log_eval)
+
+
+def t_log_density(df: float, mu: float, x) -> np.ndarray:
+    """Log density at x of t_density(df, mu).
+
+    >>> math.isclose(t_log_density(1.0, 0.0, 0.0), -math.log(math.pi))  # Cauchy at 0
+    True
+    """
+    return t_density(df, mu).log_eval(np.asarray(x, dtype=float))
 
 
 def t_label(df: float, mu: float) -> str:
     return f"t{df:g}_mu{mu:g}"
-
-
-def t_density(df: float, mu: float, id: str | None = None) -> UnnormalizedDensity:
-    """Student-t density as an UnnormalizedDensity on the real line."""
-    df, mu = _t_params(df, mu)
-    return UnnormalizedDensity(
-        id=t_label(df, mu) if id is None else id,
-        log_eval=lambda x, _df=df, _mu=mu: t_log_density(_df, _mu, x),
-    )
 
 
 def t_family(df: float, mu_values: Sequence[float]) -> TargetFamily:

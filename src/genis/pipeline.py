@@ -260,8 +260,8 @@ def _validate_reference(ref: ReferenceConfig, where: str):
 
 
 def _check_pilot(k: int, weights: WeightConfig, where: str):
-    """The pilot rules: the step leaves a nonempty grid, and pilot_sizes,
-    when given, lists one positive size per reference."""
+    """The pilot rules: the step gives a nonempty grid within its size bound,
+    and pilot_sizes, when given, lists one positive size per reference."""
     _checked(where, simplex_grid, k, weights.step)
     sizes = weights.pilot_sizes
     _require(sizes is None or (len(sizes) == k and all(x > 0 for x in sizes)),

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import UnnormalizedDensity, t_label, t_log_density
+from .densities import UnnormalizedDensity, t_density, t_label, t_log_density
 from .errors import InvalidModelError
 
 CHAIN_KINDS = ("iid", "markov")
@@ -226,8 +226,8 @@ def independence_mh(
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    df = float(proposal_df)
-    mu = float(proposal_mu)
+    q = t_density(proposal_df, proposal_mu)
+    df, mu = float(proposal_df), float(proposal_mu)
     log_c = None if splitting_const is None else log_splitting_const(splitting_const)
     if with_regen and log_c is None:
         log_c = tune_splitting_constant(
@@ -236,9 +236,7 @@ def independence_mh(
 
     rng = np.random.default_rng(seed)
     proposals = mu + rng.standard_t(df, size=n)
-    # a tiny df overflows standard_t or the square in q, where q vanishes
-    with np.errstate(over="ignore"):
-        log_q = t_log_density(df, mu, proposals)
+    log_q = q.log_eval(proposals)  # -inf where a tiny df overflows standard_t
     if np.any(np.isneginf(log_q)) or np.any(np.isnan(log_q)):
         raise InvalidModelError("proposal density vanished at its own draw")
     log_omega = target.log_density(proposals) - log_q

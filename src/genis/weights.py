@@ -11,7 +11,7 @@ covariance.
 from __future__ import annotations
 
 import math
-from itertools import combinations, count
+from itertools import combinations
 
 import numpy as np
 
@@ -30,6 +30,10 @@ from .samplers import SampleSet
 
 WEIGHT_FLOOR = 1e-6
 DEFAULT_STEP = 0.05  # the config's pilot grid spacing on the simplex
+# the most pilot grid points, and parts per weight, a step may give: a point
+# takes 1-1.5 ms to fit at 3 x 2,000 pilot draws and ~0.5 KB to list, so the
+# largest search takes 100-150 s and lists ~50 MB
+MAX_GRID_POINTS = 10**5
 # grid points fitted in lockstep at once: more share each round's fixed
 # cost, but their membership probabilities are alive together
 PILOT_CHUNK = 6
@@ -85,21 +89,24 @@ def simplex_grid(k: int, step: float):
     """Positive weight vectors on the k-simplex with the given step: the
     compositions of m = round(1/step) into k positive parts, over m, one per
     choice of k - 1 cut points among 1, ..., m - 1, in lexicographic order,
-    yielded lazily once k, the step and the grid's emptiness are checked."""
+    yielded lazily once arithmetic on k and m shows it nonempty and within
+    MAX_GRID_POINTS, so that every part, 1/m or more, passes WEIGHT_FLOOR."""
     if k < 1:
         raise ValueError("k must be positive")
     if not 0 < step < 1:
         raise ValueError("step must lie strictly between 0 and 1")
-    m = int(round(1.0 / step))
-    # the smallest part c whose c / m passes the floor: 1 while m <= 10**6
-    low = next(c for c in count(max(1, int(m * WEIGHT_FLOOR))) if c / m >= WEIGHT_FLOOR)
-    if k * low > m:
+    if not 1.0 / step <= MAX_GRID_POINTS + 0.5:  # m past the bound, or 1/step inf
+        raise ValueError(f"step {step:g} is finer than the grid's bound 1/{MAX_GRID_POINTS}")
+    m = round(1.0 / step)
+    if m < k:
         raise ValueError(f"step {step:g} leaves an empty weight grid for {k} references")
+    points = math.comb(m - 1, k - 1)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"step {step:g} gives {points} grid points for {k} references, "
+                         f"more than {MAX_GRID_POINTS}")
     def vectors():
         for cuts in combinations(range(1, m), k - 1):
-            vec = np.diff((0, *cuts, m)) / m
-            if np.all(vec >= WEIGHT_FLOOR):
-                yield vec
+            yield np.diff((0, *cuts, m)) / m
     return vectors()
 
 

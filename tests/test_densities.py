@@ -56,6 +56,38 @@ def test_t_log_density_large_df_matches_mpmath(df):
     assert float(t_log_density(df, 0.0, 0.0)) == pytest.approx(exact, abs=1.2e-16)
 
 
+def _per_call_t_log_density(df, mu, x):
+    """The t log density as it was before t_density formed its constant
+    once: checks and both lgamma calls on every evaluation."""
+    df, mu = float(df), float(mu)
+    x = np.asarray(x, dtype=float)
+    if df < densities.T_SERIES_DF:
+        const = (
+            math.lgamma((df + 1.0) / 2.0)
+            - math.lgamma(df / 2.0)
+            - 0.5 * math.log(df * math.pi)
+        )
+    else:
+        const = -0.5 * math.log(2.0 * math.pi) - 0.25 / df + 1.0 / (24.0 * df) / df / df
+    with np.errstate(over="ignore"):
+        return const - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / df)
+
+
+@pytest.mark.parametrize("df", [1e-3, 0.5, 5.0, 999.0, 1e3, 1e300])
+def test_t_density_equals_the_per_call_form_bit_for_bit(df):
+    """t_density gives the per-call form's log densities bit for bit, on
+    both sides of T_SERIES_DF and where the square overflows to inf."""
+    rng = np.random.default_rng(28)
+    for mu in (0.0, -1.5, *rng.normal(scale=30.0, size=3)):
+        x = np.concatenate([mu + rng.standard_t(3.0, size=300), [mu, 1e200, -3e160, 1e308]])
+        expected = _per_call_t_log_density(df, mu, x)
+        assert np.isneginf(expected[-3:]).all()  # the squares overflow
+        assert t_density(df, mu).log_density(x).tobytes() == expected.tobytes()
+        assert t_log_density(df, mu, x).tobytes() == expected.tobytes()
+        scalar = np.asarray(_per_call_t_log_density(df, mu, x[0]))
+        assert np.asarray(t_log_density(df, mu, float(x[0]))).tobytes() == scalar.tobytes()
+
+
 def test_t_density_integrates_to_one():
     from scipy import integrate
 

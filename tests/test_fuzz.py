@@ -120,7 +120,8 @@ POOLS = {
     "label": lambda c: _valid(c, (f"r{c.index}", None if c.index else ""), ("a",)),
     "kind": _kinds,
     "values": _per_chain((1.0, 3.0), (1e-300,)),
-    "step": lambda c: _valid(c, (0.5, 0.25, 0.2)[c.k // 3:], (0.5,)),  # none for k = 3
+    # none valid for k = 3; 1e-310 has an infinite 1/step
+    "step": lambda c: _valid(c, (0.5, 0.25, 0.2)[c.k // 3:], (0.5, 1e-310)),
     "pilot_sizes": _per_chain((50,), SMALL),
     "sizes": _per_chain((50, 100), SMALL),
     "TargetConfig.family": lambda c: _valid(
@@ -256,6 +257,28 @@ FAR_IMH_PROPOSAL = {
     "stage1": {"sizes": [50]},
     "master_seed": 1,
 }
+# configs that once crashed in every command, or in estimate and replicate,
+# with a traceback: a pilot step whose 1/step is inf (OverflowError), and a
+# proposal or target df whose half underflows to lgamma's pole at 0
+# (ValueError: math domain error)
+TWO_T = [{"family": "t", "sampler": "iid", "df": 5.0, "mu": mu} for mu in (0.0, 1.0)]
+SUBNORMAL_PILOT_STEP = {
+    "references": TWO_T,
+    "stage1": {"sizes": [50, 50], "weights": {"kind": "pilot", "step": 1e-310}},
+    "master_seed": 1,
+}
+SUBNORMAL_PROPOSAL_DF = {
+    "references": [{"family": "t", "sampler": "imh", "df": 5.0, "mu": 0.0,
+                    "proposal_df": 5e-324, "proposal_mu": 1.0}],
+    "stage1": {"sizes": [50]},
+    "master_seed": 1,
+}
+SUBNORMAL_TARGET_DF = {
+    "references": TWO_T,
+    "stage1": {"sizes": [50, 50]},
+    "targets": {"family": "t", "df": 5e-324, "mu_grid": [0.5]},
+    "master_seed": 1,
+}
 
 
 def test_every_command_exits_cleanly_on_any_config(monkeypatch):
@@ -269,6 +292,9 @@ def test_every_command_exits_cleanly_on_any_config(monkeypatch):
     @given(raw=configs)
     @example(raw=HUGE_TABLE_TARGET)
     @example(raw=FAR_IMH_PROPOSAL)
+    @example(raw=SUBNORMAL_PILOT_STEP)
+    @example(raw=SUBNORMAL_PROPOSAL_DF)
+    @example(raw=SUBNORMAL_TARGET_DF)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def run(raw):
         with tempfile.TemporaryDirectory() as tmp:

@@ -757,12 +757,14 @@ def test_cli_pilot_weights_are_the_estimators_weights(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate-d", "pilot-weights"])
-@pytest.mark.parametrize("step", [0, 1.5, -0.1, 0.7])
+@pytest.mark.parametrize("step", [0, 1.5, -0.1, 0.7, 1e-310, 5e-324, 1e-6])
 def test_cli_bad_pilot_step_is_a_config_error(tmp_path, capsys, command, step):
-    """A pilot grid step outside (0, 1), or one that leaves the grid empty
-    (0.7 rounds to one step per unit, too few for two positive weights),
-    exits 2 naming stage1.weights before any chain is drawn; it used to
-    exit 1 with a ValueError traceback from the grid search."""
+    """A pilot grid step outside (0, 1), one that leaves the grid empty
+    (0.7 rounds to one step per unit, too few for two positive weights), or
+    one finer than the grid's bound exits 2 naming stage1.weights before any
+    chain is drawn.  Steps outside (0, 1) or leaving the grid empty used to
+    exit 1 with a ValueError traceback from the grid search, and subnormal
+    steps, whose 1/step is inf, with an OverflowError from rounding it."""
     raw = toy_config(targets=None)
     raw["stage1"]["weights"] = {"kind": "pilot", "step": step, "pilot_sizes": [300, 300]}
     path = write_config(tmp_path, raw)
@@ -808,25 +810,58 @@ def _three_t_pilot(step) -> dict:
 
 
 def test_reading_a_pilot_config_lists_no_grid_point(tmp_path, monkeypatch, capsys):
-    """At k = 3 and step 1e-4 the pilot grid has C(9999, 2), about 5e7,
-    points.  Reading the config and exporting its chains check the step
-    and the grid's emptiness without listing one: the config reader once
-    listed the whole grid to learn that it was nonempty."""
+    """At k = 3 and step 0.005 the pilot grid has C(199, 2) = 19,701 points.
+    Reading the config and exporting its chains check the step, the grid's
+    emptiness and its size without listing one: the config reader once
+    listed the whole grid to learn that it was nonempty.  At step 1e-4 the
+    grid would have C(9999, 2), about 5e7, points, which the bound refuses
+    by their count."""
     def refuse(pool, r):
         raise AssertionError("the pilot grid was listed")
 
     monkeypatch.setattr(weights, "combinations", refuse)
-    raw = _three_t_pilot(1e-4)
-    assert config_from_dict(raw).stage1.weights.step == 1e-4
+    raw = _three_t_pilot(0.005)
+    assert config_from_dict(raw).stage1.weights.step == 0.005
     out = tmp_path / "o"
     path = write_config(tmp_path, raw)
     assert cli_main(["export-chains", "--config", path, "--out", str(out)]) == 0
     assert len(list((out / "chains").iterdir())) == 3
+    path = write_config(tmp_path, _three_t_pilot(1e-4), name="fine.json")
+    assert cli_main(["export-chains", "--config", path, "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == ("config error: stage1.weights: step 0.0001 gives "
+                                       "49985001 grid points for 3 references, more than 100000\n")
+    assert not (tmp_path / "f").exists()
     # an empty grid is still a config error with its own text, exit 2
     path = write_config(tmp_path, _three_t_pilot(0.4), name="empty.json")
     assert cli_main(["export-chains", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "config error: stage1.weights: step 0.4 leaves an empty weight grid for 3 references\n")
+
+
+@pytest.mark.parametrize("where, command", [
+    ("targets", "estimate"),
+    ("references[1] proposal", "export-chains"),
+    ("references[0]", "export-chains"),
+])
+def test_cli_df_whose_half_underflows_is_a_config_error(tmp_path, capsys, where, command):
+    """At df = 5e-324 the half df underflows to 0, where lgamma has a pole,
+    so a t density has no normalizing constant.  Such a targets.df or imh
+    proposal_df once exited 1 with "math domain error" from the target
+    sweep or the proposal draws, and a reference df exited 5 when its iid
+    draws overflowed; each now exits 2 naming its field, before any chain
+    is drawn."""
+    raw = toy_config()
+    if where == "targets":
+        raw["targets"]["df"] = 5e-324
+    elif where.endswith("proposal"):
+        raw["references"][1]["proposal_df"] = 5e-324
+    else:
+        raw["references"][0]["df"] = 5e-324
+    path = write_config(tmp_path, raw)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {where}: df 5e-324 must be positive and finite, with a nonzero half\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_oracle_check(tmp_path, capsys):

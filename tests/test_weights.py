@@ -217,15 +217,19 @@ def test_simplex_grid_raises_exactly_when_the_product_scan_is_empty(k):
     assert empty == [step for step in steps if round(1.0 / step) < k]
 
 
-@pytest.mark.parametrize("floor", [0.15, 0.25, 1.0 / 3.0])
-def test_simplex_grid_emptiness_follows_the_floor(monkeypatch, floor):
-    """With a floor above 1/m the smallest part that passes it is more than
-    one step, so fewer than m references fit; the rule still raises exactly
-    when the product scan keeps no vector, also on grids with m >= k."""
-    monkeypatch.setattr(weights, "WEIGHT_FLOOR", floor)
-    steps = (0.1, 0.125, 1.0 / 6.0, 0.2, 1.0 / 3.0)
-    empty = [(k, s) for k in range(1, 7) for s in steps if _raises_where_the_scan_is_empty(k, s)]
-    assert any(round(1.0 / s) >= k for k, s in empty)
+def test_the_grid_bound_keeps_every_weight_above_the_floor():
+    """The grid has at most MAX_GRID_POINTS parts per weight, so its smallest
+    weight 1/m clears WEIGHT_FLOOR with no filter, also on the finest and
+    largest grid the bound accepts: m = MAX_GRID_POINTS at k = 2."""
+    assert weights.MAX_GRID_POINTS * weights.WEIGHT_FLOOR < 1
+    finest = 1.0 / (weights.MAX_GRID_POINTS + 0.5)  # rounds half to even, to the bound
+    grid = np.array(list(simplex_grid(2, finest)))
+    assert grid.shape == (weights.MAX_GRID_POINTS - 1, 2)
+    assert grid.min() == 1.0 / weights.MAX_GRID_POINTS > weights.WEIGHT_FLOOR
+    with pytest.raises(ValueError, match="finer than the grid's bound"):
+        simplex_grid(2, np.nextafter(finest, 0.0))
+    for k in range(1, 21):  # the bound admits every k at the default step
+        simplex_grid(k, weights.DEFAULT_STEP)
 
 
 # -------------------------------------------------------------- pilot search
