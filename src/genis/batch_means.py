@@ -8,9 +8,10 @@ of length b, the estimator is
 where Zbar_m are block means and Zbb is the grand mean over the e*b
 points actually used.  Trailing remainder points are dropped.  `bm_cov`
 takes the p series as the rows of a (p, n) array, or a (..., p, n) stack
-of such series, and accumulates entries per row pair in a fixed order, so
-the (j, j) entry of a p-row call is bitwise identical to a one-row call on
-row j, and each series of a stack gives what it gives alone.
+of such series, and a `BatchMeansSpec`, from which `block_size`, the owner
+of the two-batch rule, gives b.  It accumulates entries per row pair in a
+fixed order, so the (j, j) entry of a p-row call is bitwise identical to a
+one-row call on row j, and each series of a stack gives what it gives alone.
 """
 
 from __future__ import annotations
@@ -53,25 +54,17 @@ def block_size(n: int, spec: BatchMeansSpec = DEFAULT_BM_SPEC) -> int:
     return max(1, min(b, n // 2))
 
 
-def bm_cov(rows, b: int) -> np.ndarray:
+def bm_cov(rows: np.ndarray, spec: BatchMeansSpec) -> np.ndarray:
     """Batch means long-run covariance of the series whose p rows are given.
 
-    `rows` is a (p, n) array, or a (..., p, n) stack of p-row series.
-    Returns one (p, p) symmetric PSD matrix per series, (..., p, p), on the
-    per-sample scale, i.e. it estimates lim n*Cov(mean of the series).
+    `rows` is a (p, n) float array, or a (..., p, n) stack of p-row series,
+    in blocks of `block_size(n, spec)`.  Returns one (p, p) symmetric PSD
+    matrix per series, (..., p, p), on the per-sample scale, i.e. it
+    estimates lim n*Cov(mean of the series).
     """
-    rows = np.asarray(rows, dtype=float)
-    n = rows.shape[-1] if rows.ndim > 1 and rows.shape[-2] > 0 else 0
-    if n < 1:
-        raise ValueError("rows must be a nonempty (..., p, n) array")
-    b = int(b)
-    if b < 1:
-        raise ValueError("block size must be positive")
+    n = rows.shape[-1]
+    b = block_size(n, spec)
     e = n // b
-    if e < 2:
-        raise InsufficientDataError(
-            f"batch means needs at least 2 full blocks, got n={n}, b={b}"
-        )
     # contiguous blocks and centered rows keep the reduction and np.dot on
     # one kernel whatever the layout and however many rows share the call
     # (rows that are each contiguous split into blocks without a copy);

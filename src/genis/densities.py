@@ -91,6 +91,9 @@ def t_density(df: float, mu: float, id: str | None = None) -> UnnormalizedDensit
     """Student-t density with df degrees of freedom centered at mu, on the
     real line; df must lie in (0, inf), with a nonzero half, and mu be finite.
     Normalized, with its log constant formed once, here.
+
+    >>> math.isclose(t_density(1.0, 0.0).log_density(0.0)[0], -math.log(math.pi))  # Cauchy
+    True
     """
     df, mu = float(df), float(mu)
     if not 0.0 < df / 2.0 < math.inf:  # at df = 5e-324 the half is 0, lgamma's pole
@@ -111,15 +114,6 @@ def t_density(df: float, mu: float, id: str | None = None) -> UnnormalizedDensit
             return const - 0.5 * (df + 1.0) * np.log1p((x - mu) ** 2 / df)
 
     return UnnormalizedDensity(id=t_label(df, mu) if id is None else id, log_eval=log_eval)
-
-
-def t_log_density(df: float, mu: float, x) -> np.ndarray:
-    """Log density at x of t_density(df, mu).
-
-    >>> math.isclose(t_log_density(1.0, 0.0, 0.0), -math.log(math.pi))  # Cauchy at 0
-    True
-    """
-    return t_density(df, mu).log_eval(np.asarray(x, dtype=float))
 
 
 def t_label(df: float, mu: float) -> str:
@@ -164,7 +158,6 @@ def log_sum_exp_rows(mat: np.ndarray) -> np.ndarray:
     Raises UndefinedPointError when a whole row is -inf, because every
     caller needs at least one positive term in the mixture there.
     """
-    mat = np.asarray(mat, dtype=float)
     m = np.max(mat, axis=1)
     if np.any(np.isneginf(m)):
         raise UndefinedPointError("all mixture components vanish at a state")

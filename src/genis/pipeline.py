@@ -770,8 +770,6 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         # numpy scalars subclass float but repr with a type wrapper
         return repr(float(value))
     return str(value)
@@ -800,7 +798,7 @@ def write_d_estimate_csv(path, est: RatioEstimate, ref_labels: Sequence[str]):
     for method, cov in (("bm", est.cov_bm), ("rs", est.cov_rs)):
         if cov is None:
             continue
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / est.n_total)
+        se = est.se_of(cov)
         for j in range(est.d_hat.size):
             rows.append(
                 [

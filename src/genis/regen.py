@@ -10,8 +10,8 @@ series over the tours with `_tour_sums`:
   rows of ``tours.csv`` as a `ChainTours`, from the stage-2 mixture that
   `importance` builds for the target sweep;
 - `rs_long_run_cov`, stage 1's regenerative route, estimates the long-run
-  covariance of series given as rows along a chain, as `bm_cov` takes
-  them.
+  covariance of series given as the rows of a (k, n) array along a chain,
+  the layout `bm_cov` takes.
 """
 
 from __future__ import annotations
@@ -62,19 +62,16 @@ def _tour_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return sums
 
 
-def rs_long_run_cov(rows, chain: ChainSample) -> np.ndarray:
+def rs_long_run_cov(rows: np.ndarray, chain: ChainSample) -> np.ndarray:
     """Regenerative estimate of the long-run covariance of a vector series.
 
-    `rows` is a (k, n) array of k series along `chain`, as `bm_cov` takes
-    them.  Tour sums G_t over the chain's complete tours give the
+    `rows` is a (k, n) float array of k series along `chain`, the layout
+    `bm_cov` takes.  Tour sums G_t over the chain's complete tours give the
     per-sample scale estimate sum_t (G_t - gbar T_t)(G_t - gbar T_t)^T /
     sum_t T_t, with gbar the ratio estimate of the series mean.  For an
     iid chain without marks every draw is a tour, and this is the plain
     sample covariance.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != chain.n:
-        raise ValueError("rows must be a (k, n) array or k 1-d arrays along the chain")
     x = rows.T  # (n, k): C-ordered (m, k) tour sums add up tour by tour
     if chain.kind == "iid" and chain.regen_marks is None:
         centered = x - x.mean(axis=0)

@@ -66,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, bm_cov, block_size
+from .batch_means import DEFAULT_BM_SPEC, BatchMeansSpec, bm_cov
 from .densities import UnnormalizedDensity
 from .errors import ConvergenceError, DegenerateDenominatorError, EstimationError
 from .errors import InsufficientDataError, UndefinedPointError
@@ -127,15 +127,19 @@ class RatioEstimate:
             raise ValueError("no covariance estimate was computed")
         return c
 
+    def se_of(self, cov: np.ndarray) -> np.ndarray:
+        """sqrt(diag(cov) / n) for one of this estimate's covariances."""
+        return np.sqrt(np.clip(np.diag(cov), 0.0, None) / self.n_total)
+
     @property
     def se(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None) / self.n_total)
+        return self.se_of(self.cov)
 
     @property
     def se_rs(self) -> np.ndarray:
         if self.cov_rs is None:
             raise ValueError("no regenerative covariance estimate was computed")
-        return np.sqrt(np.clip(np.diag(self.cov_rs), 0.0, None) / self.n_total)
+        return self.se_of(self.cov_rs)
 
 
 def log_density_matrices(
@@ -388,11 +392,7 @@ def fit_reverse_logistic(
 
 def zeta_to_ratios(zeta, a) -> np.ndarray:
     """Map the fitted offsets to ratio estimates d_j = e^{z_1 - z_j} a_j / a_1,
-    along the last axis of zeta and a."""
-    zeta = np.asarray(zeta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if zeta.shape != a.shape:
-        raise ValueError("zeta and a must have the same length")
+    along the last axis of the same-shape arrays zeta and a."""
     return np.exp(zeta[..., :1] - zeta[..., 1:]) * a[..., 1:] / a[..., :1]
 
 
@@ -403,7 +403,6 @@ def ratio_jacobian(d_hat) -> np.ndarray:
     Row 0 holds (d_2..d_k); row j has -d_{j+1} on its diagonal entry.
     Columns sum to zero.
     """
-    d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
     km1 = d_hat.shape[-1]
     out = np.zeros(d_hat.shape[:-1] + (km1 + 1, km1))
     out[..., 0, :] = d_hat
@@ -443,7 +442,7 @@ def _omega(
     omega = np.zeros((a.shape[0], a.shape[1], a.shape[1]))
     for l, p in enumerate(probs):
         if method == "bm":
-            sigma_l = bm_cov(p, block_size(p.shape[2], bm_spec))
+            sigma_l = bm_cov(p, bm_spec)
         else:
             sigma_l = np.array([rs_long_run_cov(x, chains[l]) for x in p])
         omega += ((n / p.shape[2]) * a[:, l] ** 2)[:, None, None] * sigma_l
@@ -477,12 +476,7 @@ def sym_pseudo_inverse(mat) -> np.ndarray:
     Eigenvalues with magnitude at most k * machine epsilon times the
     largest are treated as zero.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
-        raise ValueError("matrix must be square")
     k = mat.shape[-1]
-    if k == 0:
-        return np.zeros(mat.shape)
     vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
     cutoff = k * np.finfo(float).eps * np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
     inv_vals = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
@@ -500,16 +494,16 @@ def _deflated_info_pinv(info: np.ndarray) -> np.ndarray:
     inverts noise into enormous entries.  Shifting along the known null
     direction before inverting and subtracting the shift afterwards is
     exact when the row sums vanish and stays bounded when they almost do.
-    A matrix with no positive trace has the pseudo-inverse zero.
+    A matrix with no positive trace has the pseudo-inverse zero.  `info`
+    is exactly symmetric, as `_combine` forms it, and so is the result.
     """
-    info = 0.5 * (info + np.swapaxes(info, -1, -2))
     k = info.shape[-1]
     lam = np.trace(info, axis1=-2, axis2=-1)[..., None, None]
     zero = lam <= 0.0
     shift = np.where(zero, 1.0, lam)
     j = np.full((k, k), 1.0 / k)
     out = sym_pseudo_inverse(info + shift * j) - j / shift
-    return np.where(zero, 0.0, 0.5 * (out + np.swapaxes(out, -1, -2)))
+    return np.where(zero, 0.0, out)
 
 
 def _overlap_errors(info: np.ndarray, labels: Sequence[str]) -> list:
@@ -534,9 +528,6 @@ def _overlap_errors(info: np.ndarray, labels: Sequence[str]) -> list:
 def ratio_covariance(d_jacobian, info_pinv, omega) -> np.ndarray:
     """Sandwich covariance D^T B^+ Omega B^+ D of the scaled ratio errors,
     of one point or of each of a stack."""
-    d_jacobian = np.asarray(d_jacobian, dtype=float)
-    info_pinv = np.asarray(info_pinv, dtype=float)
-    omega = np.asarray(omega, dtype=float)
     inner = info_pinv @ omega @ info_pinv
     out = np.swapaxes(d_jacobian, -1, -2) @ inner @ d_jacobian
     return 0.5 * (out + np.swapaxes(out, -1, -2))

@@ -12,15 +12,15 @@ c, an accepted move x -> y is a regeneration with probability
 
 evaluated here in log space.  A True entry in regen_marks at index i
 means a new tour starts at state i; index 0 always starts a tour.  The
-samplers draw the proposals, and `_run_imh` draws and frees the rest: the
-accept uniforms, read straight from their float64 buffer by the MH loop,
-which flags the accepted indices in an n-byte mask, and then the coin
-uniforms, kept only at those indices.  States and the splitting coin are
-computed vectorized from the accepted indices, bitwise equal to a
-per-step loop.  A marked chain of length n peaks at about 5.7 n-length
-float64 arrays: the proposals, log omega and the states, plus five arrays
-over the accepted indices for the splitting coin (about 0.54 n each for
-the shipped t chains).
+samplers draw the proposals and log omega, and `_run_imh` draws and frees
+the rest: the accept uniforms, read straight from their float64 buffer by
+the MH loop, which flags the accepted indices in an n-byte mask, and then
+the coin uniforms, kept only at those indices.  It returns each state's
+index among the proposals and the marks, computed vectorized from the
+accepted indices, bitwise equal to a per-step loop.  A marked chain of
+length n peaks at about 5.7 n-length arrays of 8 bytes an entry: the
+proposals, log omega and the state indices, plus five arrays over the
+accepted indices for the splitting coin (about 0.54 n each for t chains).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import UnnormalizedDensity, t_density, t_label, t_log_density
+from .densities import UnnormalizedDensity, t_density, t_label
 from .errors import InvalidModelError
 
 CHAIN_KINDS = ("iid", "markov")
@@ -141,23 +141,23 @@ def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _run_imh(
     log_omega_prop: np.ndarray,
-    proposals: np.ndarray,
     rng: np.random.Generator,
     log_c: float | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Accept/reject recursion shared by the continuous and discrete kernels.
 
-    `rng` then gives n accept uniforms and, when log_c is not None, n coin
+    Returns the index of each state among the proposals, and the marks.
+    `rng` gives n accept uniforms and, when log_c is not None, n coin
     uniforms.  The loop indexes memoryviews of the float64 inputs, so it
     makes no Python copy of them, and flags each accepted index in a
     bytearray; the temporaries after it are updated in place.  The
-    trajectory depends only on the proposals and the accept uniforms, so
+    trajectory depends only on log omega and the accept uniforms, so
     marking regenerations does not perturb it.  log omega is finite or
     -inf.  The chain starts at the first proposal with mass, and the
     recursion rejects every zero-mass proposal after it, so no zero-mass
-    state is emitted.
+    proposal is picked.
     """
-    n = proposals.shape[0]
+    n = log_omega_prop.shape[0]
     finite = np.isfinite(log_omega_prop)
     start = int(np.argmax(finite))
     if not finite[start]:
@@ -178,10 +178,9 @@ def _run_imh(
     del accepted
     pick = np.full(n, start, dtype=np.intp)
     pick[acc] = acc
-    states = proposals[np.maximum.accumulate(pick, out=pick)]
-    del pick
+    np.maximum.accumulate(pick, out=pick)
     if log_c is None:
-        return states, None
+        return pick, None
     log_coin = _log_uniform(rng, n)[acc]  # only the accepted moves can regenerate
     # accept x -> y: (min(0, c - x) + min(0, y - c)) - min(0, y - x), with
     # fmin ignoring NaN as min does; a zero's sign cannot flip the coin
@@ -202,7 +201,7 @@ def _run_imh(
     marks = np.zeros(n, dtype=bool)
     marks[acc[log_coin < log_r]] = True
     marks[0] = True
-    return states, marks
+    return pick, marks
 
 
 def independence_mh(
@@ -231,24 +230,29 @@ def independence_mh(
     log_c = None if splitting_const is None else log_splitting_const(splitting_const)
     if with_regen and log_c is None:
         log_c = tune_splitting_constant(
-            target, df, mu, min(2000, max(100, n)), derive_seed(seed, 0x5147)
+            target, q, df, mu, min(2000, max(100, n)), derive_seed(seed, 0x5147)
         )
 
     rng = np.random.default_rng(seed)
-    proposals = mu + rng.standard_t(df, size=n)
-    log_q = q.log_eval(proposals)  # -inf where a tiny df overflows standard_t
-    if np.any(np.isneginf(log_q)) or np.any(np.isnan(log_q)):
-        raise InvalidModelError("proposal density vanished at its own draw")
-    log_omega = target.log_density(proposals) - log_q
-    del log_q
-    states, marks = _run_imh(log_omega, proposals, rng, log_c if with_regen else None)
+    proposals, log_omega = _t_proposals(target, q, df, mu, n, rng)
+    pick, marks = _run_imh(log_omega, rng, log_c if with_regen else None)
+    del log_omega
     return ChainSample(
         density_id=target.id,
-        states=states,
+        states=proposals[pick],
         kind="markov",
         seed=int(seed),
         regen_marks=marks,
     )
+
+
+def _t_proposals(target, q, df, mu, n, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n draws from rng of q, the t density of df and mu, and log omega."""
+    proposals = mu + rng.standard_t(df, size=n)
+    log_q = q.log_eval(proposals)  # -inf where a tiny df overflows standard_t
+    if np.any(np.isneginf(log_q)) or np.any(np.isnan(log_q)):
+        raise InvalidModelError("proposal density vanished at its own draw")
+    return proposals, target.log_density(proposals) - log_q
 
 
 def log_splitting_const(splitting_const: float) -> float:
@@ -260,17 +264,17 @@ def log_splitting_const(splitting_const: float) -> float:
 
 def tune_splitting_constant(
     target: UnnormalizedDensity,
+    q: UnnormalizedDensity,
     proposal_df: float,
     proposal_mu: float,
     pilot_n: int,
     seed: int,
 ) -> float:
     """Log of the splitting constant: the median of log omega over a pilot
-    chain's states."""
-    pilot = independence_mh(target, proposal_df, proposal_mu, pilot_n, seed)
-    log_q = t_log_density(proposal_df, proposal_mu, pilot.states)
-    log_omega = target.log_density(pilot.states) - log_q
-    return float(np.median(log_omega))
+    chain's states, read from the log omega of its proposals from q."""
+    rng = np.random.default_rng(seed)
+    log_omega = _t_proposals(target, q, proposal_df, proposal_mu, pilot_n, rng)[1]
+    return float(np.median(log_omega[_run_imh(log_omega, rng, None)[0]]))
 
 
 def discrete_mh(
@@ -302,10 +306,10 @@ def discrete_mh(
         pos = np.exp(log_tab[np.isfinite(log_tab)])
         splitting_const = float(np.median(pos))
     log_c = log_splitting_const(splitting_const) if with_regen else None
-    states, marks = _run_imh(log_omega, proposals, rng, log_c)
+    pick, marks = _run_imh(log_omega, rng, log_c)
     return ChainSample(
         density_id=target.id,
-        states=states,
+        states=proposals[pick],
         kind="markov",
         seed=int(seed),
         regen_marks=marks,

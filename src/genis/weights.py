@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .batch_means import DEFAULT_BM_SPEC, MIN_DRAWS, BatchMeansSpec, block_size, bm_cov
+from .batch_means import DEFAULT_BM_SPEC, MIN_DRAWS, BatchMeansSpec, bm_cov
 from .errors import ConvergenceError
 from .reverse_logistic import (
     RatioEstimate,
@@ -79,7 +79,7 @@ def effective_sample_size(
     n = x.size
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = float(np.var(x, ddof=1))
-        lrv = float(bm_cov(x[None], block_size(n, bm_spec))[0, 0]) if 0.0 < s2 < math.inf else 0.0
+        lrv = float(bm_cov(x[None], bm_spec)[0, 0]) if 0.0 < s2 < math.inf else 0.0
     if not 0.0 < lrv < math.inf:
         return float(n)
     return float(min(n * s2 / lrv, n))

@@ -113,6 +113,13 @@ def toy_refs():
     return [t_density(5, 1.0), t_density(5, 0.0)]
 
 
+def t_log_pdf(df, mu, x):
+    """Log density of t_density(df, mu) at x: an array, or a float at a
+    scalar x."""
+    out = t_density(df, mu).log_density(x)
+    return out if np.ndim(x) else float(out[0])
+
+
 def mixture(references, coef, id="mixture"):
     """The positive combination sum_s coef[s] * nu_s as a density."""
     log_coef = np.log(np.asarray(coef, dtype=float))

@@ -7,8 +7,12 @@ from genis.batch_means import BatchMeansSpec, block_size, bm_cov
 from genis.errors import InsufficientDataError
 
 
-def _variance(x, b):
-    return float(bm_cov([x], b)[0, 0])
+def _spec(b):
+    return BatchMeansSpec(explicit_b=b)
+
+
+def _variance(x, spec):
+    return float(bm_cov(x[None], spec)[0, 0])
 
 
 def test_block_size_default_rule():
@@ -49,9 +53,8 @@ def test_iid_long_run_variance_replications():
     hits = 0
     reps = 200
     n = 100_000
-    b = block_size(n, BatchMeansSpec())
     for _ in range(reps):
-        est = _variance(rng.standard_normal(n), b)
+        est = _variance(rng.standard_normal(n), BatchMeansSpec())
         hits += 0.85 <= est <= 1.15
     assert hits / reps >= 0.90
 
@@ -68,7 +71,7 @@ def test_ar1_long_run_variance():
     for i in range(1, n):
         x[i] = phi * x[i - 1] + innov[i]
     truth = 1.0 / (1.0 - phi) ** 2
-    est = _variance(x, block_size(n, BatchMeansSpec()))
+    est = _variance(x, BatchMeansSpec())
     assert est == pytest.approx(truth, rel=0.15)
 
 
@@ -77,7 +80,7 @@ def test_trailing_remainder_dropped():
     x = np.arange(10, dtype=float)
     y = x.copy()
     y[9] = 1e6
-    assert _variance(x, 3) == _variance(y, 3)
+    assert _variance(x, _spec(3)) == _variance(y, _spec(3))
 
 
 def test_vector_and_scalar_paths_agree_bitwise():
@@ -85,9 +88,9 @@ def test_vector_and_scalar_paths_agree_bitwise():
     entry for entry, or downstream dual-route checks cannot be exact."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal(500)
-    b = 22
-    v = _variance(x, b)
-    c = bm_cov(np.vstack([x, x]), b)
+    spec = _spec(22)
+    v = _variance(x, spec)
+    c = bm_cov(np.vstack([x, x]), spec)
     assert c[0, 0] == v
     assert c[0, 1] == v
     assert c[1, 0] == v
@@ -97,7 +100,7 @@ def test_vector_and_scalar_paths_agree_bitwise():
 def test_cov_shape_and_symmetry():
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((300, 3))
-    c = bm_cov(mat.T, 17)
+    c = bm_cov(mat.T, _spec(17))
     assert c.shape == (3, 3)
     np.testing.assert_array_equal(c, c.T)
 
@@ -106,7 +109,7 @@ def test_noncontiguous_input_same_answer():
     rng = np.random.default_rng(5)
     wide = rng.standard_normal((400, 6))
     view = wide[:, ::3].T  # rows strided in memory
-    np.testing.assert_array_equal(bm_cov(view, 20), bm_cov(view.copy(), 20))
+    np.testing.assert_array_equal(bm_cov(view, _spec(20)), bm_cov(view.copy(), _spec(20)))
 
 
 @given(
@@ -118,27 +121,27 @@ def test_noncontiguous_input_same_answer():
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_columns_equal_column_stack_bitwise(seed, n, p, b, stride):
-    """Batch means over a sequence of 1-d rows equal bm_cov of the stacked
-    (p, n) matrix bit for bit, with remainder points (n not a multiple of
-    b) and strided views."""
-    b = min(b, n // 2)
+    """Batch means of a strided (p, n) view equal bm_cov of the stacked
+    contiguous rows bit for bit, and each diagonal entry equals the
+    one-row call, with remainder points (n not a multiple of b); a b past
+    n // 2 is clamped to it, as block_size clamps it."""
+    spec = _spec(b)
     rng = np.random.default_rng(seed)
     wide = rng.standard_normal((n * stride, p * stride)) * rng.uniform(0.1, 1e3)
     cols = [wide[::stride, j * stride] for j in range(p)]  # strided when stride > 1
-    got = bm_cov(cols, b)
-    np.testing.assert_array_equal(got, bm_cov(np.vstack(cols), b))
-    np.testing.assert_array_equal(got, bm_cov(wide[::stride, ::stride].T, b))
+    got = bm_cov(np.vstack(cols), spec)
+    np.testing.assert_array_equal(got, bm_cov(wide[::stride, ::stride].T, spec))
     for j in range(p):
-        assert got[j, j] == _variance(np.ascontiguousarray(cols[j]), b)
+        assert got[j, j] == _variance(np.ascontiguousarray(cols[j]), _spec(min(b, n // 2)))
 
 
 def test_columns_validation():
-    with pytest.raises(ValueError):
-        bm_cov([], 2)
-    with pytest.raises(ValueError):
-        bm_cov(np.zeros(10), 2)  # a 1-d array is not a (p, n) array of rows
+    """block_size owns the two-batch rule: too few draws raise, and a block
+    past n // 2 is clamped to two blocks."""
     with pytest.raises(InsufficientDataError):
-        bm_cov([np.zeros(10)], 6)
+        bm_cov(np.zeros((2, 3)), BatchMeansSpec())
+    x = np.arange(10.0)
+    assert _variance(x, _spec(6)) == _variance(x, _spec(5))
 
 
 @given(
@@ -150,7 +153,7 @@ def test_columns_validation():
 def test_cov_psd(seed, n, p):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, p))
-    c = bm_cov(mat.T, block_size(n, BatchMeansSpec()))
+    c = bm_cov(mat.T, BatchMeansSpec())
     eigs = np.linalg.eigvalsh(c)
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
@@ -164,12 +167,12 @@ def test_cov_psd(seed, n, p):
 def test_affine_equivariance(seed, shift, scale):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(240)
-    b = 15
-    base = _variance(x, b)
-    assert _variance(scale * x + shift, b) == pytest.approx(
+    spec = _spec(15)
+    base = _variance(x, spec)
+    assert _variance(scale * x + shift, spec) == pytest.approx(
         scale**2 * base, rel=1e-9, abs=1e-12
     )
 
 
 def test_constant_series_gives_zero():
-    assert _variance(np.full(100, 3.7), 10) == pytest.approx(0.0, abs=1e-20)
+    assert _variance(np.full(100, 3.7), _spec(10)) == pytest.approx(0.0, abs=1e-20)

@@ -16,9 +16,10 @@ from genis.densities import (
     t_density,
     t_family,
     t_label,
-    t_log_density,
 )
 from genis.errors import UndefinedPointError
+
+from conftest import t_log_pdf
 
 # high-precision reference values (40-digit arithmetic, frozen)
 T5_AT_0 = -0.9686195890547241
@@ -28,18 +29,18 @@ T3_HALF_AT_HALF = -1.0008888496235098
 
 
 def test_t_log_density_frozen_values():
-    assert t_log_density(5, 0.0, 0.0) == pytest.approx(T5_AT_0, abs=1e-14)
-    assert t_log_density(5, 0.0, 2.0) == pytest.approx(T5_AT_2, abs=1e-14)
-    assert t_log_density(1, 0.0, 0.0) == pytest.approx(CAUCHY_AT_0, abs=1e-14)
-    assert t_log_density(3, 0.5, 0.5) == pytest.approx(T3_HALF_AT_HALF, abs=1e-14)
+    assert t_log_pdf(5, 0.0, 0.0) == pytest.approx(T5_AT_0, abs=1e-14)
+    assert t_log_pdf(5, 0.0, 2.0) == pytest.approx(T5_AT_2, abs=1e-14)
+    assert t_log_pdf(1, 0.0, 0.0) == pytest.approx(CAUCHY_AT_0, abs=1e-14)
+    assert t_log_pdf(3, 0.5, 0.5) == pytest.approx(T3_HALF_AT_HALF, abs=1e-14)
 
 
 def test_t_log_density_shift():
     # the law only depends on x - mu
-    assert t_log_density(5, 1.0, -1.0) == pytest.approx(T5_AT_2, abs=1e-14)
+    assert t_log_pdf(5, 1.0, -1.0) == pytest.approx(T5_AT_2, abs=1e-14)
     x = np.linspace(-3, 3, 7)
     np.testing.assert_allclose(
-        t_log_density(5, 0.7, x), t_log_density(5, 0.0, x - 0.7), atol=1e-14
+        t_log_pdf(5, 0.7, x), t_log_pdf(5, 0.0, x - 0.7), atol=1e-14
     )
 
 
@@ -53,7 +54,7 @@ def test_t_log_density_large_df_matches_mpmath(df):
         d = mpmath.mpf(df)
         exact = mpmath.loggamma((d + 1) / 2) - mpmath.loggamma(d / 2)
         exact = float(exact - mpmath.log(d * mpmath.pi) / 2)
-    assert float(t_log_density(df, 0.0, 0.0)) == pytest.approx(exact, abs=1.2e-16)
+    assert float(t_log_pdf(df, 0.0, 0.0)) == pytest.approx(exact, abs=1.2e-16)
 
 
 def _per_call_t_log_density(df, mu, x):
@@ -83,9 +84,9 @@ def test_t_density_equals_the_per_call_form_bit_for_bit(df):
         expected = _per_call_t_log_density(df, mu, x)
         assert np.isneginf(expected[-3:]).all()  # the squares overflow
         assert t_density(df, mu).log_density(x).tobytes() == expected.tobytes()
-        assert t_log_density(df, mu, x).tobytes() == expected.tobytes()
+        assert t_log_pdf(df, mu, x).tobytes() == expected.tobytes()
         scalar = np.asarray(_per_call_t_log_density(df, mu, x[0]))
-        assert np.asarray(t_log_density(df, mu, float(x[0]))).tobytes() == scalar.tobytes()
+        assert np.asarray(t_log_pdf(df, mu, float(x[0]))).tobytes() == scalar.tobytes()
 
 
 def test_t_density_integrates_to_one():
@@ -93,7 +94,7 @@ def test_t_density_integrates_to_one():
 
     for df, mu in [(5, 0.0), (5, 0.7), (3, -1.2)]:
         total, err = integrate.quad(
-            lambda x: math.exp(t_log_density(df, mu, x)), -np.inf, np.inf
+            lambda x: math.exp(t_log_pdf(df, mu, x)), -np.inf, np.inf
         )
         assert total == pytest.approx(1.0, abs=max(1e-9, 10 * err))
 
@@ -134,7 +135,7 @@ def test_t_density_rejects_bad_parameters():
         with pytest.raises(ValueError):
             t_density(df, mu)
         with pytest.raises(ValueError):
-            t_log_density(df, mu, 0.0)
+            t_log_pdf(df, mu, 0.0)
 
 
 def test_discrete_table_density():
@@ -195,9 +196,9 @@ def test_family_and_integrands():
 )
 @settings(max_examples=80, deadline=None)
 def test_t_log_density_symmetric_and_unimodal(df, mu, x):
-    left = t_log_density(df, mu, mu - abs(x - mu))
-    right = t_log_density(df, mu, mu + abs(x - mu))
-    peak = t_log_density(df, mu, mu)
+    left = t_log_pdf(df, mu, mu - abs(x - mu))
+    right = t_log_pdf(df, mu, mu + abs(x - mu))
+    peak = t_log_pdf(df, mu, mu)
     assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
     assert peak >= left
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genis import importance
-from genis.batch_means import DEFAULT_BM_SPEC, block_size, bm_cov
+from genis.batch_means import DEFAULT_BM_SPEC, bm_cov
 from genis.densities import (
     Integrand,
     TargetFamily,
@@ -267,6 +267,22 @@ def test_ratio_whose_square_underflows_flags_the_row(table_refs, exact_table_sam
     row = stage2_row(exact_table_samples, _table_target(), table_refs, HALF, [1e-200],
                      f=IDENTITY)
     assert row.flags == ("error:DegenerateDenominatorError",)
+
+
+def test_overflowing_sensitivity_kernel_flags_the_row(exact_table_samples):
+    """Reference 2 scaled by 1e300 and a target near 1e10, at d near the
+    true ratio 2e300: the weights u stay near 1e10, but the sensitivity
+    kernel nu nu_2 / mix^2 overflows.  The row gets NaN values and the
+    degenerate-denominator flag, with and without f."""
+    refs = [discrete_table_density(TABLE_1, id="flat"),
+            discrete_table_density((3e300, 1e300), id="tilted")]
+    target = discrete_table_density((1e10, 1e10), id="big")
+    ctx = _Context(exact_table_samples, refs, [2e300], None)
+    assert np.isfinite(np.exp(target.log_density(ctx.x) - ctx.mixture(HALF)[1])).all()
+    for f in (None, IDENTITY):
+        row = stage2_row(exact_table_samples, target, refs, HALF, [2e300], f=f)
+        assert row.flags == ("error:DegenerateDenominatorError",)
+        assert math.isnan(row.u_hat) and math.isnan(row.se_u)
 
 
 def test_delta_variance_examples():
@@ -594,9 +610,9 @@ def _per_chain_pass(ctx, target, a_vec, bm_spec):
     p = 1 if f_vals is None else 2
     bm = np.zeros((p, p))
     for l, u in enumerate(u_series):
-        series = [u] if f_vals is None else [f_vals[l] * u, u]
+        series = u[None] if f_vals is None else np.array([f_vals[l] * u, u])
         s_l = ctx.n_per[l] / ctx.n
-        bm += (a[l] ** 2 / s_l) * bm_cov(series, block_size(u.size, bm_spec))
+        bm += (a[l] ** 2 / s_l) * bm_cov(series, bm_spec)
     if f_vals is None:
         return u_series, u_hat, None, c_vec, None, bm
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genis.densities import (
+    T_SERIES_DF,
     UnnormalizedDensity,
     discrete_table_density,
     t_density,
-    t_log_density,
 )
 from genis.errors import InvalidModelError
 from genis.samplers import (
@@ -27,7 +27,7 @@ from genis.samplers import (
     tune_splitting_constant,
 )
 
-from conftest import read_chain_file, traced_peak
+from conftest import read_chain_file, t_log_pdf, traced_peak
 
 
 # ---------------------------------------------------------------- seeding
@@ -147,11 +147,36 @@ def test_tuned_splitting_constant_is_near_median_omega():
     """For this pair omega(x) = nu_target(x)/q(x); the tuned constant should
     sit inside the central range of omega over target draws."""
     target = t_density(5, 0.0)
-    log_c = tune_splitting_constant(target, 5, 1.0, pilot_n=4000, seed=12)
+    log_c = tune_splitting_constant(target, t_density(5, 1.0), 5, 1.0, pilot_n=4000, seed=12)
     draws = sample_t_iid(5, 0.0, 4000, seed=99).states
-    log_omega = target.log_density(draws) - t_log_density(5, 1.0, draws)
+    log_omega = target.log_density(draws) - t_log_pdf(5, 1.0, draws)
     lo, hi = np.quantile(log_omega, [0.2, 0.8])
     assert lo <= log_c <= hi
+
+
+def _reevaluating_tuner(target, proposal_df, proposal_mu, pilot_n, seed):
+    """Reference for tune_splitting_constant: the body that ran the pilot
+    chain and then evaluated both densities again at its states."""
+    pilot = independence_mh(target, proposal_df, proposal_mu, pilot_n, seed)
+    log_q = t_log_pdf(proposal_df, proposal_mu, pilot.states)
+    log_omega = target.log_density(pilot.states) - log_q
+    return float(np.median(log_omega))
+
+
+def test_tuned_splitting_constant_equals_the_reevaluated_median():
+    """The median of the pilot proposals' log omega at the chain's states
+    equals the re-evaluated median bit for bit, on 240 random t pairs with
+    heavy tails (df down to 0.5) and df at and past T_SERIES_DF."""
+    rng = np.random.default_rng(29)
+    dfs = (0.5, 1.0, 2.0, 3.0, 5.0, 30.0, T_SERIES_DF, 1e4, 1e8)
+    for _ in range(240):
+        t_df, q_df = rng.choice(dfs, 2)
+        t_mu, q_mu = rng.uniform(-5.0, 5.0, 2)
+        target = t_density(t_df, t_mu)
+        pilot_n, seed = int(rng.integers(100, 600)), int(rng.integers(2**32))
+        got = tune_splitting_constant(target, t_density(q_df, q_mu), q_df, q_mu, pilot_n, seed)
+        want = _reevaluating_tuner(target, q_df, q_mu, pilot_n, seed)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_tuned_splitting_constant_below_float_range_still_marks():
@@ -159,7 +184,7 @@ def test_tuned_splitting_constant_below_float_range_still_marks():
     near -1071, whose exp is 0.0; the constant is tuned in log space, so
     the chain runs (its exp once raised ValueError)."""
     target = t_density(1e6, 0.0)
-    log_c = tune_splitting_constant(target, 1e6, 50.0, pilot_n=2000, seed=1)
+    log_c = tune_splitting_constant(target, t_density(1e6, 50.0), 1e6, 50.0, pilot_n=2000, seed=1)
     assert math.exp(log_c) == 0.0
     chain = independence_mh(target, 1e6, 50.0, 2000, seed=2, with_regen=True)
     assert chain.regen_marks[0] and np.all(np.isfinite(chain.states))
@@ -332,9 +357,10 @@ def test_run_imh_matches_the_per_step_loop(args):
         expected = _loop_imh(log_omega, proposals, _FixedUniforms(*draws), log_c)
     except InvalidModelError:
         with pytest.raises(InvalidModelError):
-            _run_imh(log_omega, proposals, _FixedUniforms(*draws), log_c)
+            _run_imh(log_omega, _FixedUniforms(*draws), log_c)
         return
-    states, marks = _run_imh(log_omega, proposals, _FixedUniforms(*draws), log_c)
+    pick, marks = _run_imh(log_omega, _FixedUniforms(*draws), log_c)
+    states = proposals[pick]
     assert states.dtype == expected[0].dtype
     assert np.array_equal(states, expected[0])
     if expected[1] is None:
@@ -346,10 +372,10 @@ def test_run_imh_matches_the_per_step_loop(args):
 def test_run_imh_single_step():
     props = np.array([2.5])
     e = np.exp([-1.0])
-    states, marks = _run_imh(np.array([0.3]), props, _FixedUniforms(e, e), 0.0)
-    assert states.tolist() == [2.5] and marks.tolist() == [True]
+    pick, marks = _run_imh(np.array([0.3]), _FixedUniforms(e, e), 0.0)
+    assert props[pick].tolist() == [2.5] and marks.tolist() == [True]
     with pytest.raises(InvalidModelError):
-        _run_imh(np.array([-np.inf]), props, _FixedUniforms(e), None)
+        _run_imh(np.array([-np.inf]), _FixedUniforms(e), None)
 
 
 def test_run_imh_late_start_without_accepts():
@@ -359,7 +385,8 @@ def test_run_imh_late_start_without_accepts():
     accept = np.exp([-1.0, 0.0, -1.0, -1.0])
     coin = np.full(4, np.exp(-1.0))
     for draws, c in (((accept,), None), ((accept, coin), 0.2)):
-        states, marks = _run_imh(log_omega, props, _FixedUniforms(*draws), c)
+        pick, marks = _run_imh(log_omega, _FixedUniforms(*draws), c)
+        states = props[pick]
         assert states.tolist() == [11.0] * 4
         expected = _loop_imh(log_omega, props, _FixedUniforms(*draws), c)
         assert np.array_equal(states, expected[0])

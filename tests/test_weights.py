@@ -13,7 +13,6 @@ from genis.densities import (
     UnnormalizedDensity,
     discrete_table_density,
     t_density,
-    t_log_density,
 )
 from genis.errors import ConvergenceError, InsufficientDataError, UndefinedPointError
 from genis.reverse_logistic import StageWeights, estimate_ratios
@@ -26,7 +25,7 @@ from genis.weights import (
     simplex_grid,
 )
 
-from conftest import TABLE_1, exact_proportion_chain, traced_peak
+from conftest import TABLE_1, exact_proportion_chain, t_log_pdf, traced_peak
 
 
 # -------------------------------------------------------------------- naive
@@ -348,7 +347,7 @@ def _scaled_pair_pilot():
     """t5 at 0 and e^26 times t5 at 1: from zeta = 0 the first Newton step
     is long, and before it was bounded the line search failed at 7 of the
     19 default grid points."""
-    scaled = UnnormalizedDensity("t5_mu1", lambda x: t_log_density(5, 1.0, x) + 26.0)
+    scaled = UnnormalizedDensity("t5_mu1", lambda x: t_log_pdf(5, 1.0, x) + 26.0)
     chains = (sample_t_iid(5, 0.0, 200, seed=41), sample_t_iid(5, 1.0, 200, seed=42))
     return SampleSet(chains=chains), [t_density(5, 0.0), scaled]
 
