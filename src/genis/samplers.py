@@ -13,8 +13,8 @@ c, an accepted move x -> y is a regeneration with probability
 evaluated here in log space.  A True entry in regen_marks at index i
 means a new tour starts at state i; index 0 always starts a tour.  The
 samplers draw the proposals and log omega, and `_run_imh` draws and frees
-the rest: the accept uniforms, read straight from their float64 buffer by
-the MH loop, which flags the accepted indices in an n-byte mask, and then
+the rest: the accept uniforms, from which `_accepted` flags the accepted
+indices in an n-byte mask, by vector rounds and a scalar tail, and then
 the coin uniforms, kept only at those indices.  It returns each state's
 index among the proposals and the marks, computed vectorized from the
 accepted indices, bitwise equal to a per-step loop.  A marked chain of
@@ -36,6 +36,9 @@ from .densities import UnnormalizedDensity, t_density, t_label
 from .errors import InvalidModelError
 
 CHAIN_KINDS = ("iid", "markov")
+# a lockstep round costs ~6 us up to a few hundred live segments and a scalar
+# step ~85 ns, so rounds pay from ~64 (2-vCPU x86, numpy 2.4, Python 3.11)
+_ROUND_MIN_LIVE = 64
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -139,6 +142,60 @@ def _log_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.log(u, out=u)
 
 
+def _accepted(log_omega_prop: np.ndarray, log_u: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the proposals that the chain from proposal `start` accepts.
+
+    A per-step loop over Python floats accepts proposal i >= 1 when
+    log u_i < log omega_i - cur, cur being the current state's log omega.
+    No state's log omega exceeds top, the proposals' largest, and a rounded
+    difference never rises as cur does (an overflow saturates at -inf), so
+    every state accepts a proposal with log u_i < log omega_i - top.  These
+    certain accepts, found by one vector comparison, fix cur and so cut the
+    chain into segments that run independently.  Sorted by length, the
+    segments step in lockstep rounds that test the next proposal of every
+    live segment by the loop's float64 expression, until fewer than
+    _ROUND_MIN_LIVE are live; a scalar loop over memoryviews of the inputs
+    finishes those.  So the mask is bitwise the loop's.
+    """
+    n = log_omega_prop.shape[0]
+    accepted = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore"):  # quiet, like Python floats
+        top = log_omega_prop.max()
+        certain = np.flatnonzero(log_u[1:] < log_omega_prop[1:] - top) + 1
+        accepted[certain] = True
+        bounds = np.concatenate(([0], certain, [n]))
+        del certain
+        # segment j tests first[j] .. first[j] + length[j] - 1 from cur[j];
+        # sorted by length, those live in round r are a suffix, and each
+        # round advances their first in place
+        length = np.diff(bounds) - 1
+        cur = log_omega_prop[bounds[:-1]]
+        cur[0] = log_omega_prop[start]
+        order = np.flatnonzero(length)
+        order = order[np.argsort(length[order])]
+        first, length, cur = bounds[order] + 1, length[order], cur[order]
+        del bounds, order
+        r = live = 0
+        while length.shape[0] - live >= _ROUND_MIN_LIVE:
+            pos = first[live:]
+            lw_y = log_omega_prop[pos]
+            hit = log_u[pos] < lw_y - cur[live:]
+            accepted[pos] = hit
+            np.copyto(cur[live:], lw_y, where=hit)
+            pos += 1
+            r += 1
+            live = int(np.searchsorted(length, r, side="right"))
+    lw, lu, flag = map(memoryview, (log_omega_prop, log_u, accepted))
+    stop = first[live:] + (length[live:] - r)
+    for i0, i1, cur_lw in zip(first[live:].tolist(), stop.tolist(), cur[live:].tolist()):
+        for i in range(i0, i1):
+            lw_y = lw[i]
+            if lu[i] < lw_y - cur_lw:
+                flag[i] = True
+                cur_lw = lw_y
+    return accepted
+
+
 def _run_imh(
     log_omega_prop: np.ndarray,
     rng: np.random.Generator,
@@ -148,10 +205,9 @@ def _run_imh(
 
     Returns the index of each state among the proposals, and the marks.
     `rng` gives n accept uniforms and, when log_c is not None, n coin
-    uniforms.  The loop indexes memoryviews of the float64 inputs, so it
-    makes no Python copy of them, and flags each accepted index in a
-    bytearray; the temporaries after it are updated in place.  The
-    trajectory depends only on log omega and the accept uniforms, so
+    uniforms.  `_accepted` flags the accepted proposals, bitwise as the
+    per-step loop does; the temporaries after it are updated in place.
+    The trajectory depends only on log omega and the accept uniforms, so
     marking regenerations does not perturb it.  log omega is finite or
     -inf.  The chain starts at the first proposal with mass, and the
     recursion rejects every zero-mass proposal after it, so no zero-mass
@@ -163,19 +219,7 @@ def _run_imh(
     if not finite[start]:
         raise InvalidModelError("no proposal has positive target mass")
     del finite
-    log_u = _log_uniform(rng, n)
-    lw = memoryview(log_omega_prop)
-    lu = memoryview(log_u)
-    accepted = bytearray(n)
-    cur_lw = lw[start]
-    for i in range(1, n):
-        lw_y = lw[i]
-        if lu[i] < lw_y - cur_lw:
-            accepted[i] = 1
-            cur_lw = lw_y
-    del lu, log_u
-    acc = np.flatnonzero(np.frombuffer(accepted, dtype=bool))
-    del accepted
+    acc = np.flatnonzero(_accepted(log_omega_prop, _log_uniform(rng, n), start))
     pick = np.full(n, start, dtype=np.intp)
     pick[acc] = acc
     np.maximum.accumulate(pick, out=pick)
