@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genis
 from genis.batch_means import BatchMeansSpec, block_size, bm_cov
 from genis.errors import InsufficientDataError
 
@@ -103,6 +110,29 @@ def test_cov_shape_and_symmetry():
     c = bm_cov(mat.T, _spec(17))
     assert c.shape == (3, 3)
     np.testing.assert_array_equal(c, c.T)
+
+
+def test_cov_exactly_symmetric_on_the_generic_blas_kernel():
+    """Under OpenBLAS's generic kernel the (j, k) and (k, j) dot products
+    of a stack round differently; forming each pair once keeps the matrix
+    exactly symmetric there too.  The kernel is chosen for the child
+    process only, through its environment."""
+    code = textwrap.dedent("""
+        import numpy as np
+        from genis.batch_means import BatchMeansSpec, bm_cov
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p, n = int(rng.integers(2, 5)), int(rng.integers(8, 600))
+            rows = rng.standard_normal((3, p, n)) * rng.uniform(0.1, 1e3)
+            c = bm_cov(rows, BatchMeansSpec())
+            assert (c == np.swapaxes(c, -1, -2)).all(), (p, n)
+    """)
+    src = str(Path(genis.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_noncontiguous_input_same_answer():
