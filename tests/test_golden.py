@@ -194,6 +194,8 @@ CASES = {
     "estimate-table-unlabeled": (_unlabeled_tables(), ["estimate"]),
     "estimate-stage2-without-marks": (_stage2_without_marks(), ["estimate"]),
     "estimate-three-refs-unequal-stage2": (_three_refs_unequal_stage2(), ["estimate"]),
+    "estimate-toy-seed-1": (json.loads((CONFIGS / "toy.json").read_text()),
+                            ["estimate", "--seed", "1"]),
     "replicate-size-grid": (
         _t(replications=3, size_grid=[3, 300, 1000], se_method="both",
            truth={"d": [1.0]}),
