@@ -152,18 +152,20 @@ def discrete_table_density(table, id: str = "table") -> UnnormalizedDensity:
     return UnnormalizedDensity(id=id, log_eval=log_eval, size=size)
 
 
-def log_sum_exp_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(mat))) for an (n, k) matrix, -inf rows rejected.
-
-    Raises UndefinedPointError when a whole row is -inf, because every
-    caller needs at least one positive term in the mixture there.
+def log_sum_exp_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log(sum(exp(mat))) of an (n, k) matrix, and from the same
+    exponentials each entry's share of its row: a row's shares sum to 1,
+    and a -inf entry's is exactly 0.  Raises UndefinedPointError when a
+    whole row is -inf, as every caller needs a positive mixture term there.
     """
     m = np.max(mat, axis=1)
     if np.any(np.isneginf(m)):
         raise UndefinedPointError("all mixture components vanish at a state")
     with np.errstate(invalid="ignore"):
-        shifted = mat - m[:, None]
-    np.exp(shifted, out=shifted)  # in place: no second (n, k) temporary
-    shifted[np.isneginf(mat)] = 0.0
-    return m + np.log(np.sum(shifted, axis=1))
+        shares = mat - m[:, None]
+    np.exp(shares, out=shares)  # in place: no second (n, k) temporary
+    shares[np.isneginf(mat)] = 0.0
+    total = np.sum(shares, axis=1)
+    shares /= total[:, None]
+    return m + np.log(total), shares
 

@@ -17,11 +17,13 @@ estimated by batch means chain by chain.
 
 `estimate_family` is the entry point.  Per call it evaluates the
 reference log densities and f once on the pooled draws, the chains end
-to end, and the log mixture denominator once per run of targets sharing
-a weight vector.  Each target then takes one pass: one evaluation of its
-log density gives both u and the sensitivity kernel, whose exponential
-serves the g = 1 and the g = f gradient sums; per chain, one batch-means
-matrix of (v, u), or of u alone without f, gives both stage-2 variances.
+to end.  Once per run of targets sharing a weight vector it forms the log
+mixture denominator and, from the same exponentials, each reference's
+share of the mixture at each draw.  Each target then takes one pass: one
+evaluation of its log density gives u; one product of (v, u) with the
+shares gives the g = f and the g = 1 gradient sums; per chain, one
+batch-means matrix of (v, u), or of u alone without f, gives both stage-2
+variances.
 `target_tours` sums u and v over each chain's regeneration tours, for
 ``tours.csv``.
 """
@@ -43,7 +45,8 @@ from .samplers import SampleSet
 
 DEFAULT_TAIL_GUARD = 1e3
 
-# normalized weights, the pooled log mixture, and twice it
+# normalized weights, the pooled log mixture, and the (N, k - 1) weighted
+# shares W of the references j = 2..k (see `_Context.mixture`)
 _Mixture = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -89,8 +92,7 @@ class _Context:
         self.d_full = np.concatenate(([1.0], d_hat))
         self.n_per = samples.n_per_chain.astype(float)
         self.n = float(self.n_per.sum())
-        # kept (N, k): numpy sums a (k, n_l) array pairwise, which rounds
-        # the sensitivity sums differently
+        # (N, k): the mixture sums each draw's k terms along a contiguous row
         self.ref_logs = np.column_stack([ref.log_density(self.x) for ref in references])
         self.f = f
         self._last: tuple = (None, None)  # (weight vector object, its mixture)
@@ -105,9 +107,13 @@ class _Context:
         vector object shared by consecutive targets is checked and built
         once, and a sweep with one vector per target holds one mixture.
         Weights are nonnegative with a positive sum; a zero weight drops
-        its reference from the mixture and its chain from the estimate."""
+        its reference from the mixture and its chain from the estimate.
+        W_ij = w_i pi_j(x_i), j = 2..k, from the log mixture's exponentials:
+        pi_j = (a_j/d_j) nu_j / mix is reference j's share of the mixture,
+        and w_i = a_l / n_l on chain l's draws."""
         if a_vec is self._last[0]:
             return self._last[1]
+        self._last = (None, None)  # the old shares go before the new are built
         a = np.atleast_1d(np.asarray(a_vec, dtype=float))
         if (a.shape != self.d_full.shape or np.any(a < 0)
                 or not np.all(np.isfinite(a)) or not a.sum() > 0):
@@ -115,8 +121,11 @@ class _Context:
         a = a / a.sum()
         with np.errstate(divide="ignore"):  # log 0 = -inf: a dropped reference
             log_coef = np.log(a) - np.log(self.d_full)
-        log_mix = log_sum_exp_rows(self.ref_logs + log_coef)
-        self._last = (a_vec, (a, log_mix, 2.0 * log_mix))
+        log_mix, shares = log_sum_exp_rows(self.ref_logs + log_coef)
+        shares = shares[:, 1:]
+        for l, span in enumerate(self.chains):
+            shares[span] *= a[l] / self.n_per[l]
+        self._last = (a_vec, (a, log_mix, shares))
         return self._last[1]
 
 
@@ -170,28 +179,25 @@ def _target_pass(
     """Estimates, sensitivities and batch means for one target.
 
     The gradient sums over j = 2..k are sum_l (a_l/n_l) sum_i (a_j/d_j^2)
-    g(x) nu(x) nu_j(x) / mix(x)^2 with g = 1 and g = f, in log space.
-    Chain l enters the batch means with weight a_l^2 / s_l, s_l = n_l / n.
+    g(x) nu(x) nu_j(x) / mix(x)^2 with g = 1 and g = f.  The summand is
+    g(x) u(x) pi_j(x) / d_j, so with the mixture's weighted shares W both
+    sums are the one product (v, u) @ W / d.  Chain l enters the batch
+    means with weight a_l^2 / s_l, s_l = n_l / n.
     """
-    a, log_mix, log_mix2 = ctx.mixture(a_vec)
+    a, log_mix, shares = ctx.mixture(a_vec)
     f_vals = ctx.f_vals
-    log_nu = target.log_density(ctx.x)
-    kernel = (log_nu - log_mix2)[:, None] + ctx.ref_logs[:, 1:]
     # rows (v, u), or u alone without f; chain l's columns are its series
     vu = np.empty((1 if f_vals is None else 2, ctx.x.size))
-    u = np.subtract(log_nu, log_mix, out=vu[-1])
-    del log_nu  # freed before the exponentials, to keep the pass's peak down
-    with np.errstate(over="ignore"):  # exp in place: both exponents are temporaries
+    u = np.subtract(target.log_density(ctx.x), log_mix, out=vu[-1])
+    with np.errstate(over="ignore"):
         np.exp(u, out=u)
-        np.exp(kernel, out=kernel)
     spans = list(enumerate(ctx.chains))
-    w = a / ctx.n_per
-    c_sum = sum(w[l] * kernel[span].sum(axis=0) for l, span in spans)
     u_hat = float(sum(a[l] * u[span].sum() / ctx.n_per[l] for l, span in spans))
-    c_vec = c_sum * a[1:] / ctx.d_full[1:] ** 2
-
     if f_vals is not None:
         np.multiply(f_vals, u, out=vu[0])
+    sens = vu @ shares / ctx.d_full[1:]  # rows (s, c), or c alone
+    c_vec = sens[-1]
+
     bm = np.zeros((len(vu), len(vu)))
     for l, span in spans:
         s_l = ctx.n_per[l] / ctx.n
@@ -205,10 +211,7 @@ def _target_pass(
         sum(a[l] * np.dot(f_vals[span], u[span]) / ctx.n_per[l] for l, span in spans)
     )
     eta_hat = v_hat / u_hat
-    np.multiply(kernel, f_vals[:, None], out=kernel)
-    s_sum = sum(w[l] * kernel[span].sum(axis=0) for l, span in spans)
-    s_vec = s_sum * a[1:] / ctx.d_full[1:] ** 2
-    e_vec = s_vec / u_hat - c_vec * (eta_hat / u_hat)
+    e_vec = sens[0] / u_hat - c_vec * (eta_hat / u_hat)
     return _Pass(u, u_hat, eta_hat, c_vec, e_vec, bm)
 
 
@@ -240,8 +243,9 @@ def estimate_family(
     overrides it with one vector per target (for distance- or ESS-based
     strategies); one of the two must be given.  A weight may be zero, as
     distance-based weights are for a target at a reference's location;
-    that chain then does not enter the target's estimate.  A target whose evaluation fails is reported
-    with NaN estimates and an error flag instead of aborting the run.
+    that chain then does not enter the target's estimate.  A target whose
+    evaluation fails is reported with NaN estimates and an error flag
+    instead of aborting the run.
     """
     k = len(references)
     if a_per_target is None:
@@ -260,27 +264,15 @@ def estimate_family(
     results: list[TargetResult] = []
     for target, a_vec in zip(family.targets, a_list):
         try:
-            results.append(
-                _one_target(ctx, target, a_vec, cov, q, bm_spec, tail_guard)
-            )
+            results.append(_one_target(ctx, target, a_vec, cov, q, bm_spec, tail_guard))
         except EstimationError as exc:
-            nan_f = float("nan") if f is not None else None
-            results.append(
-                TargetResult(
-                    target_label=target.id,
-                    u_hat=float("nan"),
-                    eta_hat=nan_f,
-                    se_u=float("nan"),
-                    se_eta=nan_f,
-                    var_stage1_u=float("nan"),
-                    var_stage2_u=float("nan"),
-                    var_stage1_eta=nan_f,
-                    var_stage2_eta=nan_f,
-                    q=float(q),
-                    n=int(ctx.n),
-                    flags=(f"error:{type(exc).__name__}",),
-                )
-            )
+            nan = float("nan")
+            nan_f = nan if f is not None else None
+            results.append(TargetResult(
+                target_label=target.id, u_hat=nan, eta_hat=nan_f, se_u=nan,
+                se_eta=nan_f, var_stage1_u=nan, var_stage2_u=nan,
+                var_stage1_eta=nan_f, var_stage2_eta=nan_f, q=float(q),
+                n=int(ctx.n), flags=(f"error:{type(exc).__name__}",)))
     return results
 
 

@@ -126,7 +126,7 @@ def mixture(references, coef, id="mixture"):
 
     def log_eval(x):
         mat = np.column_stack([ref.log_density(x) for ref in references])
-        return log_sum_exp_rows(mat + log_coef)
+        return log_sum_exp_rows(mat + log_coef)[0]
 
     return UnnormalizedDensity(id, log_eval, references[0].size)
 

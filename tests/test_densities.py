@@ -169,16 +169,22 @@ def test_table_zero_mass_state_is_minus_inf():
 
 
 def test_log_sum_exp_rows():
-    mat = np.log(np.array([[1.0, 3.0], [2.0, 2.0]]))
-    np.testing.assert_allclose(log_sum_exp_rows(mat), np.log([4.0, 4.0]), atol=1e-15)
+    mat = np.log(np.array([[1.0, 3.0], [2.0, 2.0], [1.0, 5.0]]))
+    mat[2, 0] = -np.inf
+    out, shares = log_sum_exp_rows(mat)
+    np.testing.assert_allclose(out, np.log([4.0, 4.0, 5.0]), atol=1e-15)
+    np.testing.assert_allclose(shares, [[0.25, 0.75], [0.5, 0.5], [0.0, 1.0]], atol=1e-15)
+    assert shares[2, 0] == 0.0  # a -inf entry's share is exactly 0
+    assert shares[2, 1] == 1.0
     with pytest.raises(UndefinedPointError):
         log_sum_exp_rows(np.array([[-np.inf, -np.inf]]))
 
 
 def test_log_sum_exp_rows_extreme_scale():
-    mat = np.array([[1000.0, 1000.0], [-1000.0, -1000.0]])
-    out = log_sum_exp_rows(mat)
-    np.testing.assert_allclose(out, [1000.0 + math.log(2), -1000.0 + math.log(2)])
+    mat = np.array([[1000.0, 1000.0], [-1000.0, -1000.0], [1000.0, -np.inf]])
+    out, shares = log_sum_exp_rows(mat)
+    np.testing.assert_allclose(out, [1000.0 + math.log(2), -1000.0 + math.log(2), 1000.0])
+    np.testing.assert_array_equal(shares, [[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
 
 
 def test_family_and_integrands():
@@ -212,9 +218,14 @@ def test_t_log_density_symmetric_and_unimodal(df, mu, x):
 def test_log_sum_exp_dominates_max(rows, cols, seed):
     rng = np.random.default_rng(seed)
     mat = rng.normal(scale=50.0, size=(rows, cols))
-    out = log_sum_exp_rows(mat)
+    mat[rng.random((rows, cols)) < 0.2] = -np.inf
+    mat[np.arange(rows), rng.integers(cols, size=rows)] = rng.normal(scale=50.0, size=rows)
+    out, shares = log_sum_exp_rows(mat)
     assert np.all(out >= mat.max(axis=1) - 1e-12)
     assert np.all(out <= mat.max(axis=1) + math.log(cols) + 1e-12)
+    np.testing.assert_allclose(shares.sum(axis=1), 1.0, rtol=1e-15 * cols)
+    assert np.all(shares[np.isneginf(mat)] == 0.0)
+    assert np.all(shares[~np.isneginf(mat)] >= 0.0)
 
 
 def test_docstring_examples_hold():

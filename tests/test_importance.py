@@ -269,20 +269,26 @@ def test_ratio_whose_square_underflows_flags_the_row(table_refs, exact_table_sam
     assert row.flags == ("error:DegenerateDenominatorError",)
 
 
-def test_overflowing_sensitivity_kernel_flags_the_row(exact_table_samples):
-    """Reference 2 scaled by 1e300 and a target near 1e10, at d near the
-    true ratio 2e300: the weights u stay near 1e10, but the sensitivity
-    kernel nu nu_2 / mix^2 overflows.  The row gets NaN values and the
-    degenerate-denominator flag, with and without f."""
+def test_sensitivity_kernel_past_float_range_gives_the_exact_row(exact_table_samples):
+    """Reference 2 scaled by 1e300 and a target near 1e10, at the true
+    ratio d = 2e300: the kernel nu nu_2 / mix^2 that the sensitivities were
+    once summed from overflows, but u pi_2 / d does not, so the row is the
+    exact table answer, unflagged, with and without f.  Both gradients are
+    the unscaled oracles times 1e-300 (d's scale), c also times 5e9 (the
+    target's scale against (2, 2))."""
     refs = [discrete_table_density(TABLE_1, id="flat"),
             discrete_table_density((3e300, 1e300), id="tilted")]
     target = discrete_table_density((1e10, 1e10), id="big")
-    ctx = _Context(exact_table_samples, refs, [2e300], None)
-    assert np.isfinite(np.exp(target.log_density(ctx.x) - ctx.mixture(HALF)[1])).all()
+    p = _pass(exact_table_samples, target, refs, HALF, [2e300], f=IDENTITY)
+    assert p.c_vec[0] == pytest.approx(ORACLE_C1 * 5e9 / 1e300, rel=1e-12)
+    assert p.e_vec[0] == pytest.approx(ORACLE_E1 / 1e300, rel=1e-12)
     for f in (None, IDENTITY):
         row = stage2_row(exact_table_samples, target, refs, HALF, [2e300], f=f)
-        assert row.flags == ("error:DegenerateDenominatorError",)
-        assert math.isnan(row.u_hat) and math.isnan(row.se_u)
+        assert row.flags == ()
+        assert row.u_hat == pytest.approx(1e10, rel=1e-12)  # 2e10 / 2
+        assert row.var_stage1_u == 0.0  # q = 0
+        assert f is None or row.eta_hat == pytest.approx(0.5, rel=1e-12)
+        assert f is None or row.var_stage1_eta == 0.0
 
 
 def test_delta_variance_examples():
@@ -579,33 +585,34 @@ class _PerChainContext:
         a = a / a.sum()
         with np.errstate(divide="ignore"):
             log_coef = np.log(a) - np.log(self.d_full)
-        log_mix = [log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs]
-        return a, log_mix, [2.0 * m for m in log_mix]
+        log_mix, shares = zip(*(log_sum_exp_rows(mat + log_coef) for mat in self.ref_logs))
+        return a, log_mix, shares
 
 
 def _per_chain_pass(ctx, target, a_vec, bm_spec):
-    """Reference for `_target_pass`: the per-chain pass it replaced."""
-    a, log_mix, log_mix2 = ctx.mixture(a_vec)
+    """Reference for `_target_pass`: the per-chain pass it replaced, whose
+    chains meet only in the sensitivity product over their joined series."""
+    a, log_mix, shares = ctx.mixture(a_vec)
     f_vals = ctx.f_vals
     u_series = []
-    c_sum = np.zeros(len(a) - 1)
-    s_sum = None if f_vals is None else np.zeros(len(a) - 1)
     for l, x in enumerate(ctx.states):
-        log_nu = target.log_density(x)
-        u = log_nu - log_mix[l]
-        kernel = (log_nu - log_mix2[l])[:, None] + ctx.ref_logs[l][:, 1:]
+        u = target.log_density(x) - log_mix[l]
         with np.errstate(over="ignore"):
             np.exp(u, out=u)
-            np.exp(kernel, out=kernel)
-        if not (np.isfinite(u).all() and np.isfinite(kernel).all()):
+        if not np.isfinite(u).all():
             raise DegenerateDenominatorError("overflow")
         u_series.append(u)
-        w_l = a[l] / ctx.n_per[l]
-        c_sum += w_l * kernel.sum(axis=0)
-        if f_vals is not None:
-            s_sum += w_l * np.multiply(kernel, f_vals[l][:, None], out=kernel).sum(axis=0)
     u_hat = float(sum(a[l] * u.sum() / ctx.n_per[l] for l, u in enumerate(u_series)))
-    c_vec = c_sum * a[1:] / ctx.d_full[1:] ** 2
+    # chain l's shares of references 2..k times a_l / n_l, as a view of an
+    # (N, k) array: the pooled mixture's layout, so the product rounds alike
+    weighted = np.concatenate([
+        s * np.r_[1.0, np.full(len(a) - 1, a[l] / ctx.n_per[l])]
+        for l, s in enumerate(shares)
+    ])[:, 1:]
+    all_u = np.concatenate(u_series)
+    g = [all_u] if f_vals is None else [np.concatenate(f_vals) * all_u, all_u]
+    sens = np.array(g) @ weighted / ctx.d_full[1:]
+    c_vec = sens[-1]
 
     p = 1 if f_vals is None else 2
     bm = np.zeros((p, p))
@@ -625,8 +632,7 @@ def _per_chain_pass(ctx, target, a_vec, bm_spec):
         )
     )
     eta_hat = v_hat / u_hat
-    s_vec = s_sum * a[1:] / ctx.d_full[1:] ** 2
-    e_vec = s_vec / u_hat - c_vec * (eta_hat / u_hat)
+    e_vec = sens[0] / u_hat - c_vec * (eta_hat / u_hat)
     return u_series, u_hat, eta_hat, c_vec, e_vec, bm
 
 
@@ -784,7 +790,7 @@ def _split_tours(samples, references, target, w, f=None):
     for chain in samples.chains:
         bounds = tour_boundaries(chain)
         ref_log = np.column_stack([r.log_density(chain.states) for r in references])
-        log_mix = log_sum_exp_rows(ref_log + np.log(w))
+        log_mix = log_sum_exp_rows(ref_log + np.log(w))[0]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             u = np.exp(target.log_density(chain.states) - log_mix)
             u_sums = _tour_sums(u, bounds)
