@@ -164,6 +164,7 @@ class _Pass(NamedTuple):
 
     u: np.ndarray  # weight series, pooled as the context's states
     u_hat: float
+    v_hat: float | None
     eta_hat: float | None
     c_vec: np.ndarray  # gradient of u_hat in d_2..d_k
     e_vec: np.ndarray | None  # gradient of eta_hat in d_2..d_k
@@ -203,16 +204,15 @@ def _target_pass(
         s_l = ctx.n_per[l] / ctx.n
         bm += (a[l] ** 2 / s_l) * bm_cov(vu[:, span], bm_spec)
     if f_vals is None:
-        return _Pass(u, u_hat, None, c_vec, None, bm)
+        return _Pass(u, u_hat, None, None, c_vec, None, bm)
 
     if u_hat <= 0 or not np.isfinite(u_hat):
         raise DegenerateDenominatorError("importance weight sum is not positive")
-    v_hat = float(
-        sum(a[l] * np.dot(f_vals[span], u[span]) / ctx.n_per[l] for l, span in spans)
-    )
+    v_hat = float(sum(a[l] * np.dot(f_vals[span], u[span]) / ctx.n_per[l]
+                      for l, span in spans))
     eta_hat = v_hat / u_hat
     e_vec = sens[0] / u_hat - c_vec * (eta_hat / u_hat)
-    return _Pass(u, u_hat, eta_hat, c_vec, e_vec, bm)
+    return _Pass(u, u_hat, v_hat, eta_hat, c_vec, e_vec, bm)
 
 
 def ratio_delta_variance(v_hat: float, u_hat: float, joint_cov) -> float:
@@ -295,7 +295,7 @@ def _one_target(
         var1_eta = var2_eta = se_eta = None
         if p.eta_hat is not None:
             var1_eta = float(q) * float(p.e_vec @ cov @ p.e_vec) if p.e_vec.size else 0.0
-            var2_eta = ratio_delta_variance(p.eta_hat * p.u_hat, p.u_hat, p.bm)
+            var2_eta = ratio_delta_variance(p.v_hat, p.u_hat, p.bm)
             se_eta = float(np.sqrt(max(var1_eta + var2_eta, 0.0) / ctx.n))
     if not all(math.isfinite(x) for x in (p.u_hat, se_u, p.eta_hat, se_eta) if x is not None):
         raise DegenerateDenominatorError(

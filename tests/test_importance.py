@@ -621,7 +621,7 @@ def _per_chain_pass(ctx, target, a_vec, bm_spec):
         s_l = ctx.n_per[l] / ctx.n
         bm += (a[l] ** 2 / s_l) * bm_cov(series, bm_spec)
     if f_vals is None:
-        return u_series, u_hat, None, c_vec, None, bm
+        return u_series, u_hat, None, None, c_vec, None, bm
 
     if u_hat <= 0 or not np.isfinite(u_hat):
         raise DegenerateDenominatorError("importance weight sum is not positive")
@@ -633,13 +633,13 @@ def _per_chain_pass(ctx, target, a_vec, bm_spec):
     )
     eta_hat = v_hat / u_hat
     e_vec = sens[0] / u_hat - c_vec * (eta_hat / u_hat)
-    return u_series, u_hat, eta_hat, c_vec, e_vec, bm
+    return u_series, u_hat, v_hat, eta_hat, c_vec, e_vec, bm
 
 
 def _per_chain_target(ctx, target, a_vec, cov, q, bm_spec, tail_guard):
     """Reference for `_one_target`, over the per-chain pass."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u, u_hat, eta_hat, c_vec, e_vec, bm = _per_chain_pass(ctx, target, a_vec, bm_spec)
+        u, u_hat, v_hat, eta_hat, c_vec, e_vec, bm = _per_chain_pass(ctx, target, a_vec, bm_spec)
         all_u = np.concatenate(u)
         mean_u = np.add.reduce(all_u) / all_u.size
         tail = mean_u > 0 and float(all_u.max()) > tail_guard * mean_u
@@ -649,7 +649,7 @@ def _per_chain_target(ctx, target, a_vec, cov, q, bm_spec, tail_guard):
         var1_eta = var2_eta = se_eta = None
         if eta_hat is not None:
             var1_eta = float(q) * float(e_vec @ cov @ e_vec) if e_vec.size else 0.0
-            var2_eta = ratio_delta_variance(eta_hat * u_hat, u_hat, bm)
+            var2_eta = ratio_delta_variance(v_hat, u_hat, bm)
             se_eta = float(np.sqrt(max(var1_eta + var2_eta, 0.0) / ctx.n))
     if not all(math.isfinite(x) for x in (u_hat, se_u, eta_hat, se_eta) if x is not None):
         raise DegenerateDenominatorError("estimates leave float range")
