@@ -12,7 +12,7 @@ of such series, and a `BatchMeansSpec`, from which `block_size`, the owner
 of the two-batch rule, gives b.  It accumulates entries per row pair in a
 fixed order, so the (j, j) entry of a p-row call is bitwise identical to a
 one-row call on row j, and each series of a stack gives what it gives alone.
-It forms each pair's product once, so the matrix is exactly symmetric.
+Its lower triangle is a copy of its upper, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def bm_cov(rows: np.ndarray, spec: BatchMeansSpec) -> np.ndarray:
     centered = means - np.add.reduce(means, axis=-1, keepdims=True) / e
     # every (j, k) entry is the dot product of rows j and k: a stacked
     # (1, e) @ (e, 1) product runs the same BLAS dot per pair as np.dot;
-    # only j <= k is formed and mirrored, so the result is symmetric
-    # whatever the kernel rounds
-    j, k = np.triu_indices(rows.shape[-2])
-    dots = (centered[..., j, None, :] @ centered[..., k, :, None])[..., 0, 0]
-    out = np.empty(dots.shape[:-1] + 2 * rows.shape[-2:-1])
-    out[..., j, k] = out[..., k, j] = (b / (e - 1)) * dots
+    # the upper triangle is copied over the lower, so the result is
+    # symmetric whatever the kernel rounds
+    dots = centered[..., :, None, None, :] @ centered[..., None, :, :, None]
+    out = (b / (e - 1)) * dots[..., 0, 0]
+    for j in range(1, out.shape[-1]):
+        out[..., j, :j] = out[..., :j, j]
     return out

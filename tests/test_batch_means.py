@@ -114,8 +114,8 @@ def test_cov_shape_and_symmetry():
 
 def test_cov_exactly_symmetric_on_the_generic_blas_kernel():
     """Under OpenBLAS's generic kernel the (j, k) and (k, j) dot products
-    of a stack round differently; forming each pair once keeps the matrix
-    exactly symmetric there too.  The kernel is chosen for the child
+    of a stack round differently; copying the upper triangle over the
+    lower keeps the matrix exactly symmetric there too.  The kernel is chosen for the child
     process only, through its environment."""
     code = textwrap.dedent("""
         import numpy as np
