@@ -697,6 +697,98 @@ def test_family_rows_equal_the_per_chain_reference(
     assert [repr(r) for r in got] == [repr(r) for r in expected]
 
 
+def _kernel_sensitivities(ctx, target, a_vec):
+    """Reference for the sensitivity sums: the formula they replaced, which
+    exponentiates the (N, k - 1) kernel (log nu - 2 log mix) + log nu_j,
+    column-sums it chain by chain with weight a_l / n_l and scales it by
+    a_j / d_j^2, with g = 1 (c) and g = f (s, None without f).  Also gives
+    per column the sums of the terms' magnitudes, and whether each step
+    of the formula stayed inside the normal float range."""
+    a = np.asarray(a_vec, dtype=float)
+    a = a / a.sum()
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_coef = np.log(a) - np.log(ctx.d_full)
+        log_mix = log_sum_exp_rows(ctx.ref_logs + log_coef)[0]
+        log_kernel = (target.log_density(ctx.x) - 2.0 * log_mix)[:, None] + ctx.ref_logs[:, 1:]
+        kernel = np.exp(log_kernel)
+        d2 = ctx.d_full[1:] ** 2
+        g_rows = [np.ones(ctx.x.size)] if ctx.f_vals is None else [ctx.f_vals, np.ones(ctx.x.size)]
+        sums, mags = [], []
+        for g in g_rows:
+            terms = g[:, None] * kernel
+            for out, t in ((sums, terms), (mags, np.abs(terms))):
+                out.append(sum(a[l] / ctx.n_per[l] * t[span].sum(axis=0)
+                               for l, span in enumerate(ctx.chains)) * a[1:] / d2)
+    peak = np.max(log_kernel, axis=0, initial=-np.inf)
+    in_range = ((peak < np.log(huge)) & ((peak > np.log(1e-290)) | np.isneginf(peak))
+                & (d2 >= tiny) & (d2 < np.inf) & np.isfinite(sums).all(axis=0)
+                & ((np.min(mags, axis=0) > 1e-290) | (np.max(mags, axis=0) == 0.0)))
+    return sums[-1], (sums[0] if len(sums) == 2 else None), mags[-1], mags[0], in_range
+
+
+def _scaled(density, exponent):
+    """density times 10 ** exponent."""
+    shift = exponent * math.log(10.0)
+    return UnnormalizedDensity(density.id, lambda x: density.log_density(x) + shift,
+                               density.size)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=4),
+    family=st.sampled_from(["t", "table"]),
+    marked=st.lists(st.booleans(), min_size=4, max_size=4),
+    with_f=st.booleans(),
+    per_target=st.booleans(),
+    zero_weight=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sensitivities_equal_the_kernel_formula(
+    seed, k, family, marked, with_f, per_target, zero_weight
+):
+    """c and e from the mixture's shares equal the kernel formula within
+    rtol 1e-12, e with an absolute floor of 1e-12 times its terms'
+    magnitudes, for its cancellation; where a step of that formula leaves
+    the normal float range, they are finite.  k = 1-4 t or table
+    references, the tables scaled by 10^U(-250, 250) (reference 1 by 1,
+    the targets so that c stays in range) at d within a factor 2 of the
+    true ratios; one weight vector or one per target, a zero weight among
+    them."""
+    rng, refs, samples, targets = _random_setup(seed, k, family, marked, 3)
+    d_hat = rng.uniform(0.5, 2.0, size=k - 1)
+    if family == "table":
+        exps = np.r_[0.0, rng.uniform(-250.0, 250.0, size=k - 1)]
+        lo, hi = max(-250.0, exps.max() - 280.0), min(250.0, exps.min() + 280.0)
+        refs = [_scaled(r, e) for r, e in zip(refs, exps)]
+        targets = [_scaled(t, rng.uniform(lo, hi)) for t in targets]
+        states = np.arange(refs[0].size, dtype=float)
+        log_z = np.array([np.logaddexp.reduce(r.log_density(states)) for r in refs])
+        d_hat *= np.exp(log_z[1:] - log_z[0])
+
+    def weights():
+        a = rng.uniform(0.1, 2.0, size=k)
+        if zero_weight and k > 1:
+            a[int(rng.integers(k))] = 0.0
+        return a
+
+    ctx = _Context(samples, refs, d_hat, IDENTITY if with_f else None)
+    shared = weights()
+    for target in targets:
+        a = weights() if per_target else shared
+        with np.errstate(over="ignore", invalid="ignore"):  # batch means of u ~ 1e250
+            p = _target_pass(ctx, target, a, DEFAULT_BM_SPEC)
+        c, s, c_mag, s_mag, in_range = _kernel_sensitivities(ctx, target, a)
+        assert np.isfinite(p.c_vec).all()
+        np.testing.assert_allclose(p.c_vec[in_range], c[in_range], rtol=1e-12, atol=0.0)
+        if with_f:
+            assert np.isfinite(p.e_vec).all()
+            e = s / p.u_hat - c * (p.eta_hat / p.u_hat)
+            floor = 1e-12 * (s_mag + abs(p.eta_hat) * c_mag) / p.u_hat
+            err = np.abs(p.e_vec - e) - 1e-12 * np.abs(e) - floor
+            assert np.all(err[in_range] <= 0.0)
+
+
 # --------------------------------------------------------------- tour sums
 
 W_TRUE = HALF / np.concatenate(([1.0], TRUE_D))  # the mixture's a_l / d_l
