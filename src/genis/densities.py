@@ -158,7 +158,9 @@ def log_sum_exp_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and a -inf entry's is exactly 0.  Raises UndefinedPointError when a
     whole row is -inf, as every caller needs a positive mixture term there.
     """
-    m = np.max(mat, axis=1)
+    m = mat[:, 0].copy()
+    for col in mat.T[1:]:  # column by column: np.max(axis=1) pays per row
+        np.maximum(m, col, out=m)
     if np.any(np.isneginf(m)):
         raise UndefinedPointError("all mixture components vanish at a state")
     with np.errstate(invalid="ignore"):
