@@ -75,10 +75,9 @@ def bm_cov(rows: np.ndarray, spec: BatchMeansSpec) -> np.ndarray:
         blocks = np.ascontiguousarray(blocks)
     means = np.add.reduce(blocks.reshape(rows.shape[:-1] + (e, b)), axis=-1) / b
     centered = means - np.add.reduce(means, axis=-1, keepdims=True) / e
-    # every (j, k) entry is the dot product of rows j and k: a stacked
-    # (1, e) @ (e, 1) product runs the same BLAS dot per pair as np.dot;
-    # the upper triangle is copied over the lower, so the result is
-    # symmetric whatever the kernel rounds
+    # every (j, k) entry is the dot product of rows j and k: a stacked (1, e)
+    # @ (e, 1) product runs the same BLAS dot per pair as np.dot; the upper
+    # triangle is copied over the lower, whatever the kernel rounds
     dots = centered[..., :, None, None, :] @ centered[..., None, :, :, None]
     out = (b / (e - 1)) * dots[..., 0, 0]
     for j in range(1, out.shape[-1]):

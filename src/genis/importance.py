@@ -45,8 +45,7 @@ from .samplers import SampleSet
 
 DEFAULT_TAIL_GUARD = 1e3
 
-# normalized weights, the pooled log mixture, and the (N, k - 1) weighted
-# shares W of the references j = 2..k (see `_Context.mixture`)
+# normalized weights, the pooled log mixture and its weighted shares W
 _Mixture = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
