@@ -29,10 +29,11 @@ objective, score, B and probabilities come from one softmax per chain.
 The evaluator has two steps: `_parts` computes each chain's weight-free
 parts at every zeta of the stack (own-term sum, column sums of the
 membership probabilities, diag(p_sum) - p p^T, and the probabilities),
-and `_combine` weighs them with each point's w and a.  The parts at
-zeta = 0 do not depend on the weights, so every point shares them.
+and `_combine` weighs them with each point's w and a.
 
-`_fit` runs damped Newton on all G points in lockstep rounds: each round,
+`_fit` runs damped Newton on all G points in lockstep rounds, each point
+from its own start log a - log a_1, centred, which is the population
+maximizer when the reference constants are equal.  Each round,
 the points with a fresh evaluation test convergence and take their Newton
 step together (batched Cholesky factor and solves), and the points in
 their line search are evaluated together in one `_parts` call.  Each
@@ -223,14 +224,14 @@ def _ridged_cholesky(neg_h: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _fit(
-    mats: list[np.ndarray],
-    a: np.ndarray,
-    n_per: np.ndarray,
-    start: list | None = None,
-):
-    """Damped Newton from zeta = 0 under sum(zeta) = 0, for each row of the
-    (G, k) weights a, in lockstep rounds.
+def _fit(mats: list[np.ndarray], a: np.ndarray, n_per: np.ndarray):
+    """Damped Newton under sum(zeta) = 0, for each row of the (G, k)
+    weights a, in lockstep rounds, from its own start log a - log a_1,
+    centred.
+
+    In the population the maximizer has e^{zeta_l} proportional to
+    a_l / m_l, so the start is exact when the reference constants are
+    equal, and it is +0.0 bit for bit when the weights are.
 
     Each round, every point with a fresh evaluation tests convergence and
     takes its Newton step (one batched Cholesky factor and solve), and every
@@ -243,12 +244,9 @@ def _fit(
     for bit as solved, and one that overflows fails its point.  Every
     candidate is thus finite and needs no vanishing-state check.
 
-    `start`, when given, holds `_parts(mats, np.zeros((1, k)), None)`,
-    which do not depend on the weights, so several fits on one set of
-    matrices can share them.  Each iterate is centred before it is
-    evaluated, so a point's returned zeta is that of its last evaluation,
-    whose B and membership probabilities are returned with it (None for a
-    single chain).
+    Each iterate is centred before it is evaluated, so a point's returned
+    zeta is that of its last evaluation, whose B and membership
+    probabilities are returned with it (None for a single chain).
 
     Returns (points, zeta, iterations, grad_norm, info, probs, errors):
     errors[i] is the EstimationError that stopped point i or None; row j
@@ -264,7 +262,8 @@ def _fit(
                 np.zeros(g_count), None, None, errors)
     n = float(n_per.sum())
     w = a * n / n_per
-    zeta = np.zeros((g_count, k))
+    zeta = np.log(a) - np.log(a[:, :1])
+    zeta -= np.add.reduce(zeta, axis=1, keepdims=True) / k
     iterations = np.zeros(g_count, int)
     grad_norm = np.zeros(g_count)
     step = np.zeros((g_count, k))
@@ -280,15 +279,15 @@ def _fit(
         for i in points:
             errors[i] = ConvergenceError(message)
 
-    ll, g, info, zero_probs = _combine(
-        _parts(mats, np.zeros((1, k)), None) if start is None else start, w, a)
-    # Each round evaluates its L candidates into rows 0..L-1 of `work`, one
-    # (G, k, n_l) array per chain, so no large array is allocated per round.
-    # A converged point moves its row to the end of `work`, filled from the
-    # last row down; the live points, at most G minus those kept, stay clear
-    # of it, so the fit holds G rows of membership probabilities at most.
-    work = None
-    slot = np.full(g_count, -1)  # each point's row of work; -1 for the zeta = 0 row
+    # Each round evaluates its L candidates, the first round its G starts,
+    # into rows 0..L-1 of `work`, one (G, k, n_l) array per chain, so no
+    # large array is allocated per round.  A converged point moves its row
+    # to the end of `work`, filled from the last row down; the live points,
+    # at most G minus those kept, stay clear of it, so the fit holds G rows
+    # of membership probabilities at most.
+    work = [np.empty((g_count,) + mat.shape) for mat in mats]
+    ll, g, info, _ = _combine(_parts(mats, zeta, work), w, a)
+    slot = np.arange(g_count)  # each point's row of work
     kept = 0
     eye = np.eye(k - 1)
     noise = 1e4 * np.finfo(float).eps
@@ -339,23 +338,17 @@ def _fit(
             halvings[new] = 0
             state[new] = _SEARCH
         live = np.flatnonzero(state == _SEARCH)
-        if done.size and work is None:
-            work = [np.empty((g_count,) + mat.shape) for mat in mats]
         # from the highest row down, so no copy lands on a row still to move
         for i in done[np.argsort(-slot[done])]:
             kept += 1
-            src = [p[0] for p in zero_probs] if slot[i] < 0 else [x[slot[i]] for x in work]
-            for x, p in zip(work, src):
-                x[g_count - kept] = p
+            for x in work:
+                x[g_count - kept] = x[slot[i]]
             slot[i] = g_count - kept
-        zero_probs = None  # after the first round no point is left on it
         if not live.size:
             break
         # one stacked evaluation of every line-search candidate
         cand = zeta[live] + t[live, None] * step[live]
         cand -= np.add.reduce(cand, axis=1, keepdims=True) / k
-        if work is None:  # not before the zeta = 0 probabilities are spent
-            work = [np.empty((g_count,) + mat.shape) for mat in mats]
         slot[live] = np.arange(live.size)
         c_ll, c_g, c_info, _ = _combine(
             _parts(mats, cand, [x[:live.size] for x in work]), w[live], a[live])

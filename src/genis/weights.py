@@ -118,23 +118,23 @@ def pilot_optimal_weights(
 ) -> tuple[np.ndarray, dict]:
     """Search simplex_grid(k, step) for the stage-1 weights minimizing tr(cov).
 
-    The log-density matrices (with their vanishing-state check), and the
-    evaluator's weight-free parts at zeta = 0, are computed once and
-    shared by every grid point.  The points are fitted, and their
-    covariances estimated, PILOT_CHUNK at a time in one lockstep kernel;
-    each point combines the shared parts with its own weights and takes
-    its own Newton iterations, so its trace equals that of a separate
+    The log-density matrices, with their vanishing-state check, are
+    computed once and shared by every grid point.  The points are fitted,
+    and their covariances estimated, PILOT_CHUNK at a time in one lockstep
+    kernel; each point starts from its own weights' offsets and takes its
+    own Newton iterations, so its trace equals that of a separate
     `estimate_ratios` bit for bit.  A chunk's membership probabilities
     are dropped once its estimates are taken, so the search's memory
     does not grow with the grid: beyond the pilot it peaks near
-    1.2 PILOT_CHUNK + 3 copies of the pilot's (k, sum n_l) float64
-    matrix (9.9 at 3 x 2,000 draws; test_pilot_grid_memory_peak bounds
+    1.2 PILOT_CHUNK + 2 copies of the pilot's (k, sum n_l) float64
+    matrix (8.8 at 3 x 2,000 draws; test_pilot_grid_memory_peak bounds
     it at 12), against 47 with all 36 points of a step-0.1 grid stacked.
-    Each grid point is fitted from zeta = 0, since a warm start moves the
-    converged zeta by rounding and can flip near-tied choices.  A state
-    where every reference vanishes raises UndefinedPointError, as a single
-    fit does; if no draw links the references into one group, the search
-    raises InsufficientDataError.  Grid points where the fit or the
+    No point starts from another's solution, since such a warm start
+    moves the converged zeta by rounding and can flip near-tied choices.
+    A state where every reference vanishes raises UndefinedPointError, as
+    a single fit does; if no draw links the references into one group at
+    zeta = 0, the search raises InsufficientDataError before it fits a
+    point.  Grid points where the fit or the
     covariance fails are skipped; ties are broken toward the pooled naive
     weights, then lexicographically.  Returns the winning weights and a
     diagnostics map from grid points to traces (NaN where skipped).
@@ -144,17 +144,16 @@ def pilot_optimal_weights(
     n_per = pilot_samples.n_per_chain
     n_per_f = n_per.astype(float)
     mats = log_density_matrices(pilot_samples, references)
-    start = _parts(mats, np.zeros((1, k)), None)
     # under any weights, B at zeta = 0 has the signs of this sum
     labels = [c.density_id for c in pilot_samples.chains]
-    (overlap,) = _overlap_errors(sum(p[2] for p in start), labels)
+    (overlap,) = _overlap_errors(sum(p[2] for p in _parts(mats, np.zeros((1, k)), None)), labels)
     if overlap is not None:
         raise overlap
     weights = np.array([StageWeights(a_vec).a for a_vec in points])
     traces = np.full(len(points), math.nan)
     for lo in range(0, len(points), PILOT_CHUNK):
         a = weights[lo:lo + PILOT_CHUNK]
-        fit = _fit(mats, a, n_per_f, start=start)
+        fit = _fit(mats, a, n_per_f)
         for i, est in enumerate(
             _estimate_from_fit(fit, pilot_samples.chains, a, n_per, bm_spec, "bm"), lo
         ):

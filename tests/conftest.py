@@ -6,8 +6,11 @@ unnormalized masses (1, 1) and (3, 1), so the normalizing constants are
 two states gives exact truth for every estimand.
 """
 
+import ctypes
 import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,14 @@ from genis.reverse_logistic import (
     _parts,
     log_density_matrices,
 )
-from genis.samplers import ChainSample, SampleSet, derive_seed, discrete_mh
+from genis.samplers import (
+    ChainSample,
+    SampleSet,
+    derive_seed,
+    discrete_mh,
+    independence_mh,
+    sample_t_iid,
+)
 
 # every property test draws the same examples on every run, so a suite
 # result does not rest on chance; --hypothesis-profile loads another profile
@@ -196,3 +206,103 @@ def traced_peak(fn):
         if not was_tracing:
             tracemalloc.stop()
     return out, peak
+
+
+def three_t_pilot():
+    """Pilot chains of 2,000 iid draws from t5 at 0, 1 and 2."""
+    mus = (0.0, 1.0, 2.0)
+    refs = [t_density(5, mu) for mu in mus]
+    chains = tuple(sample_t_iid(5, mu, 2000, seed=70 + i) for i, mu in enumerate(mus))
+    return SampleSet(chains=chains), refs
+
+
+def toy_pilot():
+    """The toy pair: 1,000 iid draws from t5 at 1 and 1,000 IMH draws
+    targeting t5 at 0."""
+    chains = (
+        sample_t_iid(5, 1.0, 1000, seed=31),
+        independence_mh(t_density(5, 0.0), 5, 1.0, 1000, seed=32),
+    )
+    return SampleSet(chains=chains), [t_density(5, 1.0), t_density(5, 0.0)]
+
+
+def scaled_pair_pilot():
+    """t5 at 0 and e^26 times t5 at 1: the solution lies 26 from the start
+    in zeta_2 - zeta_1, so the first Newton step is long, and before it
+    was bounded the line search failed at 7 of the 19 default grid
+    points."""
+    scaled = UnnormalizedDensity("t5_mu1", lambda x: t_log_pdf(5, 1.0, x) + 26.0)
+    chains = (sample_t_iid(5, 0.0, 200, seed=41), sample_t_iid(5, 1.0, 200, seed=42))
+    return SampleSet(chains=chains), [t_density(5, 0.0), scaled]
+
+
+# pilot searches, with their grid steps, whose digests the golden corpus
+# holds under frozen_pilot_entry(case)
+FROZEN_PILOTS = {
+    "three_t_step_0.1": (three_t_pilot, 0.1),
+    "toy_pair_step_0.05": (toy_pilot, 0.05),
+    "scaled_pair_step_0.05": (scaled_pair_pilot, 0.05),
+}
+
+
+def frozen_pilot_entry(case: str) -> str:
+    return f"frozen-pilot-{case}"
+
+
+# ------------------------------------------------------------- byte checks
+#
+# A byte check compares outputs with digests recorded on one host.  They
+# carry the rounding of that host's numeric kernels, so under other kernels
+# they may differ with no change to the code, and every failure says which
+# kernels ran.
+
+GOLDEN = Path(__file__).with_name("golden.json")
+# GENIS_RECORD_GOLDEN=1 makes every check on the golden corpus record what
+# it got before it compares; a change that re-records names every changed
+# entry and says why
+RECORD = bool(os.environ.get("GENIS_RECORD_GOLDEN"))
+# the kernels every digest of the suite was recorded under
+RECORDED_KERNELS = "OpenBLAS core SkylakeX, numpy SIMD targets X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def kernel_fingerprint() -> str:
+    """The numeric kernels this process runs: the core that OpenBLAS chose
+    for the CPU and the SIMD targets that numpy dispatches to."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    core = "unknown"
+    # numpy's wheels bundle OpenBLAS here; the library is loaded already
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas*"):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+    return f"OpenBLAS core {core}, numpy SIMD targets {' '.join(simd) or 'none'}"
+
+
+def byte_check_message(what: str) -> str:
+    """The message of a failed byte check on `what`, naming the kernels."""
+    here = kernel_fingerprint()
+    if here == RECORDED_KERNELS:
+        return f"{what}: the bytes changed under the kernels they were recorded with ({here})"
+    return (f"{what}: the bytes differ, but they were recorded under {RECORDED_KERNELS} "
+            f"and ran under {here}, which may round differently with no code change")
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+def store_golden(corpus: dict):
+    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+
+
+def check_golden(name: str, got, detail: str = ""):
+    """Compare got with the golden corpus entry `name`, after recording it
+    there when GENIS_RECORD_GOLDEN is set."""
+    if RECORD:
+        store_golden({**load_golden(), name: got})
+    assert got == load_golden().get(name), f"{byte_check_message(name)}\n{detail}"

@@ -6,15 +6,20 @@ code (or the type of an uncaught exception), the sha256 of stdout and of
 stderr with the temporary directory masked as `<tmp>`, and the sha256 of
 every file written under `--out`.
 
+The corpus also holds the digests of the pilot searches in
+conftest.FROZEN_PILOTS, which tests/test_weights.py checks.
+
 The digests carry the rounding of the Newton steps and of BLAS dot
 products, so on another CPU or BLAS build they may differ with no change
-to the code; there, compare the outputs with those of the previous commit
-instead.  They were recorded with numpy 2.4 and its OpenBLAS 0.3.31 wheel
-on x86-64.
+to the code; a failure names the kernels it ran under and those the corpus
+was recorded under.  On such a host, compare the outputs with those of the
+previous commit instead.  They were recorded with numpy 2.4 and its OpenBLAS 0.3.31
+wheel on x86-64.
 
-To re-record on purpose, run this file with GENIS_RECORD_GOLDEN=1; it
-rewrites the entry of every case it runs and drops entries without a case.
-A change that re-records names every changed entry and says why.
+To re-record on purpose, run this file and tests/test_weights.py with
+GENIS_RECORD_GOLDEN=1; it rewrites the entry of every check it runs and
+drops entries without a check.  A change that re-records names every
+changed entry and says why.
 """
 
 import contextlib
@@ -22,16 +27,22 @@ import copy
 import hashlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from genis import cli
 
-GOLDEN = Path(__file__).with_name("golden.json")
+from conftest import (
+    FROZEN_PILOTS,
+    RECORD,
+    check_golden,
+    frozen_pilot_entry,
+    load_golden,
+    store_golden,
+)
+
 CONFIGS = Path(__file__).parents[1] / "configs"
-RECORD = bool(os.environ.get("GENIS_RECORD_GOLDEN"))
 
 T_IID = {"family": "t", "sampler": "iid", "df": 5.0, "mu": 1.0}
 T_IMH = {"family": "t", "sampler": "imh", "df": 5.0, "mu": 0.0,
@@ -268,28 +279,17 @@ def run_case(tmp_path, raw, argv) -> tuple[dict, str]:
     return outcome, text
 
 
-def _load() -> dict:
-    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-
-
-def _store(corpus: dict):
-    GOLDEN.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_run_matches_the_corpus(tmp_path, name):
     raw, argv = CASES[name]
     got, text = run_case(tmp_path, raw, argv)
-    if RECORD:
-        corpus = _load()
-        corpus[name] = got
-        _store(corpus)
-    assert got == _load().get(name), f"stdout was:\n{text}"
+    check_golden(name, got, f"stdout was:\n{text}")
 
 
 def test_corpus_holds_exactly_the_cases():
-    corpus = _load()
-    if RECORD:
-        _store({name: corpus[name] for name in corpus if name in CASES})
-        corpus = _load()
-    assert sorted(corpus) == sorted(CASES)
+    names = {*CASES, *map(frozen_pilot_entry, FROZEN_PILOTS)}
+    corpus = load_golden()
+    if RECORD:  # prune only, since tests/test_weights.py may record after this
+        store_golden({name: corpus[name] for name in corpus if name in names})
+    else:
+        assert sorted(corpus) == sorted(names)

@@ -45,7 +45,7 @@ from genis.pipeline import (
 )
 from genis.weights import DEFAULT_STEP
 
-from conftest import read_chain_file
+from conftest import byte_check_message, read_chain_file
 
 
 def toy_config(**overrides) -> dict:
@@ -1511,7 +1511,7 @@ def test_tours_csv_quotes_labels_as_csv_does(tmp_path, integrand, digest, first)
     out = tmp_path / "o"
     assert cli_main(["estimate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
     data = (out / "tours.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert hashlib.sha256(data).hexdigest() == digest, byte_check_message("tours.csv")
     assert first in data and data.endswith(b"\r\n")
     with open(out / "tours.csv", newline="") as fh:
         assert {r[0] for r in list(csv.reader(fh))[1:]} == {"t5_mu1", 'imh, "zero"'}

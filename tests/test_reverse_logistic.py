@@ -52,6 +52,7 @@ from conftest import (
     rl_evaluate,
     t_log_pdf,
     table_mh_samples,
+    three_t_pilot,
     traced_peak,
 )
 
@@ -259,6 +260,31 @@ def test_fit_identical_densities_gives_zero():
     samples, refs = _flat_pair(n=5)
     zeta = fit_reverse_logistic(samples, refs)
     np.testing.assert_allclose(zeta, 0.0, atol=1e-9)
+
+
+def test_fit_with_equal_weights_starts_at_plus_zero(monkeypatch):
+    """Each fit starts at log a - log a_1, centred, which is +0.0 bit for
+    bit under equal weights, so a fit under naive weights on chains of
+    equal length makes its first evaluation exactly at zeta = 0, as does
+    each point of a stack.  (log a centred alone gives -2.2e-16 at k = 6.)"""
+    real = reverse_logistic._parts
+    calls = []
+
+    def spy(mats, zeta, out):
+        calls.append(zeta.copy())
+        return real(mats, zeta, out)
+
+    monkeypatch.setattr(reverse_logistic, "_parts", spy)
+    samples, refs = three_t_pilot()
+    estimate_ratios(samples, refs)
+    firsts = [calls[0]]
+    calls.clear()
+    mats = [np.random.default_rng(l).standard_normal((6, 50)) for l in range(6)]
+    reverse_logistic._fit(mats, np.full((2, 6), 1 / 6), np.full(6, 50.0))
+    firsts.append(calls[0])
+    assert [z.shape for z in firsts] == [(1, 3), (2, 6)]
+    for z in firsts:
+        assert (z == 0.0).all() and not np.signbit(z).any()
 
 
 def test_fit_discrete_exact_proportions_recovers_truth(

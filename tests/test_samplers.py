@@ -27,7 +27,7 @@ from genis.samplers import (
     tune_splitting_constant,
 )
 
-from conftest import read_chain_file, t_log_pdf, traced_peak
+from conftest import byte_check_message, read_chain_file, t_log_pdf, traced_peak
 
 
 # ---------------------------------------------------------------- seeding
@@ -436,7 +436,7 @@ def test_t_chain_matches_frozen_digest(seed):
     chain = independence_mh(t_density(5, 0), 5, 1, 100_000, seed, with_regen=True)
     assert (_sha(chain.states.astype("<f8")), _sha(chain.regen_marks)) == (
         FROZEN_T_CHAINS[seed]
-    )
+    ), byte_check_message(f"t chain of seed {seed}")
 
 
 @pytest.mark.parametrize(
@@ -470,10 +470,10 @@ def test_discrete_chain_matches_frozen_digest():
     chain = discrete_mh(gap, 5000, 0, with_regen=True)
     assert _sha(chain.states.astype("<f8")) == (
         "c52b53e44b2bc5a46036e6a7be5ea76b1e201f0d496c61a0cc0ebcc67f7281dd"
-    )
+    ), byte_check_message("discrete chain states")
     assert _sha(chain.regen_marks) == (
         "5a76e8803d67a09a270824b4631770e06fe80d27d4645fc5b65ebab667118970"
-    )
+    ), byte_check_message("discrete chain marks")
 
 
 def test_discrete_mh_needs_discrete_target():

@@ -9,11 +9,7 @@ import pytest
 
 from genis import reverse_logistic, weights
 from genis.batch_means import DEFAULT_BM_SPEC
-from genis.densities import (
-    UnnormalizedDensity,
-    discrete_table_density,
-    t_density,
-)
+from genis.densities import discrete_table_density, t_density
 from genis.errors import ConvergenceError, InsufficientDataError, UndefinedPointError
 from genis.reverse_logistic import StageWeights, estimate_ratios
 from genis.samplers import ChainSample, SampleSet, independence_mh, sample_t_iid
@@ -25,7 +21,16 @@ from genis.weights import (
     simplex_grid,
 )
 
-from conftest import TABLE_1, exact_proportion_chain, t_log_pdf, traced_peak
+from conftest import (
+    FROZEN_PILOTS,
+    TABLE_1,
+    check_golden,
+    exact_proportion_chain,
+    frozen_pilot_entry,
+    scaled_pair_pilot,
+    three_t_pilot,
+    traced_peak,
+)
 
 
 # -------------------------------------------------------------------- naive
@@ -328,88 +333,69 @@ def test_pilot_grid_matches_estimate_ratios_per_point():
     np.testing.assert_array_equal(best, min(traces, key=traces.get))
 
 
-def _three_t_pilot():
-    mus = (0.0, 1.0, 2.0)
-    refs = [t_density(5, mu) for mu in mus]
-    chains = tuple(sample_t_iid(5, mu, 2000, seed=70 + i) for i, mu in enumerate(mus))
-    return SampleSet(chains=chains), refs
-
-
-def _toy_pilot():
-    chains = (
-        sample_t_iid(5, 1.0, 1000, seed=31),
-        independence_mh(t_density(5, 0.0), 5, 1.0, 1000, seed=32),
-    )
-    return SampleSet(chains=chains), [t_density(5, 1.0), t_density(5, 0.0)]
-
-
-def _scaled_pair_pilot():
-    """t5 at 0 and e^26 times t5 at 1: from zeta = 0 the first Newton step
-    is long, and before it was bounded the line search failed at 7 of the
-    19 default grid points."""
-    scaled = UnnormalizedDensity("t5_mu1", lambda x: t_log_pdf(5, 1.0, x) + 26.0)
-    chains = (sample_t_iid(5, 0.0, 200, seed=41), sample_t_iid(5, 1.0, 200, seed=42))
-    return SampleSet(chains=chains), [t_density(5, 0.0), scaled]
-
-
-# sha256 of the chosen weights followed by the sorted (point, trace) rows of
-# the diagnostics, as little-endian float64.  The first two were recorded
-# before the grid shared its zeta = 0 evaluation, the third once the Newton
-# step was bounded, which turned its 7 NaN traces finite and moved the other
-# 12 by at most 5e-10 relative.  Like the frozen chain digests, they may
-# differ on another CPU or BLAS build with no change to the code.
-FROZEN_PILOTS = {
-    "three_t_step_0.1": (
-        _three_t_pilot,
-        0.1,
-        "a52c876ffbb2dd23aa69e70c7264b551ed97eca559fdf4e2bfcaa31cc1e13326",
-    ),
-    "toy_pair_step_0.05": (
-        _toy_pilot,
-        0.05,
-        "dfb6649cc8173ebeaf3d50c95ed39f6ddf607c3d07dd07fe81c6225cc4eb86d0",
-    ),
-    "scaled_pair_step_0.05": (
-        _scaled_pair_pilot,
-        0.05,
-        "9437634a30c7b61614be1c33eb22b78875cae82b05330de6857abbd7ff2d2905",
-    ),
-}
-
-
 @pytest.mark.parametrize("case", sorted(FROZEN_PILOTS))
 def test_pilot_matches_frozen_digest(case):
-    build, step, digest = FROZEN_PILOTS[case]
+    """The sha256 of the chosen weights followed by the sorted (point,
+    trace) rows of the diagnostics, as little-endian float64, is the golden
+    corpus entry of the case.  The entries were last re-recorded when each
+    fit began at its own weights' offsets: no chosen weight moved, and no
+    trace by more than 1.2e-9 relative."""
+    build, step = FROZEN_PILOTS[case]
     pilot, refs = build()
     best, diag = pilot_optimal_weights(pilot, refs, step=step)
     rows = np.array([key + (trace,) for key, trace in sorted(diag.items())])
     data = np.concatenate([best, rows.ravel()]).astype("<f8").tobytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    check_golden(frozen_pilot_entry(case), hashlib.sha256(data).hexdigest())
 
 
-def test_pilot_computes_the_zeta_zero_parts_once(monkeypatch):
-    """The 36 points of a step-0.1 grid on three chains share one zeta = 0
-    evaluation, the first; every other row of every stacked evaluation is
-    at a Newton iterate."""
+def test_pilot_fits_each_chunk_from_its_points_own_offsets(monkeypatch):
+    """After the one zeta = 0 evaluation of the overlap check, each chunk
+    of the 36-point grid first evaluates its points together, each at its
+    own start log a - log a_1, centred; then each round is one stacked
+    `_parts` call of the points still in their line search, so a chunk
+    with no step halving makes 1 + its most Newton iterations calls."""
     real = reverse_logistic._parts
-    zero_rows = []
+    calls = []
 
-    def counting(mats, zeta, *args, **kwargs):
-        zero_rows.append(int(np.sum(~np.any(zeta, axis=1))))
-        return real(mats, zeta, *args, **kwargs)
+    def spy(mats, zeta, out):
+        calls.append(zeta.copy())
+        return real(mats, zeta, out)
 
-    monkeypatch.setattr(reverse_logistic, "_parts", counting)
-    monkeypatch.setattr(weights, "_parts", counting)
-    pilot, refs = _three_t_pilot()
+    pilot, refs = three_t_pilot()
+    a = np.array([StageWeights(x).a for x in simplex_grid(3, 0.1)])
+    iterations = [estimate_ratios(pilot, refs, StageWeights(x)).iterations for x in a]
+    start = np.log(a) - np.log(a[:, :1])
+    start -= np.add.reduce(start, axis=1, keepdims=True) / 3
+    monkeypatch.setattr(reverse_logistic, "_parts", spy)
+    monkeypatch.setattr(weights, "_parts", spy)
     _, diag = pilot_optimal_weights(pilot, refs, step=0.1)
-    assert len(diag) == 36
-    assert all(np.isfinite(v) for v in diag.values())
-    assert zero_rows[0] == 1 and sum(zero_rows) == 1
+    assert len(diag) == 36 and all(np.isfinite(v) for v in diag.values())
+    assert np.array_equal(calls.pop(0), np.zeros((1, 3)))
+    for lo in range(0, 36, weights.PILOT_CHUNK):
+        chunk = slice(lo, lo + weights.PILOT_CHUNK)
+        assert np.array_equal(calls.pop(0), start[chunk])
+        its = np.array(iterations[chunk])
+        for r in range(1, its.max() + 1):
+            assert len(calls.pop(0)) == np.sum(its >= r)
+    assert calls == []
+
+
+def test_pilot_points_converge_from_their_offsets_in_at_most_3_iterations():
+    """Each point of the three-t grid starts at its own weights' offsets,
+    which solve the population problem, since the three t5 constants are
+    equal: every point converges in at most 3 Newton iterations (2.2 on
+    average), where from zeta = 0 they took 3 to 5 (4.4)."""
+    pilot, refs = three_t_pilot()
+    a = np.array([StageWeights(x).a for x in simplex_grid(3, 0.1)])
+    mats = reverse_logistic.log_density_matrices(pilot, refs)
+    points, _, iterations, *_ = reverse_logistic._fit(mats, a, pilot.n_per_chain.astype(float))
+    assert points.size == 36
+    assert iterations.max() <= 3
 
 
 @pytest.mark.parametrize(
     "build, step, max_iter",
-    [(_three_t_pilot, 0.125, None), (_scaled_pair_pilot, 0.05, 6)],
+    [(three_t_pilot, 0.125, None), (scaled_pair_pilot, 0.05, 6)],
     ids=["21", "19"],
 )
 def test_pilot_chunks_match_single_fits(monkeypatch, build, step, max_iter):
@@ -442,10 +428,11 @@ def test_pilot_chunks_match_single_fits(monkeypatch, build, step, max_iter):
 def test_lockstep_fit_evaluates_only_finite_candidates(monkeypatch):
     """Components e^-709 apart: the bounded Newton step keeps every
     candidate finite, so no evaluation warns (warnings are errors here)
-    and each round is one stacked `_parts` call.  10 of the 36 points fail
-    with "Newton step overflows" and the other 26 converge, each with the
-    error or zeta of its own fit.  Unbounded, some candidates overflowed
-    and other points failed their line search."""
+    and each round is one stacked `_parts` call.  9 of the 36 points fail
+    with "Newton step overflows" and the other 27 converge, each with the
+    error or zeta of its own fit (10 and 26 when every point started at
+    zeta = 0).  Unbounded, some candidates overflowed and other points
+    failed their line search."""
     real = reverse_logistic._parts
     finite = []
 
@@ -460,8 +447,8 @@ def test_lockstep_fit_evaluates_only_finite_candidates(monkeypatch):
     monkeypatch.setattr(reverse_logistic, "_parts", spy)
     points, zeta, *_, errors = reverse_logistic._fit(mats, a, n_per)
     assert len(finite) > 1 and all(finite)
-    assert [str(err) for err in errors].count("Newton step overflows") == 10
-    assert points.size == 26 and all(errors[i] is None for i in points)
+    assert [str(err) for err in errors].count("Newton step overflows") == 9
+    assert points.size == 27 and all(errors[i] is None for i in points)
     for i, row in enumerate(a):
         _, alone, *_, (err,) = reverse_logistic._fit(mats, row[None], n_per)
         if errors[i] is None:
@@ -494,7 +481,7 @@ def test_pilot_grid_memory_peak():
     pilot, below 12 copies of the pilot's (k, sum n_l) float64 matrix
     (1.7 MB).  It measures 9.9 at PILOT_CHUNK = 6, so the bound leaves 21%
     headroom; with all 36 points fitted in one stack it peaked at 46.7."""
-    pilot, refs = _three_t_pilot()
+    pilot, refs = three_t_pilot()
     unit = 8 * len(refs) * int(pilot.n_per_chain.sum())
     pilot_optimal_weights(pilot, refs, step=0.1)  # first-call imports
     (_, diag), peak = traced_peak(lambda: pilot_optimal_weights(pilot, refs, step=0.1))
@@ -504,7 +491,7 @@ def test_pilot_grid_memory_peak():
 
 def test_pilot_with_all_references_vanishing_at_a_state_raises_undefined_point():
     """Both references vanish at state 1, which each chain visits: the
-    shared zeta = 0 evaluation raises the UndefinedPointError of a single
+    shared log-density matrices raise the UndefinedPointError of a single
     fit (exit 5) before any grid point is fitted.  The golden entry
     repro-pilot-vanishing-state reaches the same state from a config."""
     refs = [
